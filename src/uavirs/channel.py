@@ -221,14 +221,18 @@ def resolve_link_state(
 
 
 def rate_bps_hz(snr: ArrayLike, time_fraction: ArrayLike = 1.0) -> ArrayLike:
-    """Shannon spectral efficiency: time_fraction * log2(1 + snr), in bps/Hz."""
+    """Shannon spectral efficiency: time_fraction * log2(1 + snr), in bps/Hz.
+
+    Computed through log1p, so every positive SNR gives a positive rate, even
+    one too small to change 1 + snr.
+    """
     snr_arr = np.asarray(snr, dtype=float)
     frac_arr = np.asarray(time_fraction, dtype=float)
     if np.any(snr_arr < 0):
         raise ValueError("snr must be >= 0")
     if np.any((frac_arr < 0) | (frac_arr > 1)):
         raise ValueError("time_fraction must lie in [0, 1]")
-    rate = frac_arr * np.log2(1.0 + snr_arr)
+    rate = frac_arr * (np.log1p(snr_arr) / math.log(2.0))
     if np.isscalar(snr) and np.isscalar(time_fraction):
         return float(rate)
     return rate

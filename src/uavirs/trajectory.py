@@ -9,9 +9,10 @@ min-throughput stalls:
     rate matrix (scipy/HiGHS), followed by a second LP that minimizes total
     airtime at the optimal value so the returned schedule is canonical;
   * trajectory block -- one projected ascent step on the softmin-smoothed
-    objective, using finite-difference gradients on the waypoint coordinates
-    and iterated pairwise segment clipping to restore speed feasibility. Any
-    step that lowers the true (hard-min) objective is rejected.
+    objective, using the closed-form gradient of the rates in the horizontal
+    waypoint coordinates and the exact Euclidean projection onto the speed
+    constraints (ADMM with a tridiagonal solve). Any step that lowers the true
+    (hard-min) objective is rejected.
 
 The inner objective is non-decreasing across accepted iterations by
 construction, and every trajectory ever returned is speed-feasible.
@@ -25,6 +26,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.optimize import linprog
 
 from .channel import LinkState, Position3D, path_gain, resolve_link_state
@@ -35,6 +37,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 SPEED_SLACK = 1e-9  # tolerance on ||waypoint step|| <= v_max * slot_duration
 _LP_VALUE_SLACK = 1e-9  # relative slack when pinning the stage-1 LP value
+# Speed-projection ADMM: over-relaxation factor, residual ratio that triggers
+# a rho change, stopping tolerance (per metre of max_step and root slot), cap.
+_ADMM_RELAXATION = 1.8
+_ADMM_BALANCE = 1.5
+_ADMM_TOL = 1e-10
+_ADMM_MAX_ITERATIONS = 5000
 
 
 @dataclass(frozen=True)
@@ -217,23 +225,59 @@ class _RateEvaluator:
             scenario.path_loss("uav_irs").exponent if self._surfaces else None
         )
 
-    def _amp_gain(self, dist: np.ndarray, exponent: float) -> np.ndarray:
+    def _amp_gain(
+        self, offset: np.ndarray, exponent: float, with_slope: bool
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Amplitude gain sqrt(g0) * d^(-exponent/2) of one leg, d = ||offset||.
+
+        With with_slope, also its gradient with respect to the horizontal
+        components of offset: -(exponent/2) * gain / d^2 * offset, and zero
+        inside the reference-distance clamp, where the gain is constant.
+        """
+        dist = np.linalg.norm(offset, axis=-1)
         clamped = np.maximum(dist, self.radio.reference_distance)
-        return math.sqrt(self.radio.ref_path_gain) * clamped ** (-exponent / 2.0)
+        gain = math.sqrt(self.radio.ref_path_gain) * clamped ** (-exponent / 2.0)
+        if not with_slope:
+            return gain, None
+        coeff = np.where(
+            dist > self.radio.reference_distance, -0.5 * exponent * gain / clamped**2, 0.0
+        )
+        return gain, coeff[..., None] * offset[..., :2]
+
+    def _amplitude(
+        self, wp: np.ndarray, with_slope: bool
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Direct plus reflected amplitude A[k, t] at UAV positions wp[t].
+
+        With with_slope, also dA[k, t] / d(horizontal wp[t]), shape (K, M, 2).
+        """
+        amp, slope = self._amp_gain(
+            wp[None, :, :] - self.node_pos[:, None, :], self._direct_exp, with_slope
+        )
+        amp[self._direct_blocked] = 0.0
+        if with_slope:
+            slope[self._direct_blocked] = 0.0
+        for j in range(len(self._surfaces)):
+            a_up, s_up = self._amp_gain(wp - self._surf_pos[j], self._uav_irs_exp, with_slope)
+            served = self._serving == j
+            amp[served] += self._dst_amplitude[served, None] * a_up[None, :]
+            if with_slope:
+                slope[served] += self._dst_amplitude[served, None, None] * s_up[None, :, :]
+        return amp, slope
 
     def rates(self, waypoints: np.ndarray) -> np.ndarray:
         """Rate matrix R[k, t] = log2(1 + SNR) at waypoints[t], t = 0..M-1."""
-        wp = waypoints[:-1]
-        d_direct = np.linalg.norm(self.node_pos[:, None, :] - wp[None, :, :], axis=2)
-        amp = self._amp_gain(d_direct, self._direct_exp)
-        amp[self._direct_blocked] = 0.0
-        for j, surf in enumerate(self._surfaces):
-            d_up = np.linalg.norm(wp - self._surf_pos[j], axis=1)
-            a_up = self._amp_gain(d_up, self._uav_irs_exp)
-            served = self._serving == j
-            amp[served] += self._dst_amplitude[served, None] * a_up[None, :]
+        amp, _ = self._amplitude(waypoints[:-1], False)
         snr = (self.radio.tx_power / self.radio.noise_power) * amp**2
         return np.log2(1.0 + snr)
+
+    def rate_gradient(self, waypoints: np.ndarray) -> np.ndarray:
+        """dR[k, t] / d(horizontal waypoints[t]), shape (K, M, 2); R as in rates."""
+        amp, slope = self._amplitude(waypoints[:-1], True)
+        gamma = self.radio.tx_power / self.radio.noise_power
+        # R = log2(1 + gamma A^2), so dR = 2 gamma A / ((1 + gamma A^2) ln 2) dA.
+        factor = 2.0 * gamma * amp / ((1.0 + gamma * amp**2) * math.log(2.0))
+        return factor[:, :, None] * slope
 
 
 def per_slot_rates(scenario: "Scenario", trajectory: Trajectory) -> np.ndarray:
@@ -329,59 +373,146 @@ def _softmin_weights(values: np.ndarray, temperature: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _clip_pass(wp: np.ndarray, max_step: float, parity: int) -> None:
-    """Contract every over-long segment of one parity class in place.
+@dataclass(eq=False)
+class _ProjectionWarmStart:
+    """ADMM state carried between speed projections of paths with one slot count.
 
-    Segments (t, t+1) of equal parity are vertex-disjoint, so they can be
-    clipped simultaneously. Endpoints (waypoints 0 and M) never move.
+    Each _project_speed call that receives the object starts from its dual
+    and rho and leaves its own final values in it.
     """
-    m = wp.shape[0] - 1
-    t = np.arange(parity, m, 2)
-    if t.size == 0:
-        return
-    delta = wp[t + 1] - wp[t]
-    lens = np.linalg.norm(delta, axis=1)
-    over = lens > max_step
-    if not np.any(over):
-        return
-    t = t[over]
-    direction = delta[over] / lens[over, None]
-    excess = (lens[over] - max_step)[:, None]
-    movable_lo = (t != 0)[:, None]
-    movable_hi = (t + 1 != m)[:, None]
-    w_lo = np.where(movable_lo & movable_hi, 0.5, np.where(movable_lo, 1.0, 0.0))
-    w_hi = np.where(movable_lo & movable_hi, 0.5, np.where(movable_hi, 1.0, 0.0))
-    wp[t] += direction * excess * w_lo
-    wp[t + 1] -= direction * excess * w_hi
+
+    dual: Optional[np.ndarray] = None  # scaled dual, one row per segment
+    rho: float = 1.0
+
+
+def _straight_line(start: np.ndarray, end: np.ndarray, num_slots: int) -> np.ndarray:
+    """num_slots + 1 evenly spaced points from start to end, both copied exactly."""
+    frac = np.linspace(0.0, 1.0, num_slots + 1)[:, None]
+    line = start[None, :] + frac * (end - start)[None, :]
+    line[0], line[-1] = start, end
+    return line
+
+
+def _lengths(segments: np.ndarray) -> np.ndarray:
+    return np.hypot(segments[:, 0], segments[:, 1])
+
+
+def _clip_to_ball(segments: np.ndarray, radius: float) -> np.ndarray:
+    return segments * (radius / np.maximum(_lengths(segments), radius))[:, None]
+
+
+def _admm_chain(
+    xy: np.ndarray, max_step: float, warm: _ProjectionWarmStart
+) -> np.ndarray:
+    """Interior points of argmin ||w - xy|| s.t. ||w[t+1] - w[t]|| <= max_step.
+
+    ADMM (Boyd et al. 2011, sections 3.3-3.4) on the splitting z = A w + b,
+    the segment vectors with the endpoints xy[0] and xy[-1] held fixed:
+
+      * w-update: one tridiagonal SPD solve of (I + rho A^T A), factored
+        once per rho value; the fixed endpoints enter the right-hand side as
+        +rho * xy[0] on the first row and +rho * xy[-1] on the last;
+      * z-update: each over-relaxed segment is clipped to the ball;
+      * rho is doubled or halved whenever one residual exceeds the other by
+        more than _ADMM_BALANCE (residual balancing).
+
+    Stops once both residuals fall below _ADMM_TOL * max_step * sqrt(M), or
+    after _ADMM_MAX_ITERATIONS. The final dual and rho are stored in warm.
+    """
+    m = xy.shape[0] - 1
+    n = m - 1
+    start, end = xy[0], xy[-1]
+    target = xy[1:-1]
+    path = xy.copy()
+    dual = warm.dual if warm.dual is not None else np.zeros((m, 2))
+    rho = warm.rho
+    z = _clip_to_ball(path[1:] - path[:-1], max_step)
+    factors = {}  # rho -> LDL^T factors of I + rho A^T A
+
+    def factor(rho: float):
+        if rho not in factors:
+            diag, off, _ = dpttrf(np.full(n, 1.0 + 2.0 * rho), np.full(max(n - 1, 1), -rho))
+            factors[rho] = diag, off
+        return factors[rho]
+
+    diag, off = factor(rho)
+    tol_sq = (_ADMM_TOL * max_step) ** 2 * m
+    for _ in range(_ADMM_MAX_ITERATIONS):
+        y = z - dual
+        rhs = y[:-1] - y[1:]
+        rhs *= rho
+        rhs += target
+        rhs[0] += rho * start
+        rhs[-1] += rho * end
+        path[1:-1] = dpttrs(diag, off, rhs)[0]
+        seg = path[1:] - path[:-1]
+        shifted = z + _ADMM_RELAXATION * (seg - z) + dual  # over-relaxed segment + dual
+        z_new = _clip_to_ball(shifted, max_step)
+        dual = shifted - z_new
+        r = seg - z_new
+        dz = z_new - z
+        s = dz[:-1] - dz[1:]
+        z = z_new
+        primal_sq = np.vdot(r, r)
+        dual_sq = rho * rho * np.vdot(s, s)
+        if primal_sq <= tol_sq and dual_sq <= tol_sq:
+            break
+        if primal_sq > _ADMM_BALANCE**2 * dual_sq:
+            step = 2.0
+        elif dual_sq > _ADMM_BALANCE**2 * primal_sq:
+            step = 0.5
+        else:
+            continue
+        rho *= step
+        dual /= step
+        diag, off = factor(rho)
+    warm.dual, warm.rho = dual, rho
+    return path[1:-1]
 
 
 def _project_speed(
-    wp: np.ndarray, max_step: float, feasible_fallback: np.ndarray, max_sweeps: int = 400
+    wp: np.ndarray, max_step: float, warm: Optional[_ProjectionWarmStart] = None
 ) -> np.ndarray:
-    """Restore speed feasibility by iterated pairwise segment clipping.
+    """Euclidean projection of a path onto the speed-feasible set.
 
-    Falls back to the largest feasible blend toward a known-feasible point if
-    clipping has not converged after max_sweeps (the feasible set is convex,
-    so the blend search always terminates feasible).
+    Minimizes ||w - wp|| subject to ||w[t+1] - w[t]|| <= max_step over the
+    horizontal coordinates of the interior waypoints; the endpoints and the
+    altitude column are copied unchanged. A feasible input is returned as is.
+    With no slack (a straight-line step of at least max_step, that is
+    M * max_step at most the start-end distance) the straight line, the only
+    candidate left, is returned without iterating. Otherwise the ADMM
+    solution is pulled toward the straight line (which is then feasible) by
+    the largest blend that keeps every segment within max_step, found in
+    closed form per segment, so the output is always speed-feasible.
     """
     out = wp.copy()
-    tol = max_step * (1.0 + 1e-12)
-    for _ in range(max_sweeps):
-        lens = np.linalg.norm(np.diff(out, axis=0), axis=1)
-        if lens.max() <= tol:
-            return out
-        _clip_pass(out, max_step, 0)
-        _clip_pass(out, max_step, 1)
-    lo, hi = 0.0, 1.0  # fallback: bisect the blend factor toward feasibility
-    best = feasible_fallback.copy()
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        cand = feasible_fallback + mid * (out - feasible_fallback)
-        if np.linalg.norm(np.diff(cand, axis=0), axis=1).max() <= tol:
-            best, lo = cand, mid
-        else:
-            hi = mid
-    return best
+    xy = wp[:, :2]
+    m = wp.shape[0] - 1
+    if _lengths(np.diff(xy, axis=0)).max() <= max_step:
+        return out
+    start, end = xy[0], xy[-1]
+    line = _straight_line(start, end, m)
+    c = (end - start) / m
+    slack = max_step * max_step - c @ c
+    if slack <= 0.0:
+        out[:, :2] = line
+        return out
+    path = xy.copy()
+    path[1:-1] = _admm_chain(xy, max_step, warm if warm is not None else _ProjectionWarmStart())
+    # Segment t of line + theta * (path - line) is c + theta * e[t]; the
+    # quadratic ||c + theta * e||^2 <= max_step^2 holds strictly at theta = 0
+    # (slack > 0), so its larger root bounds the blend.
+    seg = np.diff(path, axis=0)
+    over = _lengths(seg) > max_step
+    if np.any(over):
+        e = seg[over] - c
+        a = (e * e).sum(axis=1)
+        b = e @ c
+        roots = (-b + np.sqrt(b * b + a * slack)) / a
+        theta = min(1.0, float(roots.min()))
+        path[1:-1] = line[1:-1] + theta * (path[1:-1] - line[1:-1])
+    out[1:-1, :2] = path[1:-1]
+    return out
 
 
 def improve_trajectory(
@@ -390,18 +521,18 @@ def improve_trajectory(
     schedule: Schedule,
     *,
     temperature: float = 0.05,
-    fd_step: float = 1e-3,
     shrink: float = 0.5,
     max_backtracks: int = 30,
     _evaluator: Optional[_RateEvaluator] = None,
 ) -> Trajectory:
     """One projected ascent step on the interior waypoints for a fixed schedule.
 
-    Ascends the softmin-smoothed scheduled throughput via central-difference
-    gradients, backtracks the step size, projects onto the speed polytope, and
-    rejects any candidate whose hard-min objective is below the input's. Worst
-    case the input trajectory is returned unchanged. Endpoints and altitude
-    stay fixed.
+    Ascends the softmin-smoothed scheduled throughput along its closed-form
+    gradient in the horizontal waypoint coordinates, backtracks the step
+    size, projects each candidate exactly onto the speed-feasible set (warm
+    starting the projection from the previous backtrack), and rejects any
+    candidate whose hard-min objective is below the input's. Worst case the
+    input trajectory is returned unchanged. Endpoints and altitude stay fixed.
     """
     ev = _evaluator if _evaluator is not None else _RateEvaluator(scenario)
     constraints = scenario.experiment.constraints
@@ -422,16 +553,10 @@ def improve_trajectory(
     soft0 = _softmin(s0, temperature)
     weights = _softmin_weights(s0, temperature)
 
-    # d(objective)/d(waypoint t) via column-local central differences: R[:, t]
-    # depends on waypoint t only, so one shifted evaluation per axis suffices.
+    # d(objective)/d(waypoint t): R[:, t] depends on waypoint t only.
+    coeff = weights[:, None] * tau * (delta / horizon)
     grad = np.zeros_like(wp)
-    for axis in (0, 1):
-        shift = np.zeros(3)
-        shift[axis] = fd_step
-        d_rate = (ev.rates(wp + shift) - ev.rates(wp - shift)) / (2.0 * fd_step)
-        grad[:m, axis] = (weights[:, None] * tau * (delta / horizon) * d_rate).sum(axis=0)
-    grad[0] = 0.0  # endpoints pinned
-    grad[m:] = 0.0
+    grad[1:m, :2] = (coeff[:, 1:, None] * ev.rate_gradient(wp)[:, 1:, :]).sum(axis=0)
 
     largest = float(np.linalg.norm(grad, axis=1).max())
     if largest <= 0.0:
@@ -443,10 +568,10 @@ def improve_trajectory(
     step = 16.0 * constraints.max_step / largest
     grad_sq = float((grad * grad).sum())
     armijo = 1e-4
+    warm = _ProjectionWarmStart()
     for j in range(max_backtracks):
         scale = step * shrink**j
-        cand = wp + scale * grad
-        cand = _project_speed(cand, constraints.max_step, wp)
+        cand = _project_speed(wp + scale * grad, constraints.max_step, warm)
         s_new = (tau * ev.rates(cand)).sum(axis=1) * delta / horizon
         gain = _softmin(s_new, temperature) - soft0
         if float(s_new.min()) >= hard0 and gain >= armijo * scale * grad_sq:
@@ -458,10 +583,10 @@ def straight_line_trajectory(
     constraints: TrajectoryConstraints, num_slots: int
 ) -> Trajectory:
     """Uniformly spaced straight path from start to end with num_slots slots."""
-    frac = np.linspace(0.0, 1.0, num_slots + 1)[:, None]
-    a = constraints.start.as_array()
-    b = constraints.end.as_array()
-    return Trajectory(a[None, :] + frac * (b - a)[None, :], constraints.slot_duration)
+    return Trajectory(
+        _straight_line(constraints.start.as_array(), constraints.end.as_array(), num_slots),
+        constraints.slot_duration,
+    )
 
 
 def _resample(trajectory: Trajectory, num_slots: int) -> np.ndarray:
@@ -557,11 +682,7 @@ def min_time_mission(
         if last is None:
             initial = straight_line_trajectory(constraints, m)
         else:
-            wp = _resample(last, m)
-            wp = _project_speed(
-                wp, constraints.max_step, straight_line_trajectory(constraints, m).waypoints
-            )
-            initial = Trajectory(wp, delta)
+            initial = Trajectory(_project_speed(_resample(last, m), constraints.max_step), delta)
         sol = _solve_fixed_time(scenario, ev, initial, max_iterations, rel_tol)
         solutions[m] = sol
         last = sol.trajectory

@@ -52,3 +52,45 @@ def deployment_user_rate(
     )
     snr = tx_power * amp * amp / noise_power
     return math.log2(1.0 + snr) / num_users
+
+
+def dykstra_speed_projection(path, max_step, tol=1e-14, max_sweeps=200_000):
+    """Euclidean projection of a 2-D path onto ||p[t+1] - p[t]|| <= max_step.
+
+    Dykstra's alternating projection (Boyle & Dykstra 1986) between two sets
+    whose projections are exact: the even-indexed segments and the
+    odd-indexed segments, each a product of disjoint two-point balls. The
+    first and last points never move. Raises if the iterates have not
+    settled to tol * max_step within max_sweeps sweeps.
+    """
+    x = np.array(path, dtype=float)
+    m = x.shape[0] - 1
+    increments = [np.zeros_like(x), np.zeros_like(x)]
+
+    def project_parity(y, parity):
+        y = y.copy()
+        for t in range(parity, m, 2):
+            d = y[t + 1] - y[t]
+            length = math.hypot(d[0], d[1])
+            if length <= max_step:
+                continue
+            excess = (length - max_step) / length * d
+            lo_free, hi_free = t != 0, t + 1 != m
+            if lo_free and hi_free:
+                y[t] += 0.5 * excess
+                y[t + 1] -= 0.5 * excess
+            elif lo_free:
+                y[t] += excess
+            elif hi_free:
+                y[t + 1] -= excess
+        return y
+
+    for _ in range(max_sweeps):
+        before = x
+        for parity in (0, 1):
+            y = project_parity(x + increments[parity], parity)
+            increments[parity] = x + increments[parity] - y
+            x = y
+        if np.abs(x - before).max() <= tol * max_step:
+            return x
+    raise RuntimeError("Dykstra projection did not settle")

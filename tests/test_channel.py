@@ -169,6 +169,7 @@ class TestRate:
         assert rate_bps_hz(0.0, 0.7) == 0.0
         assert rate_bps_hz(5.0, 0.0) == 0.0
         assert rate_bps_hz(5.0, 0.7) > 0.0
+        assert rate_bps_hz(1e-17) > 0.0  # 1 + 1e-17 rounds to 1
 
 
 class TestPosition:

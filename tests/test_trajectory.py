@@ -1,7 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uavirs.channel import (
     LinkRuleSet,
@@ -16,15 +18,20 @@ from uavirs.channel import (
 from uavirs.irs import IrsSurface, SurfaceKind
 from uavirs.scenario import Scenario, TrajectoryExperiment
 from uavirs.trajectory import (
+    SPEED_SLACK,
     Schedule,
     Trajectory,
     TrajectoryConstraints,
+    _project_speed,
+    _RateEvaluator,
     improve_trajectory,
     min_time_mission,
     optimal_schedule,
     per_slot_rates,
     straight_line_trajectory,
 )
+
+from oracles import dykstra_speed_projection
 
 RADIO = RadioParams(tx_power=0.1, noise_power=1e-11, ref_path_gain_db=-30.0)
 
@@ -123,6 +130,121 @@ class TestPerSlotRates:
         bad = Trajectory(np.array([[0.0, 0.0, 30.0], [100.0, 0.0, 30.0]]), 0.1)
         with pytest.raises(ValueError):
             per_slot_rates(scn, bad)
+
+
+ALTITUDE = 30.0
+
+
+@st.composite
+def speed_chains(draw, min_slack):
+    """A perturbed path between two points and its speed budget.
+
+    slack is the share of the budget M * max_step that the straight flight
+    from start to end leaves unused.
+    """
+    m = draw(st.integers(2, 15))
+    max_step = draw(st.floats(0.5, 20.0))
+    slack = draw(st.floats(min_slack, 1.0))
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    start = np.array([draw(st.floats(-200.0, 200.0)), draw(st.floats(-200.0, 200.0))])
+    end = start + (1.0 - slack) * m * max_step * np.array([math.cos(angle), math.sin(angle)])
+    spread = draw(st.floats(0.0, 3.0)) * max_step
+    offsets = np.array(
+        draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * (m - 1), max_size=2 * (m - 1)))
+    ).reshape(m - 1, 2)
+    wp = np.full((m + 1, 3), ALTITUDE)
+    wp[:, :2] = start + np.linspace(0.0, 1.0, m + 1)[:, None] * (end - start)
+    wp[0, :2], wp[-1, :2] = start, end
+    wp[1:-1, :2] += spread * offsets
+    return wp, max_step
+
+
+class TestProjectSpeed:
+    @given(chain=speed_chains(min_slack=0.0))
+    def test_feasible_with_endpoints_and_altitude_fixed(self, chain):
+        wp, max_step = chain
+        out = _project_speed(wp, max_step)
+        steps = np.linalg.norm(np.diff(out, axis=0), axis=1)
+        assert steps.max() <= max_step + SPEED_SLACK
+        np.testing.assert_array_equal(out[[0, -1]], wp[[0, -1]])
+        np.testing.assert_array_equal(out[:, 2], wp[:, 2])
+
+    # Both methods need iterations in proportion to 1/slack (about 3000
+    # Dykstra sweeps at 1% slack, 90000 at 0.1%), so this keeps 5% or more.
+    @settings(max_examples=40)
+    @given(chain=speed_chains(min_slack=0.05))
+    def test_matches_dykstra(self, chain):
+        wp, max_step = chain
+        out = _project_speed(wp, max_step)
+        ref = dykstra_speed_projection(wp[:, :2], max_step)
+        assert np.abs(out[:, :2] - ref).max() <= 1e-6 * max_step
+
+    @given(
+        m=st.integers(1, 15),
+        max_step=st.floats(0.1, 20.0),
+        lengths=st.lists(st.floats(0.0, 0.999), min_size=15, max_size=15),
+        angles=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=15, max_size=15),
+    )
+    def test_feasible_input_unchanged(self, m, max_step, lengths, angles):
+        steps = max_step * np.array(
+            [[r * math.cos(a), r * math.sin(a)] for r, a in zip(lengths[:m], angles[:m])]
+        )
+        wp = np.full((m + 1, 3), ALTITUDE)
+        wp[0, :2] = 0.0
+        wp[1:, :2] = np.cumsum(steps, axis=0)
+        np.testing.assert_array_equal(_project_speed(wp, max_step), wp)
+
+    @given(
+        m=st.integers(1, 15),
+        eighths=st.integers(1, 160),
+        direction=st.sampled_from([(1, 0, 1), (0, -1, 1), (-1, 0, 1), (3, 4, 5), (-4, 3, 5)]),
+        start=st.tuples(st.integers(-200, 200), st.integers(-200, 200)),
+        offsets=st.lists(st.floats(-50.0, 50.0), min_size=30, max_size=30),
+    )
+    def test_zero_slack_gives_straight_line(self, m, eighths, direction, start, offsets):
+        # Dyadic lengths along integer (3, 4, 5) directions keep M * max_step
+        # equal to the start-end distance in floating point.
+        dx, dy, norm = direction
+        unit = eighths / 8.0
+        max_step = norm * unit
+        start_xy = np.array(start, dtype=float)
+        end_xy = start_xy + m * unit * np.array([dx, dy], dtype=float)
+        constraints = TrajectoryConstraints(
+            Position3D(*start_xy, ALTITUDE), Position3D(*end_xy, ALTITUDE), ALTITUDE, max_step, 1.0
+        )
+        line = straight_line_trajectory(constraints, m).waypoints
+        wp = line.copy()
+        wp[1:-1, :2] += np.array(offsets[: 2 * (m - 1)]).reshape(m - 1, 2)
+        with mock.patch("uavirs.trajectory._admm_chain", side_effect=AssertionError):
+            out = _project_speed(wp, max_step)  # returned without iterating
+        np.testing.assert_array_equal(out, line)
+
+
+class TestRateGradient:
+    def test_matches_central_differences(self):
+        surf = IrsSurface(
+            id="irs",
+            kind=SurfaceKind.TERRESTRIAL,
+            position=Position3D(50.0, 30.0, 10.0),
+            num_elements=300,
+            facing_normal=(0.0, -1.0, 0.0),
+            covered_node_ids=frozenset({"sn1"}),
+        )
+        scn = make_scenario(
+            [("sn1", (50.0, 25.0, 0.0)), ("sn2", (20.0, -40.0, 0.0))], surfaces=(surf,)
+        )
+        ev = _RateEvaluator(scn)
+        wp = straight_line_trajectory(scn.experiment.constraints, 20).waypoints
+        wp[1:-1, 1] += np.linspace(-15.0, 25.0, 19)
+        grad = ev.rate_gradient(wp)
+        h = 1e-4
+        for t in (1, 7, 12, 18):
+            for axis in (0, 1):
+                up, down = wp.copy(), wp.copy()
+                up[t, axis] += h
+                down[t, axis] -= h
+                fd = (ev.rates(up)[:, t] - ev.rates(down)[:, t]) / (2.0 * h)
+                np.testing.assert_allclose(grad[:, t, axis], fd, rtol=1e-6)
 
 
 class TestImproveTrajectory:
@@ -274,6 +396,29 @@ class TestMinTimeMission:
         res_without = min_time_mission(bare)
         assert res_with.converged and res_without.converged
         assert res_with.mission_time <= res_without.mission_time
+
+    def test_same_answer_under_rigid_motion(self):
+        # The target forces a detour: 2.3 s against 2.0 s for the straight flight.
+        sensors = [("sn1", (30.0, 60.0, 0.0)), ("sn2", (70.0, -50.0, 0.0))]
+        start, end = (0.0, 0.0, 30.0), (100.0, 0.0, 30.0)
+        targets = dict(rate_target=4.0, max_time=10.0)
+        base = min_time_mission(make_scenario(sensors, start=start, end=end, **targets))
+        motions = {
+            "mirror": lambda x, y: (x, -y),
+            "quarter turn": lambda x, y: (-y, x),
+            "shift": lambda x, y: (x + 137.0, y - 61.0),
+        }
+        for name, motion in motions.items():
+
+            def move(p):
+                return (*motion(p[0], p[1]), p[2])
+
+            moved = [(nid, move(pos)) for nid, pos in sensors]
+            res = min_time_mission(
+                make_scenario(moved, start=move(start), end=move(end), **targets)
+            )
+            assert res.mission_time == pytest.approx(base.mission_time, rel=1e-6), name
+            np.testing.assert_allclose(res.per_node_rates, base.per_node_rates, rtol=1e-6)
 
     def test_max_time_below_straight_flight_rejected(self):
         scn = make_scenario([("sn1", (50.0, 0.0, 0.0))], max_time=1.0)
