@@ -15,7 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from .channel import LinkState, Node, path_gain, resolve_link_state
 from .errors import ConfigurationError
@@ -93,6 +95,40 @@ def _leg_amplitude(
     return math.sqrt(path_gain(d, _state_model(scenario, state), scenario.radio))
 
 
+def _direct_amplitude(scenario: "Scenario", user: Node) -> float:
+    bs = scenario.bs_node()
+    direct_alt = max(bs.position.z, user.position.z)
+    return _leg_amplitude(
+        scenario, bs.id, bs.position.as_array(), user.id, user.position.as_array(), direct_alt
+    )
+
+
+def _surface_legs(
+    scenario: "Scenario", surface: IrsSurface, altitude: float, user: Node
+) -> Tuple[float, float]:
+    """Amplitudes of the BS -> surface and surface -> user legs."""
+    bs = scenario.bs_node()
+    if surface.kind is SurfaceKind.AERIAL_MOUNTED:
+        surf_pos = surface.at_altitude(altitude).position
+        leg_alt = altitude
+    else:
+        surf_pos = surface.position
+        leg_alt = surface.position.z
+    up = _leg_amplitude(
+        scenario, bs.id, bs.position.as_array(), surface.id, surf_pos.as_array(), leg_alt
+    )
+    down = _leg_amplitude(
+        scenario, surface.id, surf_pos.as_array(), user.id, user.position.as_array(), leg_alt
+    )
+    return up, down
+
+
+def _rate(scenario: "Scenario", amplitude: float, num_users: int) -> float:
+    radio = scenario.radio
+    snr = radio.tx_power * amplitude**2 / radio.noise_power
+    return math.log2(1.0 + snr) / num_users
+
+
 def _rate_through(
     scenario: "Scenario",
     surface: Optional[IrsSurface],
@@ -102,29 +138,11 @@ def _rate_through(
     num_users: int,
 ) -> float:
     """User rate through one serving surface (or none), prelog 1/num_users."""
-    bs = scenario.bs_node()
-    direct_alt = max(bs.position.z, user.position.z)
-    direct_amp = _leg_amplitude(
-        scenario, bs.id, bs.position.as_array(), user.id, user.position.as_array(), direct_alt
-    )
-    amplitude = direct_amp
+    amplitude = _direct_amplitude(scenario, user)
     if surface is not None and elements > 0:
-        if surface.kind is SurfaceKind.AERIAL_MOUNTED:
-            surf_pos = surface.at_altitude(altitude).position
-            leg_alt = altitude
-        else:
-            surf_pos = surface.position
-            leg_alt = surface.position.z
-        up = _leg_amplitude(
-            scenario, bs.id, bs.position.as_array(), surface.id, surf_pos.as_array(), leg_alt
-        )
-        down = _leg_amplitude(
-            scenario, surface.id, surf_pos.as_array(), user.id, user.position.as_array(), leg_alt
-        )
+        up, down = _surface_legs(scenario, surface, altitude, user)
         amplitude += elements * up * down
-    radio = scenario.radio
-    snr = radio.tx_power * amplitude**2 / radio.noise_power
-    return math.log2(1.0 + snr) / num_users
+    return _rate(scenario, amplitude, num_users)
 
 
 def _check_plan(scenario: "Scenario", plan: DeploymentPlan) -> None:
@@ -181,56 +199,90 @@ def _aerial_threshold(scenario: "Scenario", aerial: IrsSurface, user_id: str) ->
     return scenario.link_rules.rule_for(aerial.id, user_id).min_altitude_for_los
 
 
-def _hybrid_plan(scenario: "Scenario", n_aerial: int, n_terrestrial: int) -> DeploymentPlan:
-    """Altitude and assignment for one element split.
+class _HybridSweep(NamedTuple):
+    """The hybrid rule at every split n_aerial = 0..n_budget, one column per split."""
+
+    n_budget: int
+    user_ids: Tuple[str, ...]
+    aerial_id: str
+    ground_ids: Tuple[Optional[str], ...]  # the terrestrial id if covered, else None
+    on_air: np.ndarray  # (users, splits) bool: served by the aerial surface
+    altitudes: List[float]  # per split
+    rates: np.ndarray  # (users, splits) bps/Hz
+
+    def plan(self, n_aerial: int) -> DeploymentPlan:
+        on_air = self.on_air[:, n_aerial].tolist()
+        return DeploymentPlan(
+            aerial_elements=n_aerial,
+            terrestrial_elements=self.n_budget - n_aerial,
+            uirs_altitude=self.altitudes[n_aerial],
+            assignment=tuple(
+                (uid, self.aerial_id if air else ground)
+                for uid, air, ground in zip(self.user_ids, on_air, self.ground_ids)
+            ),
+        )
+
+
+def _hybrid_sweep(scenario: "Scenario", n_budget: Optional[int]) -> _HybridSweep:
+    """Altitude, assignment and rates of every element split at once.
 
     Users without terrestrial coverage go to the aerial surface when LoS is
     attainable. Each terrestrially covered user then takes whichever surface
     yields it the higher rate -- the aerial option priced at the altitude
     needed if that user joins -- with ties to the terrestrial surface. The
     final altitude is the lowest giving LoS to all aerially assigned users.
+
+    Leg amplitudes come from the scalar code once per user and candidate
+    altitude ({0} and the finite LoS thresholds); the rule then runs as
+    arrays over the splits. Rates go through the scalar `_rate` element by
+    element, so every rate is bit-identical to `user_rate` on the same plan.
     """
+    if n_budget is None:
+        n_budget = scenario.experiment.n_budget
+    if n_budget < 0:
+        raise ValueError("element budget must be >= 0")
     aerial, terrestrial = _deployment_surfaces(scenario)
     users = scenario.user_nodes()
     num_users = len(users)
-    aerial_set = []
-    choices: Dict[str, Optional[str]] = {}
-    for user in users:
-        t_covered = covers(terrestrial, user.position, node_id=user.id)
-        can_fly = (
-            n_aerial > 0 and math.isfinite(_aerial_threshold(scenario, aerial, user.id))
-        )
-        if not t_covered:
-            if can_fly:
-                aerial_set.append(user.id)
-                choices[user.id] = aerial.id
-            else:
-                choices[user.id] = None
-    for user in users:
-        if user.id in choices:
-            continue  # resolved above
-        rate_terr = _rate_through(
-            scenario, terrestrial, n_terrestrial, 0.0, user, num_users
-        )
-        can_fly = (
-            n_aerial > 0 and math.isfinite(_aerial_threshold(scenario, aerial, user.id))
-        )
-        if can_fly:
-            alt_if = min_serving_altitude(
-                aerial, aerial_set + [user.id], scenario.link_rules
-            )
-            rate_air = _rate_through(scenario, aerial, n_aerial, alt_if, user, num_users)
-            if rate_air > rate_terr:
-                aerial_set.append(user.id)
-                choices[user.id] = aerial.id
-                continue
-        choices[user.id] = terrestrial.id
-    altitude = min_serving_altitude(aerial, aerial_set, scenario.link_rules)
-    return DeploymentPlan(
-        aerial_elements=n_aerial,
-        terrestrial_elements=n_terrestrial,
-        uirs_altitude=altitude,
-        assignment=tuple((u.id, choices[u.id]) for u in users),
+    n_air = np.arange(n_budget + 1)  # also the column index of each split
+    thresholds = [_aerial_threshold(scenario, aerial, u.id) for u in users]
+    altitudes = sorted({0.0, *(t for t in thresholds if math.isfinite(t))})
+    covered = [covers(terrestrial, u.position, node_id=u.id) for u in users]
+
+    def rates(surface, altitude, user, elements):
+        up, down = _surface_legs(scenario, surface, altitude, user)
+        amplitude = _direct_amplitude(scenario, user) + elements * up * down
+        return [_rate(scenario, a, num_users) for a in amplitude.tolist()]
+
+    # Rate without the aerial surface: through the terrestrial one if it
+    # covers the user, else over the direct link alone (zero elements).
+    ground = np.array(
+        [rates(terrestrial, 0.0, u, (n_budget - n_air) * c) for u, c in zip(users, covered)]
+    )
+    air = np.array(
+        [[rates(aerial, alt, u, n_air) for u in users] for alt in altitudes]
+    )  # (altitude, user, split)
+
+    level = np.zeros(n_budget + 1, dtype=int)  # index into altitudes, per split
+    on_air = np.zeros((num_users, n_budget + 1), dtype=bool)
+    can_fly = n_air > 0
+    for i in sorted(range(num_users), key=lambda i: covered[i]):  # uncovered first
+        if not math.isfinite(thresholds[i]):
+            continue
+        level_if = np.maximum(level, altitudes.index(thresholds[i]))
+        take = can_fly
+        if covered[i]:
+            take = can_fly & (air[level_if, i, n_air] > ground[i])
+        on_air[i] = take
+        level = np.where(take, level_if, level)
+    return _HybridSweep(
+        n_budget=n_budget,
+        user_ids=tuple(u.id for u in users),
+        aerial_id=aerial.id,
+        ground_ids=tuple(terrestrial.id if c else None for c in covered),
+        on_air=on_air,
+        altitudes=[altitudes[k] for k in level.tolist()],
+        rates=np.where(on_air, air[level, :, n_air].T, ground),
     )
 
 
@@ -298,17 +350,16 @@ def allocation_sweep(scenario: "Scenario", n_budget: Optional[int] = None):
     Returns one DeploymentResult per n_aerial in 0..n_budget; useful for
     plotting rate-vs-allocation curves.
     """
-    if n_budget is None:
-        n_budget = scenario.experiment.n_budget
-    if n_budget < 0:
-        raise ValueError("element budget must be >= 0")
+    sweep = _hybrid_sweep(scenario, n_budget)
     return [
-        _evaluate_plan(
-            scenario,
-            _hybrid_plan(scenario, n_aerial, n_budget - n_aerial),
-            DeploymentStrategy.HYBRID,
+        DeploymentResult(
+            plan=sweep.plan(n_aerial),
+            user_ids=sweep.user_ids,
+            per_user_rates=tuple(rates),
+            min_rate=min(rates),
+            strategy=DeploymentStrategy.HYBRID,
         )
-        for n_aerial in range(n_budget + 1)
+        for n_aerial, rates in enumerate(sweep.rates.T.tolist())
     ]
 
 
@@ -316,10 +367,9 @@ def exhaustive_allocate(scenario: "Scenario", n_budget: Optional[int] = None) ->
     """Best element split by enumerating every (n_aerial, n_terrestrial) pair.
 
     Each split gets the hybrid altitude/assignment rule; the split with the
-    highest min rate wins, ties to the smallest aerial count.
+    highest min rate wins, ties to the smallest aerial count. The winner is
+    re-evaluated and checked through `user_rate`.
     """
-    best: Optional[DeploymentResult] = None
-    for result in allocation_sweep(scenario, n_budget):
-        if best is None or result.min_rate > best.min_rate:
-            best = result
-    return best
+    sweep = _hybrid_sweep(scenario, n_budget)
+    best = int(np.argmax(sweep.rates.min(axis=0)))  # first maximum
+    return _evaluate_plan(scenario, sweep.plan(best), DeploymentStrategy.HYBRID)

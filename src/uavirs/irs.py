@@ -18,21 +18,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
 from .channel import (
+    LinkRuleSet,
     LinkState,
-    LinkStateRule,
     PathLossModel,
     Position3D,
     RadioParams,
     path_gain,
 )
 from .errors import ConfigurationError
-
-ArrayLike = Union[float, np.ndarray]
 
 
 class SurfaceKind(Enum):
@@ -146,39 +144,16 @@ def effective_snr(
     return radio.tx_power * amplitude**2 / radio.noise_power
 
 
-def combined_amplitude(
-    direct_gain: ArrayLike, per_element_amplitude: ArrayLike, elements: int
-) -> ArrayLike:
-    """Vectorized helper: sqrt(direct_gain) + N * per-element amplitude."""
-    return np.sqrt(np.asarray(direct_gain, dtype=float)) + elements * np.asarray(
-        per_element_amplitude, dtype=float
-    )
-
-
 def min_serving_altitude(
-    surface: IrsSurface,
-    required_los_nodes: Iterable[str],
-    rules: Mapping[str, LinkStateRule] | "object",
+    surface: IrsSurface, required_los_nodes: Iterable[str], rules: LinkRuleSet
 ) -> float:
     """Lowest altitude at which an aerial surface has LoS to every required node.
 
-    `rules` maps node id -> LinkStateRule for the (surface, node) pair, or is a
-    LinkRuleSet. Returns 0 for an empty required set.
+    Returns 0 for an empty required set. A (surface, node) pair without a rule
+    raises ConfigurationError unless `rules` defaults to LoS.
     """
     if surface.kind is not SurfaceKind.AERIAL_MOUNTED:
         raise ConfigurationError(f"surface {surface.id!r} is not aerial")
-    required = list(required_los_nodes)
-    if not required:
-        return 0.0
-    altitude = 0.0
-    for node_id in required:
-        if hasattr(rules, "rule_for"):
-            rule = rules.rule_for(surface.id, node_id)
-        else:
-            rule = rules.get(node_id)
-        if rule is None:
-            raise ConfigurationError(
-                f"no link-state rule between surface {surface.id!r} and node {node_id!r}"
-            )
-        altitude = max(altitude, rule.min_altitude_for_los)
-    return altitude
+    return max(
+        [0.0, *(rules.rule_for(surface.id, n).min_altitude_for_los for n in required_los_nodes)]
+    )

@@ -1,8 +1,9 @@
 """Independently coded reference evaluators used by the test suite.
 
 Nothing here may import from the optimizer code paths it checks: the grid
-scheduler below enumerates airtime splits directly, and the deployment
-evaluator recomputes rates from raw float math.
+scheduler below enumerates airtime splits directly, the deployment
+evaluator recomputes rates from raw float math, and the hybrid split rule
+is restated one split at a time from its description.
 """
 
 import itertools
@@ -31,6 +32,12 @@ def grid_maxmin_schedule(R, slot_duration, step=0.05):
     return float(np.minimum(s0, s1).max())
 
 
+def leg_amplitude(a_pos, b_pos, exponent, ref_gain_db):
+    """Amplitude sqrt(g0 * d**-exponent) of one link, d clamped up to 1 m."""
+    g0 = 10.0 ** (ref_gain_db / 10.0)
+    return math.sqrt(g0 * max(1.0, math.dist(a_pos, b_pos)) ** -exponent)
+
+
 def deployment_user_rate(
     bs_pos,
     user_pos,
@@ -42,16 +49,52 @@ def deployment_user_rate(
     tx_power,
     noise_power,
     ref_gain_db,
+    direct_amplitude=0.0,
 ):
-    """Blocked-direct relayed rate, recomputed from scratch (no package code)."""
-    g0 = 10.0 ** (ref_gain_db / 10.0)
-    d_up = max(1.0, math.dist(bs_pos, surface_pos))
-    d_down = max(1.0, math.dist(surface_pos, user_pos))
-    amp = elements * math.sqrt(g0 * d_up**-exponent_up) * math.sqrt(
-        g0 * d_down**-exponent_down
-    )
-    snr = tx_power * amp * amp / noise_power
+    """Relayed rate, recomputed from scratch (no package code).
+
+    The direct link adds direct_amplitude (0 when blocked). The float
+    operations run in the package's order, so the two compare bit for bit.
+    """
+    up = leg_amplitude(bs_pos, surface_pos, exponent_up, ref_gain_db)
+    down = leg_amplitude(surface_pos, user_pos, exponent_down, ref_gain_db)
+    amp = direct_amplitude + elements * up * down
+    snr = tx_power * amp**2 / noise_power
     return math.log2(1.0 + snr) / num_users
+
+
+def hybrid_split(users, n_aerial, n_terrestrial, rate):
+    """The hybrid altitude and assignment rule at one element split.
+
+    users: (user id, covered by the terrestrial surface, aerial LoS
+    threshold) in scenario order. rate(uid, surface, elements, altitude) is
+    the user's rate through "aerial", "terrestrial" or None (direct link
+    only). Uncovered users fly when the aerial surface has elements and
+    their threshold is finite. Each covered user, in order, then flies only
+    if that beats its terrestrial rate at the altitude its joining would
+    need; ties stay terrestrial. The altitude is the highest threshold among
+    the fliers. Returns (altitude, {uid: surface}, rates in user order).
+    """
+    serving, flying = {}, []
+    for uid, covered, threshold in users:
+        if not covered:
+            fly = n_aerial > 0 and math.isfinite(threshold)
+            serving[uid] = "aerial" if fly else None
+            flying += [threshold] if fly else []
+    for uid, covered, threshold in users:
+        if not covered:
+            continue
+        serving[uid] = "terrestrial"
+        if n_aerial > 0 and math.isfinite(threshold):
+            altitude = max([0.0, threshold, *flying])
+            terrestrial = rate(uid, "terrestrial", n_terrestrial, 0.0)
+            if rate(uid, "aerial", n_aerial, altitude) > terrestrial:
+                serving[uid] = "aerial"
+                flying.append(threshold)
+    altitude = max([0.0, *flying])
+    elements = {"aerial": n_aerial, "terrestrial": n_terrestrial, None: 0}
+    rates = [rate(uid, serving[uid], elements[serving[uid]], altitude) for uid, _, _ in users]
+    return altitude, serving, rates
 
 
 def dykstra_speed_projection(path, max_step, tol=1e-14, max_sweeps=200_000):

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from uavirs.channel import (
     LinkRuleSet,
@@ -24,7 +25,7 @@ from uavirs.errors import ConfigurationError
 from uavirs.irs import CascadedLink, IrsSurface, SurfaceKind, effective_snr
 from uavirs.scenario import DeploymentExperiment, Scenario, load_scenario, scenario_path
 
-from oracles import deployment_user_rate
+from oracles import deployment_user_rate, hybrid_split, leg_amplitude
 
 
 def make_deploy_scenario(
@@ -65,6 +66,45 @@ def make_deploy_scenario(
 
 def blocked(a, b):
     return LinkStateRule((a, b), math.inf, LinkState.BLOCKED)
+
+
+def oracle_rate(scenario, direct_exponent=None):
+    """rate(uid, surface, elements, altitude) for oracles.hybrid_split.
+
+    Recomputed from the raw geometry. Every surface leg is LoS at the
+    altitudes the rule asks about; the direct link is blocked unless
+    direct_exponent is given.
+    """
+
+    def xyz(position):
+        return (position.x, position.y, position.z)
+
+    bs = xyz(scenario.bs_node().position)
+    users = {u.id: xyz(u.position) for u in scenario.user_nodes()}
+    uirs, tirs = scenario.surfaces
+    radio = scenario.radio
+    los = scenario.path_loss("los").exponent
+
+    def rate(uid, surface, elements, altitude):
+        direct = 0.0
+        if direct_exponent is not None:
+            direct = leg_amplitude(bs, users[uid], direct_exponent, radio.ref_path_gain_db)
+        if surface == "aerial":
+            pos = (uirs.position.x, uirs.position.y, altitude)
+        else:  # terrestrial, or None with 0 elements: the direct link alone
+            pos = xyz(tirs.position)
+        return deployment_user_rate(
+            bs, users[uid], pos, elements, len(users), los, los,
+            radio.tx_power, radio.noise_power, radio.ref_path_gain_db,
+            direct_amplitude=direct,
+        )
+
+    return rate
+
+
+SURFACE_IDS = {"aerial": "uirs", "terrestrial": "tirs", None: None}
+# (user id, covered by the terrestrial surface, aerial LoS threshold) on fig5
+FIG5_USERS = (("user1", False, 30.0), ("user2", True, 50.0))
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +277,12 @@ class TestExhaustiveAllocate:
         res = exhaustive_allocate(scn)
         assert res.plan.aerial_elements == 40
         assert res.plan.terrestrial_elements == 0
+        sweep = allocation_sweep(scn)
+        assert sweep[0].plan.assignment == (("u1", None), ("u2", None))
+        assert sweep[0].per_user_rates == (0.0, 0.0)
+        for res in sweep[1:]:
+            assert res.plan.assignment == (("u1", "uirs"), ("u2", "uirs"))
+            assert res.plan.uirs_altitude == 20.0
 
     def test_symmetric_geometry_splits_evenly(self):
         # user 1 reachable only by the aerial surface, user 2 only by the
@@ -316,6 +362,187 @@ class TestExhaustiveAllocate:
 
         rates = [rate_at(a) for a in (30.0, 40.0, 50.0, 80.0)]
         assert all(b < a for a, b in zip(rates, rates[1:]))
+
+
+@st.composite
+def relay_cases(draw):
+    """Small relay scenario plus the oracle's view of its users.
+
+    1-3 ground users, each covered by the terrestrial surface or not, with an
+    aerial LoS threshold of 0, a finite height or inf, and a direct link that
+    is blocked or always NLoS.
+    """
+    coord = st.integers(-60, 60).map(float)
+    num_users = draw(st.integers(1, 3))
+    direct_nlos = draw(st.booleans())
+    users, oracle_users, rules = [], [], []
+    for i in range(num_users):
+        uid = f"u{i}"
+        threshold = draw(st.sampled_from([0.0, 15.0, 30.0, 45.0, math.inf]))
+        fallback = draw(st.sampled_from([LinkState.NLOS, LinkState.BLOCKED]))
+        covered = draw(st.booleans())
+        users.append((uid, (draw(coord), draw(coord), 0.0)))
+        oracle_users.append((uid, covered, threshold))
+        rules.append(LinkStateRule(("uirs", uid), threshold, fallback))
+        rules.append(
+            LinkStateRule(("bs", uid), math.inf, LinkState.NLOS)
+            if direct_nlos
+            else blocked("bs", uid)
+        )
+    tirs = IrsSurface(
+        id="tirs",
+        kind=SurfaceKind.TERRESTRIAL,
+        position=Position3D(draw(coord), draw(coord), 5.0),
+        facing_normal=(0.0, 1.0, 0.0),
+        covered_node_ids=frozenset(uid for uid, covered, _ in oracle_users if covered),
+    )
+    scn = make_deploy_scenario(
+        users,
+        uirs_xy=(draw(coord), draw(coord)),
+        tirs=tirs,
+        rules=rules,
+        bs=(0.0, 0.0, draw(st.sampled_from([0.0, 10.0, 25.0]))),
+        n_budget=draw(st.integers(0, 30)),
+    )
+    direct_exponent = scn.path_loss("nlos").exponent if direct_nlos else None
+    return scn, tuple(oracle_users), direct_exponent
+
+
+class TestHybridSweep:
+    def test_matches_scalar_rates_and_oracle_on_fig5(self, fig5):
+        rate = oracle_rate(fig5)
+        for n_budget in [*range(81), 150, 600, 1200]:
+            sweep = allocation_sweep(fig5, n_budget)
+            assert [r.plan.aerial_elements for r in sweep] == list(range(n_budget + 1))
+            for res in sweep:
+                n_air = res.plan.aerial_elements
+                assert res.plan.terrestrial_elements == n_budget - n_air
+                assert res.per_user_rates == tuple(
+                    user_rate(fig5, res.plan, uid) for uid in res.user_ids
+                )
+                altitude, serving, rates = hybrid_split(
+                    FIG5_USERS, n_air, n_budget - n_air, rate
+                )
+                assert res.plan.uirs_altitude == altitude
+                assert res.plan.assignment == tuple(
+                    (uid, SURFACE_IDS[serving[uid]]) for uid, _, _ in FIG5_USERS
+                )
+                assert res.per_user_rates == tuple(rates)
+                assert res.min_rate == min(rates)
+
+    @given(case=relay_cases())
+    def test_exhaustive_matches_oracle(self, case):
+        scn, users, direct_exponent = case
+        rate = oracle_rate(scn, direct_exponent)
+        n_budget = scn.experiment.n_budget
+        splits = [hybrid_split(users, n, n_budget - n, rate) for n in range(n_budget + 1)]
+        mins = [min(rates) for _, _, rates in splits]
+        best = mins.index(max(mins))  # first maximum: fewest aerial elements
+        altitude, serving, rates = splits[best]
+        res = exhaustive_allocate(scn)
+        assert (res.plan.aerial_elements, res.plan.terrestrial_elements) == (
+            best,
+            n_budget - best,
+        )
+        assert res.plan.uirs_altitude == altitude
+        assert dict(res.plan.assignment) == {
+            uid: SURFACE_IDS[serving[uid]] for uid, _, _ in users
+        }
+        assert res.per_user_rates == tuple(rates)
+        assert res.min_rate == mins[best]
+
+    def test_rate_ties_go_terrestrial(self):
+        # at 5 m the aerial surface sits exactly where the terrestrial one
+        # stands, so an even split gives the user two equal rates
+        tirs = IrsSurface(
+            id="tirs",
+            kind=SurfaceKind.TERRESTRIAL,
+            position=Position3D(20.0, 0.0, 5.0),
+            facing_normal=(1.0, 0.0, 0.0),
+        )
+        scn = make_deploy_scenario(
+            [("u1", (30.0, 0.0, 0.0))],
+            uirs_xy=(20.0, 0.0),
+            tirs=tirs,
+            rules=[LinkStateRule(("uirs", "u1"), 5.0), blocked("bs", "u1")],
+            bs=(0.0, 0.0, 10.0),
+            n_budget=20,
+        )
+        sweep = allocation_sweep(scn)
+        assert sweep[10].plan.assignment == (("u1", "tirs"),)
+        assert sweep[10].plan.uirs_altitude == 0.0
+        assert sweep[11].plan.assignment == (("u1", "uirs"),)
+        assert sweep[11].plan.uirs_altitude == 5.0
+
+    def test_uncovered_users_set_the_altitude_first(self):
+        # u1 comes first and would fly at 0 m, but uncovered u2 already
+        # needs 45 m, where u1's terrestrial path is the better one
+        tirs = IrsSurface(
+            id="tirs",
+            kind=SurfaceKind.TERRESTRIAL,
+            position=Position3D(5.0, 5.0, 5.0),
+            facing_normal=(0.0, 1.0, 0.0),
+            covered_node_ids=frozenset({"u1"}),
+        )
+        scn = make_deploy_scenario(
+            [("u1", (10.0, 0.0, 0.0)), ("u2", (-10.0, 0.0, 0.0))],
+            uirs_xy=(0.0, 0.0),
+            tirs=tirs,
+            rules=[
+                LinkStateRule(("uirs", "u1"), 0.0),
+                LinkStateRule(("uirs", "u2"), 45.0),
+                blocked("bs", "u1"),
+                blocked("bs", "u2"),
+            ],
+            bs=(0.0, 0.0, 0.0),
+            n_budget=20,
+        )
+        res = allocation_sweep(scn)[10]
+        assert res.plan.assignment == (("u1", "tirs"), ("u2", "uirs"))
+        assert res.plan.uirs_altitude == 45.0
+
+    def test_zero_budget_is_one_empty_split(self, fig5):
+        (res,) = allocation_sweep(fig5, 0)
+        assert res.plan == DeploymentPlan(0, 0, 0.0, (("user1", None), ("user2", "tirs")))
+        assert res.per_user_rates == (0.0, 0.0)  # both direct links are blocked
+        best = exhaustive_allocate(fig5, 0)
+        assert best.plan == res.plan
+        assert best.min_rate == 0.0
+
+    def test_unreachable_aerial_surface_keeps_budget_terrestrial(self):
+        # no user can ever see the aerial surface: every split serves both
+        # users terrestrially at altitude 0, and the best gives it nothing
+        tirs = IrsSurface(
+            id="tirs",
+            kind=SurfaceKind.TERRESTRIAL,
+            position=Position3D(0.0, 40.0, 5.0),
+            facing_normal=(0.0, 1.0, 0.0),
+            covered_node_ids=frozenset({"u1", "u2"}),
+        )
+        scn = make_deploy_scenario(
+            [("u1", (30.0, 0.0, 0.0)), ("u2", (-30.0, 0.0, 0.0))],
+            uirs_xy=(0.0, 0.0),
+            tirs=tirs,
+            rules=[
+                LinkStateRule(("uirs", "u1"), math.inf, LinkState.NLOS),
+                LinkStateRule(("uirs", "u2"), math.inf, LinkState.BLOCKED),
+                blocked("bs", "u1"),
+                blocked("bs", "u2"),
+            ],
+            n_budget=20,
+        )
+        for res in allocation_sweep(scn):
+            assert res.plan.assignment == (("u1", "tirs"), ("u2", "tirs"))
+            assert res.plan.uirs_altitude == 0.0
+        best = exhaustive_allocate(scn)
+        user_side = evaluate_strategy(scn, DeploymentStrategy.USER_SIDE)
+        assert best.plan == DeploymentPlan(0, 20, 0.0, user_side.plan.assignment)
+        assert best.per_user_rates == user_side.per_user_rates
+
+    @pytest.mark.parametrize("search", [allocation_sweep, exhaustive_allocate])
+    def test_negative_budget_rejected(self, fig5, search):
+        with pytest.raises(ValueError):
+            search(fig5, -1)
 
 
 class TestPlanValidation:

@@ -169,16 +169,19 @@ class TestMinServingAltitude:
     def test_empty_set(self):
         assert min_serving_altitude(aerial(), [], self.RULES) == 0.0
 
-    def test_mapping_interface(self):
-        rules = {
-            "user1": LinkStateRule(("uirs", "user1"), 30.0),
-            "user2": LinkStateRule(("uirs", "user2"), 50.0),
-        }
+    def test_strict_rule_set(self):
+        rules = LinkRuleSet(
+            [
+                LinkStateRule(("uirs", "user1"), 30.0),
+                LinkStateRule(("uirs", "user2"), 50.0),
+            ],
+            default_to_los=False,
+        )
         assert min_serving_altitude(aerial(), ["user1", "user2"], rules) == 50.0
 
     def test_missing_rule_is_an_error(self):
         with pytest.raises(ConfigurationError):
-            min_serving_altitude(aerial(), ["ghost"], {})
+            min_serving_altitude(aerial(), ["ghost"], LinkRuleSet([], default_to_los=False))
 
     def test_terrestrial_surface_rejected(self):
         with pytest.raises(ConfigurationError):
