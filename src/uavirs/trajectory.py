@@ -11,8 +11,8 @@ min-throughput stalls:
   * trajectory block -- one projected ascent step on the softmin-smoothed
     objective, using the closed-form gradient of the rates in the horizontal
     waypoint coordinates and the exact Euclidean projection onto the speed
-    constraints (ADMM with a tridiagonal solve). Any step that lowers the true
-    (hard-min) objective is rejected.
+    constraints (a primal-dual interior-point solve with banded Newton
+    systems). Any step that lowers the true (hard-min) objective is rejected.
 
 The inner objective is non-decreasing across accepted iterations by
 construction, and every trajectory ever returned is speed-feasible.
@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.optimize import linprog
 
 from .channel import LinkState, Position3D, path_gain, resolve_link_state
@@ -37,12 +37,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 SPEED_SLACK = 1e-9  # tolerance on ||waypoint step|| <= v_max * slot_duration
 _LP_VALUE_SLACK = 1e-9  # relative slack when pinning the stage-1 LP value
-# Speed-projection ADMM: over-relaxation factor, residual ratio that triggers
-# a rho change, stopping tolerance (per metre of max_step and root slot), cap.
-_ADMM_RELAXATION = 1.8
-_ADMM_BALANCE = 1.5
-_ADMM_TOL = 1e-10
-_ADMM_MAX_ITERATIONS = 5000
+# Speed-projection interior-point solve: stopping tolerance (per unit of
+# max_step), lowest slack the centering aims at (per max_step^2, above the
+# rounding in the coordinates), share of the way to the nearest bound a step
+# may go (more once the mean gap is below 1% of max_step^2), step cap.
+_IPM_TOL = 1e-10
+_IPM_SLACK_FLOOR = 1e-13
+_IPM_REACH = 0.99
+_IPM_MAX_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -373,18 +375,6 @@ def _softmin_weights(values: np.ndarray, temperature: float) -> np.ndarray:
     return w / w.sum()
 
 
-@dataclass(eq=False)
-class _ProjectionWarmStart:
-    """ADMM state carried between speed projections of paths with one slot count.
-
-    Each _project_speed call that receives the object starts from its dual
-    and rho and leaves its own final values in it.
-    """
-
-    dual: Optional[np.ndarray] = None  # scaled dual, one row per segment
-    rho: float = 1.0
-
-
 def _straight_line(start: np.ndarray, end: np.ndarray, num_slots: int) -> np.ndarray:
     """num_slots + 1 evenly spaced points from start to end, both copied exactly."""
     frac = np.linspace(0.0, 1.0, num_slots + 1)[:, None]
@@ -397,93 +387,116 @@ def _lengths(segments: np.ndarray) -> np.ndarray:
     return np.hypot(segments[:, 0], segments[:, 1])
 
 
-def _clip_to_ball(segments: np.ndarray, radius: float) -> np.ndarray:
-    return segments * (radius / np.maximum(_lengths(segments), radius))[:, None]
+def _slack(seg: np.ndarray, max_step: float) -> np.ndarray:
+    length = np.hypot(seg.real, seg.imag)  # seg holds complex x + iy
+    return 0.5 * (max_step - length) * (max_step + length)  # no cancellation
 
 
-def _admm_chain(
-    xy: np.ndarray, max_step: float, warm: _ProjectionWarmStart
-) -> np.ndarray:
+@np.errstate(all="ignore")  # the branch np.where drops may divide by zero
+def _step_to_boundary(slack, b, a, lam, dlam, reach: float) -> float:
+    """Largest step <= 1 going at most reach of the way to any bound.
+
+    A step alpha lowers a segment's slack u by alpha * b + alpha^2 * a / 2
+    (b = s . ds, a = ||ds||^2): the root at reach * u is taken in its
+    cancellation-free form for the sign of b. Multipliers move linearly.
+    """
+    kept = reach * slack
+    root = np.sqrt(b * b + 2.0 * a * kept)
+    primal = np.where(b >= 0.0, 2.0 * kept / (b + root), (root - b) / a).min()
+    fall = (-dlam / lam).max()
+    return min(1.0, float(primal), reach / fall if fall > 0.0 else 1.0)
+
+
+def _interior_point_chain(xy: np.ndarray, line: np.ndarray, max_step: float) -> np.ndarray:
     """Interior points of argmin ||w - xy|| s.t. ||w[t+1] - w[t]|| <= max_step.
 
-    ADMM (Boyd et al. 2011, sections 3.3-3.4) on the splitting z = A w + b,
-    the segment vectors with the endpoints xy[0] and xy[-1] held fixed:
+    Primal-dual interior-point method, Mehrotra's predictor-corrector
+    (Mehrotra 1992), on u_t = (L^2 - ||s_t||^2) / 2 >= 0, s_t = w[t+1] - w[t],
+    L = max_step, endpoints fixed. It starts from line, the straight path,
+    which must be strictly feasible, and every iterate stays so: a step goes
+    at most max(_IPM_REACH, 1 - mu / L^2) of the way to any bound and is
+    halved while rounding puts a segment outside the ball.
 
-      * w-update: one tridiagonal SPD solve of (I + rho A^T A), factored
-        once per rho value; the fixed endpoints enter the right-hand side as
-        +rho * xy[0] on the first row and +rho * xy[-1] on the last;
-      * z-update: each over-relaxed segment is clipped to the ball;
-      * rho is doubled or halved whenever one residual exceeds the other by
-        more than _ADMM_BALANCE (residual balancing).
-
-    Stops once both residuals fall below _ADMM_TOL * max_step * sqrt(M), or
-    after _ADMM_MAX_ITERATIONS. The final dual and rho are stored in warm.
+    Eliminating the multipliers lam leaves H dw = -(w - xy) - D^T(s q / u),
+    H = I + sum_t D_t^T (lam_t I + (lam_t / u_t) s_t s_t^T) D_t, SPD with three
+    upper bands in the order (x1, y1, x2, ...) of a complex array x + iy
+    viewed as floats. The predictor has q = 0; the corrector aims at sigma *
+    mu (mu = lam . u / M, sigma = (mu_aff / mu)^3), at no slack below
+    _IPM_SLACK_FLOOR * L^2, plus the second-order term. Stops once the
+    stationarity residual is below _IPM_TOL * L and each segment has slack
+    below _IPM_TOL * L^2 or multiplier below _IPM_TOL, or after _IPM_MAX_STEPS.
     """
     m = xy.shape[0] - 1
-    n = m - 1
-    start, end = xy[0], xy[-1]
-    target = xy[1:-1]
-    path = xy.copy()
-    dual = warm.dual if warm.dual is not None else np.zeros((m, 2))
-    rho = warm.rho
-    z = _clip_to_ball(path[1:] - path[:-1], max_step)
-    factors = {}  # rho -> LDL^T factors of I + rho A^T A
-
-    def factor(rho: float):
-        if rho not in factors:
-            diag, off, _ = dpttrf(np.full(n, 1.0 + 2.0 * rho), np.full(max(n - 1, 1), -rho))
-            factors[rho] = diag, off
-        return factors[rho]
-
-    diag, off = factor(rho)
-    tol_sq = (_ADMM_TOL * max_step) ** 2 * m
-    for _ in range(_ADMM_MAX_ITERATIONS):
-        y = z - dual
-        rhs = y[:-1] - y[1:]
-        rhs *= rho
-        rhs += target
-        rhs[0] += rho * start
-        rhs[-1] += rho * end
-        path[1:-1] = dpttrs(diag, off, rhs)[0]
-        seg = path[1:] - path[:-1]
-        shifted = z + _ADMM_RELAXATION * (seg - z) + dual  # over-relaxed segment + dual
-        z_new = _clip_to_ball(shifted, max_step)
-        dual = shifted - z_new
-        r = seg - z_new
-        dz = z_new - z
-        s = dz[:-1] - dz[1:]
-        z = z_new
-        primal_sq = np.vdot(r, r)
-        dual_sq = rho * rho * np.vdot(s, s)
-        if primal_sq <= tol_sq and dual_sq <= tol_sq:
+    target = xy[1:-1, 0] + 1j * xy[1:-1, 1]
+    path = line[:, 0] + 1j * line[:, 1]
+    seg = path[1:] - path[:-1]
+    slack = _slack(seg, max_step)
+    lam = np.ones(m)
+    band = np.zeros((4, 2 * (m - 1)))
+    step = np.zeros(m + 1, dtype=complex)  # endpoints stay zero
+    area = max_step * max_step
+    for _ in range(_IPM_MAX_STEPS):
+        fit = path[1:-1] - target
+        force = lam * seg
+        residual = fit + force[:-1] - force[1:]
+        if (
+            np.abs(residual).max() <= _IPM_TOL * max_step
+            and np.minimum(slack, lam * area).max() <= _IPM_TOL * area
+        ):
             break
-        if primal_sq > _ADMM_BALANCE**2 * dual_sq:
-            step = 2.0
-        elif dual_sq > _ADMM_BALANCE**2 * primal_sq:
-            step = 0.5
-        else:
-            continue
-        rho *= step
-        dual /= step
-        diag, off = factor(rho)
-    warm.dual, warm.rho = dual, rho
-    return path[1:-1]
+        # Per-segment 2x2 blocks lam I + (lam / u) s s^T of H: the xx and yy
+        # entries interleaved like the unknowns, and the xy entry.
+        ratio = lam / slack
+        diag = lam[:, None] + ratio[:, None] * seg.view(float).reshape(m, 2) ** 2
+        cross = ratio * seg.real * seg.imag
+        band[3] = 1.0 + (diag[:-1] + diag[1:]).ravel()
+        band[1, 2:] = -diag[1:-1].ravel()
+        band[2, 1::2] = cross[:-1] + cross[1:]
+        band[2, 2::2] = band[0, 3::2] = -cross[1:-1]
+        chol, info = dpbtrf(band)
+        if info:  # H is SPD; only rounding at a degenerate optimum gets here
+            break
+        conj_seg = seg.conj()
+
+        def direction(rhs, q):
+            """b = s . ds (the linearized slack falls by b), dlam, a = ||ds||^2."""
+            step[1:-1] = dpbtrs(chol, rhs.view(float))[0].view(complex)
+            dseg = step[1:] - step[:-1]
+            b = (conj_seg * dseg).real
+            return b, (q - lam * (slack - b)) / slack, (dseg * dseg.conj()).real
+
+        mu = lam @ slack / m
+        b, dlam, a = direction(-fit, 0.0)  # predictor
+        alpha = _step_to_boundary(slack, b, a, lam, dlam, 1.0)
+        mu_aff = (slack - alpha * b) @ (lam + alpha * dlam) / m
+        q = np.maximum((mu_aff / mu) ** 3 * mu, _IPM_SLACK_FLOOR * area * lam) + b * dlam
+        pull = seg * (q / slack)
+        b, dlam, a = direction(pull[1:] - pull[:-1] - fit, q)  # corrector
+        alpha = _step_to_boundary(slack, b, a, lam, dlam, max(_IPM_REACH, 1.0 - mu / area))
+        while True:
+            trial = path + alpha * step
+            trial_seg = trial[1:] - trial[:-1]
+            trial_slack = _slack(trial_seg, max_step)
+            if trial_slack.min() > 0.0:
+                break
+            alpha *= 0.5
+        path, seg, slack = trial, trial_seg, trial_slack
+        lam = lam + alpha * dlam
+    return np.column_stack([path[1:-1].real, path[1:-1].imag])
 
 
-def _project_speed(
-    wp: np.ndarray, max_step: float, warm: Optional[_ProjectionWarmStart] = None
-) -> np.ndarray:
+def _project_speed(wp: np.ndarray, max_step: float) -> np.ndarray:
     """Euclidean projection of a path onto the speed-feasible set.
 
     Minimizes ||w - wp|| subject to ||w[t+1] - w[t]|| <= max_step over the
     horizontal coordinates of the interior waypoints; the endpoints and the
     altitude column are copied unchanged. A feasible input is returned as is.
     With no slack (a straight-line step of at least max_step, that is
-    M * max_step at most the start-end distance) the straight line, the only
-    candidate left, is returned without iterating. Otherwise the ADMM
-    solution is pulled toward the straight line (which is then feasible) by
-    the largest blend that keeps every segment within max_step, found in
-    closed form per segment, so the output is always speed-feasible.
+    M * max_step at most the start-end distance, or a straight line that
+    rounding leaves on the boundary) the straight line, the only candidate
+    left, is returned without iterating. Otherwise the interior-point solve
+    starts from the straight line and keeps every iterate strictly inside
+    the speed bound, so the output is speed-feasible as it stands.
     """
     out = wp.copy()
     xy = wp[:, :2]
@@ -493,25 +506,10 @@ def _project_speed(
     start, end = xy[0], xy[-1]
     line = _straight_line(start, end, m)
     c = (end - start) / m
-    slack = max_step * max_step - c @ c
-    if slack <= 0.0:
+    if max_step * max_step - c @ c <= 0.0 or _lengths(np.diff(line, axis=0)).max() >= max_step:
         out[:, :2] = line
         return out
-    path = xy.copy()
-    path[1:-1] = _admm_chain(xy, max_step, warm if warm is not None else _ProjectionWarmStart())
-    # Segment t of line + theta * (path - line) is c + theta * e[t]; the
-    # quadratic ||c + theta * e||^2 <= max_step^2 holds strictly at theta = 0
-    # (slack > 0), so its larger root bounds the blend.
-    seg = np.diff(path, axis=0)
-    over = _lengths(seg) > max_step
-    if np.any(over):
-        e = seg[over] - c
-        a = (e * e).sum(axis=1)
-        b = e @ c
-        roots = (-b + np.sqrt(b * b + a * slack)) / a
-        theta = min(1.0, float(roots.min()))
-        path[1:-1] = line[1:-1] + theta * (path[1:-1] - line[1:-1])
-    out[1:-1, :2] = path[1:-1]
+    out[1:-1, :2] = _interior_point_chain(xy, line, max_step)
     return out
 
 
@@ -529,10 +527,10 @@ def improve_trajectory(
 
     Ascends the softmin-smoothed scheduled throughput along its closed-form
     gradient in the horizontal waypoint coordinates, backtracks the step
-    size, projects each candidate exactly onto the speed-feasible set (warm
-    starting the projection from the previous backtrack), and rejects any
-    candidate whose hard-min objective is below the input's. Worst case the
-    input trajectory is returned unchanged. Endpoints and altitude stay fixed.
+    size, projects each candidate exactly onto the speed-feasible set, and
+    rejects any candidate whose hard-min objective is below the input's.
+    Worst case the input trajectory is returned unchanged. Endpoints and
+    altitude stay fixed.
     """
     ev = _evaluator if _evaluator is not None else _RateEvaluator(scenario)
     constraints = scenario.experiment.constraints
@@ -568,10 +566,9 @@ def improve_trajectory(
     step = 16.0 * constraints.max_step / largest
     grad_sq = float((grad * grad).sum())
     armijo = 1e-4
-    warm = _ProjectionWarmStart()
     for j in range(max_backtracks):
         scale = step * shrink**j
-        cand = _project_speed(wp + scale * grad, constraints.max_step, warm)
+        cand = _project_speed(wp + scale * grad, constraints.max_step)
         s_new = (tau * ev.rates(cand)).sum(axis=1) * delta / horizon
         gain = _softmin(s_new, temperature) - soft0
         if float(s_new.min()) >= hard0 and gain >= armijo * scale * grad_sq:

@@ -4,6 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import dpbtrs
 
 from uavirs.channel import (
     LinkRuleSet,
@@ -136,15 +137,15 @@ ALTITUDE = 30.0
 
 
 @st.composite
-def speed_chains(draw, min_slack):
+def speed_chains(draw, min_slack, max_slack=1.0, min_slots=2, max_slots=15):
     """A perturbed path between two points and its speed budget.
 
     slack is the share of the budget M * max_step that the straight flight
     from start to end leaves unused.
     """
-    m = draw(st.integers(2, 15))
+    m = draw(st.integers(min_slots, max_slots))
     max_step = draw(st.floats(0.5, 20.0))
-    slack = draw(st.floats(min_slack, 1.0))
+    slack = draw(st.floats(min_slack, max_slack))
     angle = draw(st.floats(0.0, 2.0 * math.pi))
     start = np.array([draw(st.floats(-200.0, 200.0)), draw(st.floats(-200.0, 200.0))])
     end = start + (1.0 - slack) * m * max_step * np.array([math.cos(angle), math.sin(angle)])
@@ -169,8 +170,9 @@ class TestProjectSpeed:
         np.testing.assert_array_equal(out[[0, -1]], wp[[0, -1]])
         np.testing.assert_array_equal(out[:, 2], wp[:, 2])
 
-    # Both methods need iterations in proportion to 1/slack (about 3000
-    # Dykstra sweeps at 1% slack, 90000 at 0.1%), so this keeps 5% or more.
+    # Dykstra's sweeps grow like 1/slack (about 3000 at 1% slack, 90000 at
+    # 0.1%), so the reference keeps 5% or more here; the interior-point
+    # solve needs about as many Newton steps at any slack (tests below).
     @settings(max_examples=40)
     @given(chain=speed_chains(min_slack=0.05))
     def test_matches_dykstra(self, chain):
@@ -178,6 +180,39 @@ class TestProjectSpeed:
         out = _project_speed(wp, max_step)
         ref = dykstra_speed_projection(wp[:, :2], max_step)
         assert np.abs(out[:, :2] - ref).max() <= 1e-6 * max_step
+
+    # Mission projections have 46-300 slots at 30-90% slack. Far from the
+    # origin, rounding in the coordinates can keep Dykstra's sweeps from
+    # settling to 1e-14 * max_step, so the reference stops at 1e-12.
+    @settings(max_examples=8)
+    @given(chain=speed_chains(min_slack=0.3, max_slack=0.9, min_slots=50, max_slots=300))
+    def test_long_chain_matches_dykstra(self, chain):
+        wp, max_step = chain
+        out = _project_speed(wp, max_step)
+        ref = dykstra_speed_projection(wp[:, :2], max_step, tol=1e-12)
+        assert np.abs(out[:, :2] - ref).max() <= 1e-6 * max_step
+
+    @settings(max_examples=6)
+    @given(chain=speed_chains(min_slack=0.01, max_slack=0.01, max_slots=10))
+    def test_one_percent_slack_matches_dykstra(self, chain):
+        wp, max_step = chain
+        out = _project_speed(wp, max_step)
+        ref = dykstra_speed_projection(wp[:, :2], max_step)
+        assert np.abs(out[:, :2] - ref).max() <= 1e-6 * max_step
+
+    @settings(max_examples=20)
+    @given(chain=speed_chains(min_slack=0.001, max_slack=0.001))
+    def test_tenth_percent_slack_few_newton_steps(self, chain):
+        wp, max_step = chain
+        # Each Newton step makes two dpbtrs solves (predictor and corrector);
+        # 30 steps is well under the solver's cap.
+        with mock.patch("uavirs.trajectory.dpbtrs", wraps=dpbtrs) as solves:
+            out = _project_speed(wp, max_step)
+        assert solves.call_count <= 2 * 30
+        steps = np.linalg.norm(np.diff(out, axis=0), axis=1)
+        assert steps.max() <= max_step + SPEED_SLACK
+        np.testing.assert_array_equal(out[[0, -1]], wp[[0, -1]])
+        np.testing.assert_array_equal(out[:, 2], wp[:, 2])
 
     @given(
         m=st.integers(1, 15),
@@ -215,7 +250,7 @@ class TestProjectSpeed:
         line = straight_line_trajectory(constraints, m).waypoints
         wp = line.copy()
         wp[1:-1, :2] += np.array(offsets[: 2 * (m - 1)]).reshape(m - 1, 2)
-        with mock.patch("uavirs.trajectory._admm_chain", side_effect=AssertionError):
+        with mock.patch("uavirs.trajectory._interior_point_chain", side_effect=AssertionError):
             out = _project_speed(wp, max_step)  # returned without iterating
         np.testing.assert_array_equal(out, line)
 
