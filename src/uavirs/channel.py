@@ -142,12 +142,11 @@ def _normalize_pair(pair: Iterable[str]) -> Tuple[str, str]:
 class LinkRuleSet:
     """Lookup table of link-state rules keyed by unordered endpoint pair.
 
-    When constructed with default_to_los=True (the loader's behavior), pairs
-    without an explicit rule resolve through the default always-LoS rule;
-    otherwise a missing rule is a configuration error.
+    A pair without an explicit rule resolves through the default always-LoS
+    rule.
     """
 
-    def __init__(self, rules: Iterable[LinkStateRule] = (), default_to_los: bool = True):
+    def __init__(self, rules: Iterable[LinkStateRule] = ()):
         self._rules = {}
         for rule in rules:
             if rule.endpoints in self._rules:
@@ -155,18 +154,13 @@ class LinkRuleSet:
                     f"duplicate link-state rule for pair {rule.endpoints}"
                 )
             self._rules[rule.endpoints] = rule
-        self._default_to_los = default_to_los
 
     def get(self, a: str, b: str) -> Optional[LinkStateRule]:
         return self._rules.get(_normalize_pair((a, b)))
 
     def rule_for(self, a: str, b: str) -> LinkStateRule:
         rule = self.get(a, b)
-        if rule is not None:
-            return rule
-        if self._default_to_los:
-            return LinkStateRule((a, b), min_altitude_for_los=0.0)
-        raise ConfigurationError(f"no link-state rule configured for pair ({a!r}, {b!r})")
+        return rule if rule is not None else LinkStateRule((a, b), min_altitude_for_los=0.0)
 
     def __iter__(self):
         return iter(sorted(self._rules.values(), key=lambda r: r.endpoints))
@@ -177,9 +171,7 @@ class LinkRuleSet:
     def __eq__(self, other):
         if not isinstance(other, LinkRuleSet):
             return NotImplemented
-        return (
-            self._rules == other._rules and self._default_to_los == other._default_to_los
-        )
+        return self._rules == other._rules
 
 
 def path_gain(d: ArrayLike, model: PathLossModel, radio: RadioParams) -> ArrayLike:

@@ -150,7 +150,7 @@ def min_serving_altitude(
     """Lowest altitude at which an aerial surface has LoS to every required node.
 
     Returns 0 for an empty required set. A (surface, node) pair without a rule
-    raises ConfigurationError unless `rules` defaults to LoS.
+    is always LoS, so it needs 0 m.
     """
     if surface.kind is not SurfaceKind.AERIAL_MOUNTED:
         raise ConfigurationError(f"surface {surface.id!r} is not aerial")

@@ -509,7 +509,7 @@ def loads_scenario(text: str) -> Scenario:
         _parse_rule(r, f"link_state_rules[{i}]") for i, r in enumerate(raw_rules)
     ]
     try:
-        rule_set = LinkRuleSet(rules, default_to_los=True)
+        rule_set = LinkRuleSet(rules)
     except ConfigurationError as exc:
         _fail("link_state_rules", str(exc))
 

@@ -5,9 +5,9 @@ mission duration T = M * slot_duration. Each candidate T is scored by an inner
 block-coordinate descent that alternates two blocks until the scheduled
 min-throughput stalls:
 
-  * schedule block -- an exact max-min TDMA linear program over the per-slot
-    rate matrix (scipy/HiGHS), followed by a second LP that minimizes total
-    airtime at the optimal value so the returned schedule is canonical;
+  * schedule block -- one exact max-min TDMA linear program over the per-slot
+    rate matrix (scipy/HiGHS); HiGHS returns the same optimum for the same
+    input, so the schedule is deterministic without a tie-break;
   * trajectory block -- one projected ascent step on the softmin-smoothed
     objective, using the closed-form gradient of the rates in the horizontal
     waypoint coordinates and the exact Euclidean projection onto the speed
@@ -36,7 +36,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
 
 SPEED_SLACK = 1e-9  # tolerance on ||waypoint step|| <= v_max * slot_duration
-_LP_VALUE_SLACK = 1e-9  # relative slack when pinning the stage-1 LP value
+# Trajectory step: softmin temperature (bps/Hz), line-search shrink factor and
+# backtrack cap. BCD: iteration cap per duration and relative stall tolerance.
+_SOFTMIN_TEMPERATURE = 0.05
+_BACKTRACK_SHRINK = 0.5
+_MAX_BACKTRACKS = 30
+_BCD_MAX_ITERATIONS = 200
+_BCD_REL_TOL = 1e-4
 # Speed-projection interior-point solve: stopping tolerance (per unit of
 # max_step), lowest slack the centering aims at (per max_step^2, above the
 # rounding in the coordinates), share of the way to the nearest bound a step
@@ -300,9 +306,10 @@ def optimal_schedule(R: np.ndarray, slot_duration: float) -> Tuple[Schedule, flo
     """Exact max-min TDMA allocation for a fixed rate matrix.
 
     Solves max m s.t. sum_t tau[k,t] * slot_duration * R[k,t] >= m for all k,
-    sum_k tau[k,t] <= 1 for all t, 0 <= tau <= 1. A second LP minimizes total
-    airtime at the optimal value so ties resolve deterministically. Returns
-    the schedule and the min throughput it achieves (bps/Hz * s). A node with
+    sum_k tau[k,t] <= 1 for all t, 0 <= tau <= 1, as one LP; among tied
+    optima the schedule is the one HiGHS returns, the same for the same
+    input. Returns the schedule, with solver rounding clipped back into the
+    bounds, and the min throughput it achieves (bps/Hz * s). A node with
     all-zero rates yields m = 0, not an error.
     """
     R = np.asarray(R, dtype=float)
@@ -316,22 +323,14 @@ def optimal_schedule(R: np.ndarray, slot_duration: float) -> Tuple[Schedule, flo
     n_tau = k * m_slots
     throughput = slot_duration * R  # per-slot contribution of tau[k,t]
 
-    # Stage 1: maximize the min throughput.
-    rows, cols, vals = [], [], []
-    for i in range(k):
-        rows.extend([i] * m_slots)
-        cols.extend(range(i * m_slots, (i + 1) * m_slots))
-        vals.extend(-throughput[i])
-    for i in range(k):  # + m <= 0 on node rows
-        rows.append(i)
-        cols.append(n_tau)
-        vals.append(1.0)
-    for t in range(m_slots):  # slot rows: sum_k tau[k,t] <= 1
-        for i in range(k):
-            rows.append(k + t)
-            cols.append(i * m_slots + t)
-            vals.append(1.0)
-    a_ub = sp.csr_matrix((vals, (rows, cols)), shape=(k + m_slots, n_tau + 1))
+    # Columns: tau in row-major (k, t) order, then m. Rows: per node,
+    # m - sum_t tau[k,t] * throughput[k,t] <= 0; per slot, sum_k tau[k,t] <= 1.
+    node_rows = sp.csr_matrix(
+        (-throughput.ravel(), np.arange(n_tau), m_slots * np.arange(k + 1)),
+        shape=(k, n_tau),
+    )
+    slot_rows = sp.kron(np.ones((1, k)), sp.identity(m_slots), "csr")
+    a_ub = sp.bmat([[node_rows, sp.csr_matrix(np.ones((k, 1)))], [slot_rows, None]], "csr")
     b_ub = np.concatenate([np.zeros(k), np.ones(m_slots)])
     c = np.zeros(n_tau + 1)
     c[-1] = -1.0
@@ -339,22 +338,7 @@ def optimal_schedule(R: np.ndarray, slot_duration: float) -> Tuple[Schedule, flo
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success:  # pragma: no cover - LP is always feasible/bounded
         raise RuntimeError(f"max-min schedule LP failed: {res.message}")
-    m_star = float(res.x[-1])
-
-    # Stage 2: minimize total airtime subject to keeping the optimal value.
-    a2 = a_ub[:, :n_tau]
-    b2 = b_ub.copy()
-    b2[:k] = -m_star
-    res2 = linprog(
-        np.ones(n_tau), A_ub=a2, b_ub=b2, bounds=[(0.0, 1.0)] * n_tau, method="highs"
-    )
-    if not res2.success:  # exact pinning can be borderline infeasible; relax a hair
-        b2[:k] = -(m_star - _LP_VALUE_SLACK * max(1.0, m_star))
-        res2 = linprog(
-            np.ones(n_tau), A_ub=a2, b_ub=b2, bounds=[(0.0, 1.0)] * n_tau, method="highs"
-        )
-    tau = res2.x if res2.success else res.x[:n_tau]
-    tau = np.clip(tau.reshape(k, m_slots), 0.0, 1.0) + 0.0  # also clears -0.0
+    tau = np.clip(res.x[:n_tau].reshape(k, m_slots), 0.0, 1.0) + 0.0  # also clears -0.0
     col = tau.sum(axis=0)
     over = col > 1.0
     if np.any(over):
@@ -518,19 +502,17 @@ def improve_trajectory(
     trajectory: Trajectory,
     schedule: Schedule,
     *,
-    temperature: float = 0.05,
-    shrink: float = 0.5,
-    max_backtracks: int = 30,
     _evaluator: Optional[_RateEvaluator] = None,
 ) -> Trajectory:
     """One projected ascent step on the interior waypoints for a fixed schedule.
 
     Ascends the softmin-smoothed scheduled throughput along its closed-form
     gradient in the horizontal waypoint coordinates, backtracks the step
-    size, projects each candidate exactly onto the speed-feasible set, and
-    rejects any candidate whose hard-min objective is below the input's.
-    Worst case the input trajectory is returned unchanged. Endpoints and
-    altitude stay fixed.
+    size by _BACKTRACK_SHRINK up to _MAX_BACKTRACKS times, projects each
+    candidate exactly onto the speed-feasible set, and rejects any candidate
+    whose hard-min objective is below the input's. The softmin temperature is
+    _SOFTMIN_TEMPERATURE. Worst case the input trajectory is returned
+    unchanged. Endpoints and altitude stay fixed.
     """
     ev = _evaluator if _evaluator is not None else _RateEvaluator(scenario)
     constraints = scenario.experiment.constraints
@@ -548,8 +530,8 @@ def improve_trajectory(
     horizon = m * delta
     s0 = (tau * ev.rates(wp)).sum(axis=1) * delta / horizon
     hard0 = float(s0.min())
-    soft0 = _softmin(s0, temperature)
-    weights = _softmin_weights(s0, temperature)
+    soft0 = _softmin(s0, _SOFTMIN_TEMPERATURE)
+    weights = _softmin_weights(s0, _SOFTMIN_TEMPERATURE)
 
     # d(objective)/d(waypoint t): R[:, t] depends on waypoint t only.
     coeff = weights[:, None] * tau * (delta / horizon)
@@ -566,11 +548,11 @@ def improve_trajectory(
     step = 16.0 * constraints.max_step / largest
     grad_sq = float((grad * grad).sum())
     armijo = 1e-4
-    for j in range(max_backtracks):
-        scale = step * shrink**j
+    for j in range(_MAX_BACKTRACKS):
+        scale = step * _BACKTRACK_SHRINK**j
         cand = _project_speed(wp + scale * grad, constraints.max_step)
         s_new = (tau * ev.rates(cand)).sum(axis=1) * delta / horizon
-        gain = _softmin(s_new, temperature) - soft0
+        gain = _softmin(s_new, _SOFTMIN_TEMPERATURE) - soft0
         if float(s_new.min()) >= hard0 and gain >= armijo * scale * grad_sq:
             return Trajectory(cand, trajectory.slot_duration)
     return trajectory
@@ -606,20 +588,18 @@ def _solve_fixed_time(
     scenario: "Scenario",
     ev: _RateEvaluator,
     initial: Trajectory,
-    max_iterations: int,
-    rel_tol: float,
 ) -> _InnerSolution:
     """Block-coordinate descent at a fixed mission duration (monotone)."""
     delta = initial.slot_duration
     traj = initial
     sched, value = optimal_schedule(ev.rates(traj.waypoints), delta)
     history = [value]
-    for _ in range(max_iterations):
+    for _ in range(_BCD_MAX_ITERATIONS):
         cand = improve_trajectory(scenario, traj, sched, _evaluator=ev)
         sched_new, value_new = optimal_schedule(ev.rates(cand.waypoints), delta)
         if value_new < value:  # numerical guard; rejected updates end the descent
             break
-        stalled = (value_new - value) <= rel_tol * max(1.0, value)
+        stalled = (value_new - value) <= _BCD_REL_TOL * max(1.0, value)
         traj, sched, value = cand, sched_new, value_new
         history.append(value)
         if stalled:
@@ -633,16 +613,17 @@ def min_time_mission(
     rate_target: Optional[float] = None,
     *,
     max_time: Optional[float] = None,
-    max_iterations: int = 200,
-    rel_tol: float = 1e-4,
 ) -> MissionResult:
     """Shortest discretized mission meeting a per-node average-rate target.
 
     Bisects the mission duration over multiples of the slot length, scoring
     each candidate with the inner block-coordinate descent (warm-started from
-    the previously evaluated duration). A duration is feasible iff its
-    achieved min rate reaches rate_target. If even max_time is infeasible the
-    best-rate solution is returned with converged=False.
+    the previously evaluated duration). The descent at one duration stops
+    after _BCD_MAX_ITERATIONS steps, or at the first step that lowers the
+    scheduled value or raises it by at most _BCD_REL_TOL * max(1, value).
+    A duration is feasible iff its achieved min rate reaches rate_target. If
+    even max_time is infeasible the best-rate solution is returned with
+    converged=False.
     """
     exp = scenario.experiment
     if constraints is not None or rate_target is not None or max_time is not None:
@@ -680,7 +661,7 @@ def min_time_mission(
             initial = straight_line_trajectory(constraints, m)
         else:
             initial = Trajectory(_project_speed(_resample(last, m), constraints.max_step), delta)
-        sol = _solve_fixed_time(scenario, ev, initial, max_iterations, rel_tol)
+        sol = _solve_fixed_time(scenario, ev, initial)
         solutions[m] = sol
         last = sol.trajectory
         iterations += len(sol.history) - 1

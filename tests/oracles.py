@@ -104,7 +104,9 @@ def dykstra_speed_projection(path, max_step, tol=1e-14, max_sweeps=200_000):
     whose projections are exact: the even-indexed segments and the
     odd-indexed segments, each a product of disjoint two-point balls. The
     first and last points never move. Raises if the iterates have not
-    settled to tol * max_step within max_sweeps sweeps.
+    settled to tol * max(max_step, largest |coordinate|) within max_sweeps
+    sweeps: far from the origin the spacing of doubles, not max_step, sets
+    how still rounding lets the iterates get.
     """
     x = np.array(path, dtype=float)
     m = x.shape[0] - 1
@@ -134,6 +136,6 @@ def dykstra_speed_projection(path, max_step, tol=1e-14, max_sweeps=200_000):
             y = project_parity(x + increments[parity], parity)
             increments[parity] = x + increments[parity] - y
             x = y
-        if np.abs(x - before).max() <= tol * max_step:
+        if np.abs(x - before).max() <= tol * max(max_step, np.abs(x).max()):
             return x
     raise RuntimeError("Dykstra projection did not settle")

@@ -124,11 +124,6 @@ class TestLinkRuleSet:
         default = rules.rule_for("a", "c")
         assert default.min_altitude_for_los == 0.0
 
-    def test_strict_mode_raises_on_missing(self):
-        rules = LinkRuleSet([], default_to_los=False)
-        with pytest.raises(ConfigurationError):
-            rules.rule_for("a", "b")
-
     def test_duplicate_rules_rejected(self):
         with pytest.raises(ConfigurationError):
             LinkRuleSet([LinkStateRule(("a", "b")), LinkStateRule(("b", "a"))])

@@ -174,14 +174,12 @@ class TestMinServingAltitude:
             [
                 LinkStateRule(("uirs", "user1"), 30.0),
                 LinkStateRule(("uirs", "user2"), 50.0),
-            ],
-            default_to_los=False,
+            ]
         )
         assert min_serving_altitude(aerial(), ["user1", "user2"], rules) == 50.0
 
-    def test_missing_rule_is_an_error(self):
-        with pytest.raises(ConfigurationError):
-            min_serving_altitude(aerial(), ["ghost"], LinkRuleSet([], default_to_los=False))
+    def test_unknown_node_needs_no_altitude(self):
+        assert min_serving_altitude(aerial(), ["ghost"], LinkRuleSet([])) == 0.0
 
     def test_terrestrial_surface_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -1,5 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from uavirs.trajectory import Schedule, optimal_schedule
 
@@ -41,6 +44,26 @@ class TestScheduleExamples:
         second = optimal_schedule(R, 0.1)
         np.testing.assert_array_equal(first[0].fractions, second[0].fractions)
         assert first[1] == second[1]
+
+
+class TestOneLp:
+    """The schedule is the max-min LP's own optimum: one HiGHS solve, no tie-break."""
+
+    def test_one_linprog_call(self):
+        R = np.random.default_rng(7).uniform(0.0, 6.0, size=(8, 51))
+        with mock.patch("uavirs.trajectory.linprog", wraps=linprog) as lp:
+            optimal_schedule(R, 0.1)
+        assert lp.call_count == 1
+
+    def test_fully_tied_nodes(self):
+        R = np.full((8, 51), 1.3)
+        first, value = optimal_schedule(R, 0.1)
+        tau = first.fractions
+        assert np.all(tau >= 0.0) and np.all(tau <= 1.0)
+        assert np.all(tau.sum(axis=0) <= 1.0 + 1e-9)
+        assert value == pytest.approx(0.1 * 51 * 1.3 / 8, rel=1e-9)
+        second, _ = optimal_schedule(R, 0.1)
+        np.testing.assert_array_equal(second.fractions, tau)
 
 
 class TestScheduleInvariants:

@@ -181,15 +181,31 @@ class TestProjectSpeed:
         ref = dykstra_speed_projection(wp[:, :2], max_step)
         assert np.abs(out[:, :2] - ref).max() <= 1e-6 * max_step
 
-    # Mission projections have 46-300 slots at 30-90% slack. Far from the
-    # origin, rounding in the coordinates can keep Dykstra's sweeps from
-    # settling to 1e-14 * max_step, so the reference stops at 1e-12.
+    # Mission projections have 46-300 slots at 30-90% slack. The reference
+    # stops at 1e-12, looser than its default and still far below the
+    # 1e-6 * max_step the comparison allows.
     @settings(max_examples=8)
     @given(chain=speed_chains(min_slack=0.3, max_slack=0.9, min_slots=50, max_slots=300))
     def test_long_chain_matches_dykstra(self, chain):
         wp, max_step = chain
         out = _project_speed(wp, max_step)
         ref = dykstra_speed_projection(wp[:, :2], max_step, tol=1e-12)
+        assert np.abs(out[:, :2] - ref).max() <= 1e-6 * max_step
+
+    def test_dykstra_settles_far_from_origin(self):
+        # Near 800 m the spacing of doubles (1.1e-13 m) exceeds 1e-14 *
+        # max_step, so rounding keeps this chain's sweeps from settling to
+        # that; a stop relative to the coordinates settles in under 100.
+        m, max_step = 40, 5.7
+        rng = np.random.default_rng(9)
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        start = np.array([800.0, 0.0])
+        end = start + 0.5 * m * max_step * np.array([math.cos(angle), math.sin(angle)])
+        wp = np.full((m + 1, 3), ALTITUDE)
+        wp[:, :2] = start + np.linspace(0.0, 1.0, m + 1)[:, None] * (end - start)
+        wp[1:-1, :2] += rng.uniform(-1.0, 1.0, (m - 1, 2)) * 2.0 * max_step
+        ref = dykstra_speed_projection(wp[:, :2], max_step, max_sweeps=500)
+        out = _project_speed(wp, max_step)
         assert np.abs(out[:, :2] - ref).max() <= 1e-6 * max_step
 
     @settings(max_examples=6)
