@@ -138,7 +138,9 @@ class CandidateProbe:
     mission_time: float
     feasible: bool
     achieved_min_rate: float
-    objective_history: List[float]  # scheduled min-throughput per accepted BCD iteration
+    # Scheduled min-throughput at the start and after each BCD iteration; an
+    # iteration whose step was rejected repeats the last value.
+    objective_history: List[float]
     note: str = ""  # "speed" marks durations ruled out by the speed bound alone
 
 
@@ -315,6 +317,8 @@ def optimal_schedule(R: np.ndarray, slot_duration: float) -> Tuple[Schedule, flo
     R = np.asarray(R, dtype=float)
     if R.ndim != 2:
         raise ValueError("R must be a K x M matrix")
+    if R.shape[0] == 0:
+        raise ValueError("R needs at least one node row")
     if np.any(R < 0):
         raise ValueError("rates must be >= 0")
     if not (slot_duration > 0):
@@ -334,7 +338,8 @@ def optimal_schedule(R: np.ndarray, slot_duration: float) -> Tuple[Schedule, flo
     b_ub = np.concatenate([np.zeros(k), np.ones(m_slots)])
     c = np.zeros(n_tau + 1)
     c[-1] = -1.0
-    bounds = [(0.0, 1.0)] * n_tau + [(0.0, None)]
+    bounds = np.repeat([[0.0, 1.0]], n_tau + 1, axis=0)
+    bounds[n_tau, 1] = np.inf  # m >= 0
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success:  # pragma: no cover - LP is always feasible/bounded
         raise RuntimeError(f"max-min schedule LP failed: {res.message}")
@@ -469,6 +474,16 @@ def _interior_point_chain(xy: np.ndarray, line: np.ndarray, max_step: float) -> 
     return np.column_stack([path[1:-1].real, path[1:-1].imag])
 
 
+def _no_slack(line: np.ndarray, max_step: float) -> bool:
+    """Whether a straight line of M + 1 horizontal points is the only speed-feasible path.
+
+    True when its step c has ||c|| >= max_step, or when rounding leaves one
+    of its segments at least max_step long.
+    """
+    c = (line[-1] - line[0]) / (line.shape[0] - 1)
+    return max_step * max_step - c @ c <= 0.0 or _lengths(np.diff(line, axis=0)).max() >= max_step
+
+
 def _project_speed(wp: np.ndarray, max_step: float) -> np.ndarray:
     """Euclidean projection of a path onto the speed-feasible set.
 
@@ -484,13 +499,10 @@ def _project_speed(wp: np.ndarray, max_step: float) -> np.ndarray:
     """
     out = wp.copy()
     xy = wp[:, :2]
-    m = wp.shape[0] - 1
     if _lengths(np.diff(xy, axis=0)).max() <= max_step:
         return out
-    start, end = xy[0], xy[-1]
-    line = _straight_line(start, end, m)
-    c = (end - start) / m
-    if max_step * max_step - c @ c <= 0.0 or _lengths(np.diff(line, axis=0)).max() >= max_step:
+    line = _straight_line(xy[0], xy[-1], wp.shape[0] - 1)
+    if _no_slack(line, max_step):
         out[:, :2] = line
         return out
     out[1:-1, :2] = _interior_point_chain(xy, line, max_step)
@@ -511,8 +523,12 @@ def improve_trajectory(
     size by _BACKTRACK_SHRINK up to _MAX_BACKTRACKS times, projects each
     candidate exactly onto the speed-feasible set, and rejects any candidate
     whose hard-min objective is below the input's. The softmin temperature is
-    _SOFTMIN_TEMPERATURE. Worst case the input trajectory is returned
-    unchanged. Endpoints and altitude stay fixed.
+    _SOFTMIN_TEMPERATURE. Endpoints and altitude stay fixed.
+
+    When it accepts no step it returns the input object itself, and
+    _solve_fixed_time relies on that identity to end its descent. That
+    includes a speed budget with no slack, where the straight line is the
+    only feasible path and no line search is made.
     """
     ev = _evaluator if _evaluator is not None else _RateEvaluator(scenario)
     constraints = scenario.experiment.constraints
@@ -521,7 +537,7 @@ def improve_trajectory(
     tau = schedule.fractions
     if tau.shape != (len(ev.nodes), m):
         raise ValueError("schedule shape does not match scenario/trajectory")
-    if m < 2:
+    if m < 2 or _no_slack(_straight_line(wp[0, :2], wp[-1, :2], m), constraints.max_step):
         return trajectory
 
     # Objective over time-averaged rates (bps/Hz, matching the temperature's
@@ -596,6 +612,9 @@ def _solve_fixed_time(
     history = [value]
     for _ in range(_BCD_MAX_ITERATIONS):
         cand = improve_trajectory(scenario, traj, sched, _evaluator=ev)
+        if cand is traj:  # no step taken: the LP would return sched and value again
+            history.append(value)
+            break
         sched_new, value_new = optimal_schedule(ev.rates(cand.waypoints), delta)
         if value_new < value:  # numerical guard; rejected updates end the descent
             break

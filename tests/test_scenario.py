@@ -1,6 +1,8 @@
 import math
+from unittest import mock
 
 import pytest
+import yaml
 
 from uavirs.channel import LinkState, NodeRole
 from uavirs.errors import ScenarioError
@@ -176,6 +178,55 @@ class TestRoundTrip:
         scn = loads_scenario(MINIMAL_TRAJECTORY)
         once = dump_scenario(scn)
         assert dump_scenario(loads_scenario(once)) == once
+
+
+YAML_LOADERS = [
+    pytest.param(yaml.SafeLoader, id="python"),
+    pytest.param(
+        getattr(yaml, "CSafeLoader", None),
+        id="libyaml",
+        marks=pytest.mark.skipif(
+            not yaml.__with_libyaml__, reason="PyYAML built without libyaml"
+        ),
+    ),
+]
+
+
+@pytest.fixture(params=YAML_LOADERS)
+def yaml_loader(request):
+    """Make loads_scenario parse with one given PyYAML loader."""
+    with mock.patch("uavirs.scenario._YAML_LOADER", request.param):
+        yield request.param
+
+
+class TestYamlLoaders:
+    """libyaml's loader and the pure-Python one read scenarios alike."""
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.stem for p in scenario_path("fig4").parent.glob("*.scenario"))
+    )
+    def test_shipped_scenarios_parse_alike(self, name, yaml_loader):
+        text = scenario_path(name).read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=yaml_loader) == yaml.load(text, Loader=yaml.SafeLoader)
+        with mock.patch("uavirs.scenario._YAML_LOADER", yaml.SafeLoader):
+            reference = loads_scenario(text)
+        assert loads_scenario(text) == reference
+
+    def test_parse_error_reports_line_and_column(self, yaml_loader):
+        with pytest.raises(ScenarioError, match=r"line \d+, column \d+"):
+            loads_scenario("nodes: [\n  {id: }")
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("a: 1\nb: [1, 2\nc: 3\n", "line 3, column 2"),
+            ("a: 1\n  b: 2\n", "line 2, column 4"),
+            ("a:\n\t- 1\n", "line 2, column 1"),
+        ],
+    )
+    def test_same_error_position(self, text, where, yaml_loader):
+        with pytest.raises(ScenarioError, match=where):
+            loads_scenario(text)
 
 
 class TestScenarioHelpers:

@@ -38,6 +38,10 @@ class TestScheduleExamples:
         with pytest.raises(ValueError):
             optimal_schedule(np.array([[-1.0, 2.0]]), 1.0)
 
+    def test_rejects_empty_node_set(self):
+        with pytest.raises(ValueError, match="node row"):
+            optimal_schedule(np.ones((0, 3)), 1.0)
+
     def test_deterministic(self):
         R = np.array([[1.5, 0.25, 3.0], [2.0, 2.0, 0.5]])
         first = optimal_schedule(R, 0.1)

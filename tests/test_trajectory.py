@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg.lapack import dpbtrs
+from scipy.optimize import linprog
 
 from uavirs.channel import (
     LinkRuleSet,
@@ -17,7 +18,7 @@ from uavirs.channel import (
     RadioParams,
 )
 from uavirs.irs import IrsSurface, SurfaceKind
-from uavirs.scenario import Scenario, TrajectoryExperiment
+from uavirs.scenario import Scenario, TrajectoryExperiment, load_scenario, scenario_path
 from uavirs.trajectory import (
     SPEED_SLACK,
     Schedule,
@@ -307,7 +308,7 @@ class TestImproveTrajectory:
         traj = straight_line_trajectory(scn.experiment.constraints, 10)
         sched = Schedule(np.ones((1, 10)))
         out = improve_trajectory(scn, traj, sched)
-        np.testing.assert_array_equal(out.waypoints, traj.waypoints)
+        assert out is traj  # _solve_fixed_time ends its descent on this identity
 
     def test_pulls_toward_offset_node(self):
         scn = make_scenario([("sn1", (50.0, 40.0, 0.0))], slot=0.2)
@@ -363,6 +364,40 @@ class TestImproveTrajectory:
         obj_before = (per_slot_rates(scn, traj) * sched.fractions).sum() * 0.1 / 2.0
         obj_after = (per_slot_rates(scn, out) * sched.fractions).sum() * 0.1 / 2.0
         assert abs(obj_after - obj_before) < 1e-9
+
+    def test_zero_slack_returns_input_without_line_search(self):
+        scn = make_scenario([("sn1", (50.0, 30.0, 0.0))], slot=0.1, v_max=50.0)
+        traj = straight_line_trajectory(scn.experiment.constraints, 20)  # 5 m steps
+        with mock.patch("uavirs.trajectory._project_speed", wraps=_project_speed) as ps:
+            out = improve_trajectory(scn, traj, Schedule(np.ones((1, 20))))
+        assert out is traj
+        assert ps.call_count == 0
+
+
+class TestKnownAnswers:
+    """A rejected step ends the descent without re-solving the unchanged LP."""
+
+    def solve_counted(self, name):
+        scn = load_scenario(scenario_path(name))
+        with mock.patch("uavirs.trajectory.linprog", wraps=linprog) as lp, mock.patch(
+            "uavirs.trajectory._project_speed", wraps=_project_speed
+        ) as ps:
+            res = min_time_mission(scn)
+        return res, lp.call_count, ps.call_count
+
+    def test_fig4_one_lp_no_projection(self):
+        res, lp_calls, projections = self.solve_counted("fig4")
+        assert res.mission_time == pytest.approx(3.0)
+        assert (lp_calls, projections, res.iterations) == (1, 0, 1)
+        speed, probe = res.probes
+        assert speed.note == "speed"
+        assert len(probe.objective_history) == 2
+        assert probe.objective_history[0] == probe.objective_history[1]
+
+    def test_fig4_noirs_lp_count(self):
+        res, lp_calls, _ = self.solve_counted("fig4_noirs")
+        assert res.mission_time == pytest.approx(5.1)
+        assert (lp_calls, res.iterations) == (21, 21)
 
 
 class TestMinTimeMission:
