@@ -8,6 +8,8 @@ reflecting-element allocation.
 
 __version__ = "0.1.0"
 
+from importlib import import_module as _import_module
+
 from .channel import (
     LinkRuleSet,
     LinkState,
@@ -42,6 +44,7 @@ from .irs import (
 from .scenario import (
     DeploymentExperiment,
     Scenario,
+    TrajectoryConstraints,
     TrajectoryExperiment,
     dump_scenario,
     load_scenario,
@@ -49,18 +52,19 @@ from .scenario import (
     scenario_digest,
     scenario_path,
 )
-from .trajectory import (
-    CandidateProbe,
-    MissionResult,
-    Schedule,
-    Trajectory,
-    TrajectoryConstraints,
-    improve_trajectory,
-    min_time_mission,
-    optimal_schedule,
-    per_slot_rates,
-    straight_line_trajectory,
-)
+
+
+def __getattr__(name):
+    """Import the trajectory solver, and scipy with it, on first use (PEP 562).
+
+    The names of __all__ not bound above are the solver's; nothing else in the
+    package needs scipy, which is most of the package's import time.
+    """
+    if name != "trajectory" and name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    trajectory = _import_module(".trajectory", __name__)
+    return trajectory if name == "trajectory" else getattr(trajectory, name)
+
 
 __all__ = [
     "__version__",

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import List, Union
+from typing import TYPE_CHECKING, List, Union
 
 from . import __version__
 from .deployment import DeploymentResult, DeploymentStrategy, evaluate_strategy
@@ -33,7 +34,9 @@ from .scenario import (
     load_scenario,
     scenario_digest,
 )
-from .trajectory import MissionResult, min_time_mission
+
+if TYPE_CHECKING:  # pragma: no cover - run_trajectory loads the solver, and scipy
+    from .trajectory import MissionResult
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -61,6 +64,8 @@ def run_trajectory(scenario: Scenario, **overrides) -> MissionResult:
         raise ExperimentMismatchError(
             "scenario holds a deployment experiment; use the deploy subcommand"
         )
+    from .trajectory import min_time_mission
+
     return min_time_mission(scenario, **overrides)
 
 
@@ -120,7 +125,7 @@ def _summary_payload(bundle: ResultBundle) -> dict:
         "wall_time_s": bundle.wall_time,
     }
     result = bundle.result
-    if isinstance(result, MissionResult):
+    if not isinstance(result, list):  # deploy returns a list of DeploymentResult
         payload["experiment"] = "trajectory"
         payload["mission_time_s"] = result.mission_time
         payload["achieved_min_rate_bps_hz"] = result.achieved_min_rate
@@ -152,7 +157,7 @@ def emit_results(bundle: ResultBundle, scenario_file: Path, out_dir: Path) -> Li
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = scenario_file.stem
     written = []
-    if isinstance(bundle.result, MissionResult):
+    if not isinstance(bundle.result, list):
         table_path = out_dir / f"{stem}_trajectory.csv"
         table_path.write_text(trajectory_table(bundle.result), encoding="utf-8")
     else:
@@ -169,15 +174,29 @@ def emit_results(bundle: ResultBundle, scenario_file: Path, out_dir: Path) -> Li
 
 
 def _apply_trajectory_overrides(scenario: Scenario, args) -> Scenario:
+    for flag, value in (
+        ("--rate-target", args.rate_target),
+        ("--slot-duration", args.slot_duration),
+        ("--max-time", args.max_time),
+    ):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ScenarioError(f"must be a finite number > 0, got {value!r}", field=flag)
     exp = scenario.experiment
     constraints = exp.constraints
     if args.slot_duration is not None:
         constraints = replace(constraints, slot_duration=args.slot_duration)
+    max_time = args.max_time if args.max_time is not None else exp.max_time
+    try:
+        constraints.slot_range(max_time)
+    except ValueError as exc:
+        # The loaded scenario passed this check, so an override broke it.
+        flag = "--max-time" if args.max_time is not None else "--slot-duration"
+        raise ScenarioError(str(exc), field=flag) from exc
     exp = replace(
         exp,
         constraints=constraints,
         rate_target=args.rate_target if args.rate_target is not None else exp.rate_target,
-        max_time=args.max_time if args.max_time is not None else exp.max_time,
+        max_time=max_time,
     )
     return scenario.with_experiment(exp)
 
@@ -300,10 +319,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ConfigurationError, ExperimentMismatchError, ValueError) as exc:
+    except (ScenarioError, ConfigurationError, ExperimentMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

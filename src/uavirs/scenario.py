@@ -33,7 +33,6 @@ from .channel import (
 from .deployment import DeploymentStrategy
 from .errors import ConfigurationError, ScenarioError
 from .irs import IrsSurface, SurfaceKind, covers
-from .trajectory import TrajectoryConstraints
 
 # libyaml's loader when PyYAML was built with it (about 8x faster). Both share
 # SafeConstructor and Resolver, so they build the same documents; libyaml words
@@ -42,6 +41,46 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 DEFAULT_SLOT_DURATION = 0.1
 DEFAULT_MAX_TIME = 60.0
+
+
+@dataclass(frozen=True)
+class TrajectoryConstraints:
+    """Endpoint, altitude, speed and slot-length limits for one mission."""
+
+    start: Position3D
+    end: Position3D
+    fixed_altitude: float
+    v_max: float
+    slot_duration: float
+
+    def __post_init__(self):
+        if not (self.v_max > 0):
+            raise ValueError("v_max must be > 0")
+        if not (self.slot_duration > 0):
+            raise ValueError("slot_duration must be > 0")
+        if self.start.z != self.fixed_altitude or self.end.z != self.fixed_altitude:
+            raise ValueError("start and end must lie at the fixed altitude")
+
+    @property
+    def max_step(self) -> float:
+        """Largest admissible waypoint-to-waypoint displacement."""
+        return self.v_max * self.slot_duration
+
+    def slot_range(self, max_time: float) -> Tuple[int, int]:
+        """Fewest and most slots a mission can take within max_time.
+
+        The fewest fly the straight start-to-end line at v_max; the most fit
+        whole in max_time. Raises ValueError when max_time cannot cover that
+        straight flight.
+        """
+        distance = self.start.distance_to(self.end)
+        m_min = max(1, math.ceil(distance / self.max_step - 1e-9))
+        m_max = math.floor(max_time / self.slot_duration + 1e-9)
+        if m_max < m_min:
+            raise ValueError(
+                f"max_time {max_time} s cannot cover the straight {distance:.1f} m flight"
+            )
+        return m_min, m_max
 
 
 @dataclass(frozen=True)
@@ -355,12 +394,14 @@ def _parse_experiment(entry, where: str) -> Experiment:
         max_time = _as_float(entry.get("max_time", DEFAULT_MAX_TIME), f"{where}.max_time")
         if target <= 0:
             _fail(f"{where}.rate_target", "must be > 0")
-        if max_time < slot:
-            _fail(f"{where}.max_time", "must cover at least one slot")
         try:
             constraints = TrajectoryConstraints(start, end, altitude, v_max, slot)
         except ValueError as exc:
             _fail(where, str(exc))
+        try:
+            constraints.slot_range(max_time)
+        except ValueError as exc:
+            _fail(f"{where}.max_time", str(exc))
         return TrajectoryExperiment(constraints, target, max_time)
     if kind == "deployment":
         _check_keys(entry, {"kind", "n_budget", "strategies"}, f"{where}.")
@@ -539,7 +580,11 @@ def load_scenario(path) -> Scenario:
     file_path = Path(path)
     if not file_path.exists():
         raise ScenarioError(f"scenario file not found: {file_path}")
-    return loads_scenario(file_path.read_text(encoding="utf-8"))
+    try:
+        text = file_path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
+        raise ScenarioError(f"cannot read scenario file: {exc}")
+    return loads_scenario(text)
 
 
 def _position_list(p: Position3D) -> list:

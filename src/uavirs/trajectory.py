@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,9 +31,7 @@ from scipy.optimize import linprog
 
 from .channel import LinkState, Position3D, path_gain, resolve_link_state
 from .errors import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .scenario import Scenario
+from .scenario import Scenario, TrajectoryConstraints
 
 SPEED_SLACK = 1e-9  # tolerance on ||waypoint step|| <= v_max * slot_duration
 # Trajectory step: softmin temperature (bps/Hz), line-search shrink factor and
@@ -51,30 +49,6 @@ _IPM_TOL = 1e-10
 _IPM_SLACK_FLOOR = 1e-13
 _IPM_REACH = 0.99
 _IPM_MAX_STEPS = 50
-
-
-@dataclass(frozen=True)
-class TrajectoryConstraints:
-    """Endpoint, altitude, speed and slot-length limits for one mission."""
-
-    start: Position3D
-    end: Position3D
-    fixed_altitude: float
-    v_max: float
-    slot_duration: float
-
-    def __post_init__(self):
-        if not (self.v_max > 0):
-            raise ValueError("v_max must be > 0")
-        if not (self.slot_duration > 0):
-            raise ValueError("slot_duration must be > 0")
-        if self.start.z != self.fixed_altitude or self.end.z != self.fixed_altitude:
-            raise ValueError("start and end must lie at the fixed altitude")
-
-    @property
-    def max_step(self) -> float:
-        """Largest admissible waypoint-to-waypoint displacement."""
-        return self.v_max * self.slot_duration
 
 
 @dataclass(eq=False)
@@ -174,7 +148,7 @@ class _RateEvaluator:
     evaluated per waypoint.
     """
 
-    def __init__(self, scenario: "Scenario"):
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
         constraints = scenario.experiment.constraints
         self.radio = scenario.radio
@@ -290,7 +264,7 @@ class _RateEvaluator:
         return factor[:, :, None] * slope
 
 
-def per_slot_rates(scenario: "Scenario", trajectory: Trajectory) -> np.ndarray:
+def per_slot_rates(scenario: Scenario, trajectory: Trajectory) -> np.ndarray:
     """Per-node, per-slot spectral efficiencies along a trajectory.
 
     Row order follows the scenario's sensor-node order; slot t is evaluated at
@@ -510,7 +484,7 @@ def _project_speed(wp: np.ndarray, max_step: float) -> np.ndarray:
 
 
 def improve_trajectory(
-    scenario: "Scenario",
+    scenario: Scenario,
     trajectory: Trajectory,
     schedule: Schedule,
     *,
@@ -601,7 +575,7 @@ class _InnerSolution:
 
 
 def _solve_fixed_time(
-    scenario: "Scenario",
+    scenario: Scenario,
     ev: _RateEvaluator,
     initial: Trajectory,
 ) -> _InnerSolution:
@@ -627,7 +601,7 @@ def _solve_fixed_time(
 
 
 def min_time_mission(
-    scenario: "Scenario",
+    scenario: Scenario,
     constraints: Optional[TrajectoryConstraints] = None,
     rate_target: Optional[float] = None,
     *,
@@ -660,13 +634,7 @@ def min_time_mission(
         raise ValueError("rate_target must be > 0")
 
     delta = constraints.slot_duration
-    distance = constraints.start.distance_to(constraints.end)
-    m_min = max(1, math.ceil(distance / constraints.max_step - 1e-9))
-    m_max = math.floor(max_time / delta + 1e-9)
-    if m_max < m_min:
-        raise ValueError(
-            f"max_time {max_time} s cannot cover the straight {distance:.1f} m flight"
-        )
+    m_min, m_max = constraints.slot_range(max_time)
 
     ev = _RateEvaluator(scenario)
     probes: List[CandidateProbe] = []

@@ -2,11 +2,12 @@ import csv
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from uavirs.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
+from uavirs.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from uavirs.scenario import load_scenario, scenario_path
 from uavirs.trajectory import Trajectory, per_slot_rates
 
@@ -55,6 +56,14 @@ class TestValidate:
 
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.scenario")]) == EXIT_USAGE
+
+    def test_max_time_too_short_for_the_flight(self, tmp_path, capsys):
+        short = tmp_path / "short.scenario"
+        short.write_text(
+            scenario_path("fig4").read_text().replace("max_time: 30.0", "max_time: 0.5")
+        )
+        assert main(["validate", str(short)]) == EXIT_USAGE
+        assert "experiment.max_time" in capsys.readouterr().err
 
 
 class TestKindMismatch:
@@ -130,6 +139,36 @@ class TestTrajopt:
         assert code == EXIT_INFEASIBLE
         summary = json.loads((out / "quick_summary.json").read_text())
         assert summary["converged"] is False
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--rate-target", "0"),
+            ("--rate-target", "-1"),
+            ("--rate-target", "nan"),
+            ("--rate-target", "inf"),
+            ("--slot-duration", "0"),
+            ("--slot-duration", "nan"),
+            ("--slot-duration", "20"),  # no whole slot fits the 10 s max_time
+            ("--max-time", "-5"),
+            ("--max-time", "inf"),
+            ("--max-time", "0.5"),  # the straight 60 m flight takes 1.2 s
+        ],
+    )
+    def test_bad_override_is_a_usage_error(self, quick_file, tmp_path, capsys, flag, value):
+        code = main(
+            ["trajopt", str(quick_file), "--out", str(tmp_path / "out"), flag, value, "--quiet"]
+        )
+        assert code == EXIT_USAGE
+        assert f"error: {flag}:" in capsys.readouterr().err
+
+    def test_internal_value_error_is_not_a_usage_error(self, quick_file, tmp_path, capsys):
+        with mock.patch(
+            "uavirs.trajectory.optimal_schedule", side_effect=ValueError("numerical trouble")
+        ):
+            code = main(["trajopt", str(quick_file), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == EXIT_INTERNAL
+        assert "internal error: numerical trouble" in capsys.readouterr().err
 
     def test_determinism_quick(self, quick_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -167,6 +167,30 @@ experiment: {kind: deployment, n_budget: -1}
         with pytest.raises(ScenarioError, match="v_max"):
             loads_scenario(bad)
 
+    @pytest.mark.parametrize("max_time", ["0.5", "2.9", "-1.0"])
+    def test_max_time_shorter_than_straight_flight_rejected(self, max_time):
+        # fig4 flies 150 m at 50 m/s in 0.1 s slots: 30 slots, 3.0 s at least.
+        text = scenario_path("fig4").read_text().replace(
+            "max_time: 30.0", f"max_time: {max_time}"
+        )
+        with pytest.raises(ScenarioError, match="cannot cover") as info:
+            loads_scenario(text)
+        assert info.value.field == "experiment.max_time"
+
+    def test_max_time_of_exactly_the_straight_flight_accepted(self):
+        text = scenario_path("fig4").read_text().replace("max_time: 30.0", "max_time: 3.0")
+        assert loads_scenario(text).experiment.max_time == 3.0
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "binary.scenario"
+        path.write_bytes(b"name: \xff\xfe\n")
+        with pytest.raises(ScenarioError, match="cannot read.*utf-8"):
+            load_scenario(path)
+
+    def test_directory_rejected(self, tmp_path):
+        with pytest.raises(ScenarioError, match="cannot read"):
+            load_scenario(tmp_path)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["fig4", "fig4_noirs", "fig5"])
