@@ -12,7 +12,8 @@ min-throughput stalls:
     objective, using the closed-form gradient of the rates in the horizontal
     waypoint coordinates and the exact Euclidean projection onto the speed
     constraints (a primal-dual interior-point solve with banded Newton
-    systems). Any step that lowers the true (hard-min) objective is rejected.
+    systems, which projects a line search's candidates as one stack). Any
+    step that lowers the true (hard-min) objective is rejected.
 
 The inner objective is non-decreasing across accepted iterations by
 construction, and every trajectory ever returned is speed-feasible.
@@ -303,12 +304,17 @@ def optimal_schedule(R: np.ndarray, slot_duration: float) -> Tuple[Schedule, flo
 
     # Columns: tau in row-major (k, t) order, then m. Rows: per node,
     # m - sum_t tau[k,t] * throughput[k,t] <= 0; per slot, sum_k tau[k,t] <= 1.
-    node_rows = sp.csr_matrix(
-        (-throughput.ravel(), np.arange(n_tau), m_slots * np.arange(k + 1)),
-        shape=(k, n_tau),
-    )
-    slot_rows = sp.kron(np.ones((1, k)), sp.identity(m_slots), "csr")
-    a_ub = sp.bmat([[node_rows, sp.csr_matrix(np.ones((k, 1)))], [slot_rows, None]], "csr")
+    # Built as CSC from that fixed pattern: column tau[k,t] holds
+    # -throughput[k,t] in node row k and 1 in slot row t, column m a 1 in
+    # every node row.
+    data = np.ones(2 * n_tau + k)
+    data[: 2 * n_tau : 2] = -throughput.ravel()
+    rows = np.empty(2 * n_tau + k, dtype=np.int32)
+    rows[: 2 * n_tau : 2] = np.repeat(np.arange(k), m_slots)
+    rows[1 : 2 * n_tau : 2] = k + np.tile(np.arange(m_slots), k)
+    rows[2 * n_tau :] = np.arange(k)
+    starts = np.append(np.arange(0, 2 * n_tau + 1, 2), 2 * n_tau + k)
+    a_ub = sp.csc_matrix((data, rows, starts), shape=(k + m_slots, n_tau + 1))
     b_ub = np.concatenate([np.zeros(k), np.ones(m_slots)])
     c = np.zeros(n_tau + 1)
     c[-1] = -1.0
@@ -347,7 +353,7 @@ def _straight_line(start: np.ndarray, end: np.ndarray, num_slots: int) -> np.nda
 
 
 def _lengths(segments: np.ndarray) -> np.ndarray:
-    return np.hypot(segments[:, 0], segments[:, 1])
+    return np.hypot(segments[..., 0], segments[..., 1])
 
 
 def _slack(seg: np.ndarray, max_step: float) -> np.ndarray:
@@ -355,97 +361,136 @@ def _slack(seg: np.ndarray, max_step: float) -> np.ndarray:
     return 0.5 * (max_step - length) * (max_step + length)  # no cancellation
 
 
-@np.errstate(all="ignore")  # the branch np.where drops may divide by zero
-def _step_to_boundary(slack, b, a, lam, dlam, reach: float) -> float:
-    """Largest step <= 1 going at most reach of the way to any bound.
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for each row i, one BLAS dot per row as for a single row.
+
+    A sum over axis 1 would add in another order and round differently.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _step_to_boundary(slack, b, a, lam, dlam, reach) -> np.ndarray:
+    """Per chain, the largest step <= 1 going at most reach of the way to any bound.
 
     A step alpha lowers a segment's slack u by alpha * b + alpha^2 * a / 2
     (b = s . ds, a = ||ds||^2): the root at reach * u is taken in its
     cancellation-free form for the sign of b. Multipliers move linearly.
+    reach is one number or one per chain. The branch np.where drops may
+    divide by zero or overflow, so the caller turns floating-point warnings off.
     """
-    kept = reach * slack
+    reach = np.broadcast_to(reach, slack.shape[:1])
+    kept = reach[:, None] * slack
     root = np.sqrt(b * b + 2.0 * a * kept)
-    primal = np.where(b >= 0.0, 2.0 * kept / (b + root), (root - b) / a).min()
-    fall = (-dlam / lam).max()
-    return min(1.0, float(primal), reach / fall if fall > 0.0 else 1.0)
+    primal = np.where(b >= 0.0, 2.0 * kept / (b + root), (root - b) / a).min(axis=1)
+    fall = (-dlam / lam).max(axis=1)
+    return np.minimum(np.minimum(1.0, primal), np.where(fall > 0.0, reach / fall, 1.0))
 
 
 def _interior_point_chain(xy: np.ndarray, line: np.ndarray, max_step: float) -> np.ndarray:
-    """Interior points of argmin ||w - xy|| s.t. ||w[t+1] - w[t]|| <= max_step.
+    """Interior points of argmin ||w - xy[i]|| s.t. ||w[t+1] - w[t]|| <= max_step, per path i.
 
-    Primal-dual interior-point method, Mehrotra's predictor-corrector
-    (Mehrotra 1992), on u_t = (L^2 - ||s_t||^2) / 2 >= 0, s_t = w[t+1] - w[t],
-    L = max_step, endpoints fixed. It starts from line, the straight path,
-    which must be strictly feasible, and every iterate stays so: a step goes
-    at most max(_IPM_REACH, 1 - mu / L^2) of the way to any bound and is
-    halved while rounding puts a segment outside the ball.
+    xy stacks B paths of M + 1 points with shared endpoints, shape
+    (B, M + 1, 2); the result has shape (B, M - 1, 2). Primal-dual
+    interior-point method, Mehrotra's predictor-corrector (Mehrotra 1992),
+    on u_t = (L^2 - ||s_t||^2) / 2 >= 0, s_t = w[t+1] - w[t], L = max_step,
+    endpoints fixed. Every chain starts from line, the straight path, which
+    must be strictly feasible, and every iterate stays so: a step goes at
+    most max(_IPM_REACH, 1 - mu / L^2) of the way to any bound and is halved
+    while rounding puts a segment outside the ball.
 
     Eliminating the multipliers lam leaves H dw = -(w - xy) - D^T(s q / u),
     H = I + sum_t D_t^T (lam_t I + (lam_t / u_t) s_t s_t^T) D_t, SPD with three
     upper bands in the order (x1, y1, x2, ...) of a complex array x + iy
     viewed as floats. The predictor has q = 0; the corrector aims at sigma *
     mu (mu = lam . u / M, sigma = (mu_aff / mu)^3), at no slack below
-    _IPM_SLACK_FLOOR * L^2, plus the second-order term. Stops once the
-    stationarity residual is below _IPM_TOL * L and each segment has slack
-    below _IPM_TOL * L^2 or multiplier below _IPM_TOL, or after _IPM_MAX_STEPS.
+    _IPM_SLACK_FLOOR * L^2, plus the second-order term. A chain stops once
+    its stationarity residual is below _IPM_TOL * L and each of its segments
+    has slack below _IPM_TOL * L^2 or multiplier below _IPM_TOL, or after
+    _IPM_MAX_STEPS.
+
+    The chains are solved together but each on its own: per-chain arrays
+    have shape (B, M), one banded matrix holds their Newton systems end to
+    end with no coupling between them, each chain takes its own step length,
+    halving and stopping test, and a chain that stops leaves the stack.
+    Each chain's iterates are bit for bit those of its solve alone: the zero
+    coupling changes no rounding in dpbtrf or dpbtrs, mu is one dot per
+    chain, and sigma * mu is Python float arithmetic, because numpy's array
+    power rounds differently.
     """
-    m = xy.shape[0] - 1
-    target = xy[1:-1, 0] + 1j * xy[1:-1, 1]
-    path = line[:, 0] + 1j * line[:, 1]
-    seg = path[1:] - path[:-1]
+    m = xy.shape[1] - 1
+    width = 2 * (m - 1)  # unknowns per chain in the band
+    target = xy[:, 1:-1, 0] + 1j * xy[:, 1:-1, 1]
+    path = np.repeat((line[:, 0] + 1j * line[:, 1])[None, :], xy.shape[0], axis=0)
+    seg = path[:, 1:] - path[:, :-1]
     slack = _slack(seg, max_step)
-    lam = np.ones(m)
-    band = np.zeros((4, 2 * (m - 1)))
-    step = np.zeros(m + 1, dtype=complex)  # endpoints stay zero
+    lam = np.ones(seg.shape)
+    live = np.arange(xy.shape[0])  # input index of each chain still in the stack
+    out = np.empty(target.shape, dtype=complex)
     area = max_step * max_step
-    for _ in range(_IPM_MAX_STEPS):
-        fit = path[1:-1] - target
-        force = lam * seg
-        residual = fit + force[:-1] - force[1:]
-        if (
-            np.abs(residual).max() <= _IPM_TOL * max_step
-            and np.minimum(slack, lam * area).max() <= _IPM_TOL * area
-        ):
-            break
-        # Per-segment 2x2 blocks lam I + (lam / u) s s^T of H: the xx and yy
-        # entries interleaved like the unknowns, and the xy entry.
-        ratio = lam / slack
-        diag = lam[:, None] + ratio[:, None] * seg.view(float).reshape(m, 2) ** 2
-        cross = ratio * seg.real * seg.imag
-        band[3] = 1.0 + (diag[:-1] + diag[1:]).ravel()
-        band[1, 2:] = -diag[1:-1].ravel()
-        band[2, 1::2] = cross[:-1] + cross[1:]
-        band[2, 2::2] = band[0, 3::2] = -cross[1:-1]
-        chol, info = dpbtrf(band)
-        if info:  # H is SPD; only rounding at a degenerate optimum gets here
-            break
-        conj_seg = seg.conj()
+    steps = 0
+    with np.errstate(all="ignore"):  # for _step_to_boundary
+        while live.size and steps < _IPM_MAX_STEPS:
+            fit = path[:, 1:-1] - target
+            force = lam * seg
+            residual = fit + force[:, :-1] - force[:, 1:]
+            gone = (np.abs(residual).max(axis=1) <= _IPM_TOL * max_step) & (
+                np.minimum(slack, lam * area).max(axis=1) <= _IPM_TOL * area
+            )
+            if not gone.any():
+                # Per-segment 2x2 blocks lam I + (lam / u) s s^T of H: the xx and
+                # yy entries interleaved like the unknowns, and the xy entry.
+                ratio = lam / slack
+                diag = lam[..., None] + ratio[..., None] * seg.view(float).reshape(-1, m, 2) ** 2
+                cross = ratio * seg.real * seg.imag
+                band = np.zeros((4, live.size, width))  # chains' first columns stay uncoupled
+                band[3] = 1.0 + (diag[:, :-1] + diag[:, 1:]).reshape(-1, width)
+                band[1, :, 2:] = -diag[:, 1:-1].reshape(-1, width - 2)
+                band[2, :, 1::2] = cross[:, :-1] + cross[:, 1:]
+                band[2, :, 2::2] = band[0, :, 3::2] = -cross[:, 1:-1]
+                chol, info = dpbtrf(band.reshape(4, -1))
+                if info:  # H is SPD; only rounding at a degenerate optimum gets here
+                    gone = np.arange(live.size) == (info - 1) // width
+            if gone.any():
+                out[live[gone]] = path[gone, 1:-1]
+                keep = ~gone
+                live, target, path, seg, slack, lam = (
+                    v[keep] for v in (live, target, path, seg, slack, lam)
+                )
+                continue
+            conj_seg = seg.conj()
+            step = np.zeros_like(path)  # endpoints stay zero
 
-        def direction(rhs, q):
-            """b = s . ds (the linearized slack falls by b), dlam, a = ||ds||^2."""
-            step[1:-1] = dpbtrs(chol, rhs.view(float))[0].view(complex)
-            dseg = step[1:] - step[:-1]
-            b = (conj_seg * dseg).real
-            return b, (q - lam * (slack - b)) / slack, (dseg * dseg.conj()).real
+            def direction(rhs, q):
+                """b = s . ds (the linearized slack falls by b), dlam, a = ||ds||^2."""
+                solved = dpbtrs(chol, rhs.view(float).ravel())[0]
+                step[:, 1:-1] = solved.view(complex).reshape(rhs.shape)
+                dseg = step[:, 1:] - step[:, :-1]
+                b = (conj_seg * dseg).real
+                return b, (q - lam * (slack - b)) / slack, (dseg * dseg.conj()).real
 
-        mu = lam @ slack / m
-        b, dlam, a = direction(-fit, 0.0)  # predictor
-        alpha = _step_to_boundary(slack, b, a, lam, dlam, 1.0)
-        mu_aff = (slack - alpha * b) @ (lam + alpha * dlam) / m
-        q = np.maximum((mu_aff / mu) ** 3 * mu, _IPM_SLACK_FLOOR * area * lam) + b * dlam
-        pull = seg * (q / slack)
-        b, dlam, a = direction(pull[1:] - pull[:-1] - fit, q)  # corrector
-        alpha = _step_to_boundary(slack, b, a, lam, dlam, max(_IPM_REACH, 1.0 - mu / area))
-        while True:
-            trial = path + alpha * step
-            trial_seg = trial[1:] - trial[:-1]
-            trial_slack = _slack(trial_seg, max_step)
-            if trial_slack.min() > 0.0:
-                break
-            alpha *= 0.5
-        path, seg, slack = trial, trial_seg, trial_slack
-        lam = lam + alpha * dlam
-    return np.column_stack([path[1:-1].real, path[1:-1].imag])
+            mu = _row_dot(lam, slack) / m
+            b, dlam, a = direction(-fit, 0.0)  # predictor
+            alpha = _step_to_boundary(slack, b, a, lam, dlam, 1.0)
+            mu_aff = _row_dot(slack - alpha[:, None] * b, lam + alpha[:, None] * dlam) / m
+            aim = np.array([(x / y) ** 3 * y for x, y in zip(mu_aff.tolist(), mu.tolist())])
+            q = np.maximum(aim[:, None], _IPM_SLACK_FLOOR * area * lam) + b * dlam
+            pull = seg * (q / slack)
+            b, dlam, a = direction(pull[:, 1:] - pull[:, :-1] - fit, q)  # corrector
+            reach = np.maximum(_IPM_REACH, 1.0 - mu / area)
+            alpha = _step_to_boundary(slack, b, a, lam, dlam, reach)
+            while True:
+                trial = path + alpha[:, None] * step
+                trial_seg = trial[:, 1:] - trial[:, :-1]
+                trial_slack = _slack(trial_seg, max_step)
+                outside = ~(trial_slack.min(axis=1) > 0.0)
+                if not outside.any():
+                    break
+                alpha[outside] *= 0.5
+            path, seg, slack = trial, trial_seg, trial_slack
+            lam = lam + alpha[:, None] * dlam
+            steps += 1
+    out[live] = path[:, 1:-1]
+    return np.stack([out.real, out.imag], axis=-1)
 
 
 def _no_slack(line: np.ndarray, max_step: float) -> bool:
@@ -459,27 +504,32 @@ def _no_slack(line: np.ndarray, max_step: float) -> bool:
 
 
 def _project_speed(wp: np.ndarray, max_step: float) -> np.ndarray:
-    """Euclidean projection of a path onto the speed-feasible set.
+    """Euclidean projection of a path, or of each path of a stack, onto the speed-feasible set.
 
-    Minimizes ||w - wp|| subject to ||w[t+1] - w[t]|| <= max_step over the
-    horizontal coordinates of the interior waypoints; the endpoints and the
-    altitude column are copied unchanged. A feasible input is returned as is.
-    With no slack (a straight-line step of at least max_step, that is
-    M * max_step at most the start-end distance, or a straight line that
-    rounding leaves on the boundary) the straight line, the only candidate
-    left, is returned without iterating. Otherwise the interior-point solve
-    starts from the straight line and keeps every iterate strictly inside
-    the speed bound, so the output is speed-feasible as it stands.
+    wp is one path of M + 1 waypoints, shape (M + 1, 3), or B paths that
+    share M and the endpoints, shape (B, M + 1, 3); the result has wp's
+    shape. Each path is projected on its own: minimize ||w - wp|| subject to
+    ||w[t+1] - w[t]|| <= max_step over the horizontal coordinates of the
+    interior waypoints, with the endpoints and the altitude column copied
+    unchanged. A feasible path is returned as is. With no slack (a
+    straight-line step of at least max_step, that is M * max_step at most
+    the start-end distance, or a straight line that rounding leaves on the
+    boundary) the straight line, the only candidate left, is returned
+    without iterating. Otherwise the infeasible paths go through one
+    interior-point solve, which starts each from the straight line, keeps
+    every iterate strictly inside the speed bound and gives each path the
+    bits of its solve alone, so the output is speed-feasible as it stands.
     """
     out = wp.copy()
-    xy = wp[:, :2]
-    if _lengths(np.diff(xy, axis=0)).max() <= max_step:
+    paths = out.reshape(-1, *wp.shape[-2:])  # a view: writes land in out
+    over = ~(_lengths(np.diff(paths[:, :, :2], axis=1)).max(axis=1) <= max_step)
+    if not over.any():
         return out
-    line = _straight_line(xy[0], xy[-1], wp.shape[0] - 1)
+    line = _straight_line(paths[0, 0, :2], paths[0, -1, :2], wp.shape[-2] - 1)
     if _no_slack(line, max_step):
-        out[:, :2] = line
-        return out
-    out[1:-1, :2] = _interior_point_chain(xy, line, max_step)
+        paths[over, :, :2] = line
+    else:
+        paths[over, 1:-1, :2] = _interior_point_chain(paths[over, :, :2], line, max_step)
     return out
 
 
@@ -498,6 +548,12 @@ def improve_trajectory(
     candidate exactly onto the speed-feasible set, and rejects any candidate
     whose hard-min objective is below the input's. The softmin temperature is
     _SOFTMIN_TEMPERATURE. Endpoints and altitude stay fixed.
+
+    The candidates are projected in two stacked solves: first the long
+    steps, which move the fastest waypoint by at least max_step, then, only
+    if none of those passes, the rest. The first candidate in backtracking
+    order that passes is taken, the same one, bit for bit, that projecting
+    and scoring one candidate at a time would take.
 
     When it accepts no step it returns the input object itself, and
     _solve_fixed_time relies on that identity to end its descent. That
@@ -534,17 +590,23 @@ def improve_trajectory(
     # Open the line search with a deliberately long step (many slots' worth of
     # displacement); projection restores feasibility and backtracking shrinks
     # until the candidate clears the Armijo sufficient-ascent bar without
-    # lowering the hard minimum.
+    # lowering the hard minimum. Line searches that find nothing are common,
+    # so the projections are stacked; the long steps come first because most
+    # accepted steps on the shipped missions are among them. The split is
+    # exact: step rounds to 16 times the rounded max_step / largest, so the
+    # fifth scale equals that quotient.
     step = 16.0 * constraints.max_step / largest
     grad_sq = float((grad * grad).sum())
     armijo = 1e-4
-    for j in range(_MAX_BACKTRACKS):
-        scale = step * _BACKTRACK_SHRINK**j
-        cand = _project_speed(wp + scale * grad, constraints.max_step)
-        s_new = (tau * ev.rates(cand)).sum(axis=1) * delta / horizon
-        gain = _softmin(s_new, _SOFTMIN_TEMPERATURE) - soft0
-        if float(s_new.min()) >= hard0 and gain >= armijo * scale * grad_sq:
-            return Trajectory(cand, trajectory.slot_duration)
+    scales = np.array([step * _BACKTRACK_SHRINK**j for j in range(_MAX_BACKTRACKS)])
+    long = scales >= constraints.max_step / largest
+    for batch in (scales[long], scales[~long]):
+        cands = _project_speed(wp + batch[:, None, None] * grad, constraints.max_step)
+        for scale, cand in zip(batch, cands):
+            s_new = (tau * ev.rates(cand)).sum(axis=1) * delta / horizon
+            gain = _softmin(s_new, _SOFTMIN_TEMPERATURE) - soft0
+            if float(s_new.min()) >= hard0 and gain >= armijo * scale * grad_sq:
+                return Trajectory(cand.copy(), trajectory.slot_duration)  # not a view of the stack
     return trajectory
 
 

@@ -2,14 +2,17 @@
 
 Nothing here may import from the optimizer code paths it checks: the grid
 scheduler below enumerates airtime splits directly, the deployment
-evaluator recomputes rates from raw float math, and the hybrid split rule
-is restated one split at a time from its description.
+evaluator recomputes rates from raw float math, the hybrid split rule is
+restated one split at a time from its description, the schedule LP's matrix
+is assembled from blocks, and the trajectory line search is restated one
+candidate at a time around the projection and rates its caller passes in.
 """
 
 import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def grid_maxmin_schedule(R, slot_duration, step=0.05):
@@ -30,6 +33,23 @@ def grid_maxmin_schedule(R, slot_duration, step=0.05):
     s0 = combos @ (slot_duration * R[0])
     s1 = (1.0 - combos) @ (slot_duration * R[1])
     return float(np.minimum(s0, s1).max())
+
+
+def schedule_constraint_matrix(R, slot_duration):
+    """The max-min schedule LP's inequality matrix, assembled from blocks.
+
+    Columns: tau in row-major (k, t) order, then m. Rows: per node,
+    m - sum_t tau[k,t] * slot_duration * R[k,t] <= 0; per slot,
+    sum_k tau[k,t] <= 1. The node rows are one CSR block, the slot rows a
+    Kronecker product, and sp.bmat joins them; returned as CSC.
+    """
+    R = np.asarray(R, dtype=float)
+    k, m = R.shape
+    node_rows = sp.csr_matrix(
+        (-(slot_duration * R).ravel(), np.arange(k * m), m * np.arange(k + 1)), shape=(k, k * m)
+    )
+    slot_rows = sp.kron(np.ones((1, k)), sp.identity(m), "csr")
+    return sp.bmat([[node_rows, sp.csr_matrix(np.ones((k, 1)))], [slot_rows, None]], "csc")
 
 
 def leg_amplitude(a_pos, b_pos, exponent, ref_gain_db):
@@ -139,3 +159,59 @@ def dykstra_speed_projection(path, max_step, tol=1e-14, max_sweeps=200_000):
         if np.abs(x - before).max() <= tol * max(max_step, np.abs(x).max()):
             return x
     raise RuntimeError("Dykstra projection did not settle")
+
+
+def sequential_line_search(
+    wp,
+    tau,
+    slot_duration,
+    max_step,
+    rates,
+    rate_gradient,
+    project,
+    temperature=0.05,
+    shrink=0.5,
+    tries=30,
+    armijo=1e-4,
+):
+    """The trajectory step's line search, one candidate at a time.
+
+    Ascends the softmin (at temperature) of the per-node time-averaged
+    scheduled throughput along its gradient in the horizontal coordinates
+    of the interior waypoints. The first step moves the fastest waypoint by
+    16 * max_step; each later one is shrink times the last. Each candidate
+    is projected alone with project(path, max_step) and taken if its hard
+    minimum does not fall and its softmin gain is at least armijo * step *
+    ||gradient||^2. rates(wp) is the K x M rate matrix and rate_gradient(wp)
+    its K x M x 2 slope. Returns the taken waypoints, or None when no
+    candidate passes. The float operations run in the package's order, so
+    the two compare bit for bit.
+    """
+    m = wp.shape[0] - 1
+    horizon = m * slot_duration
+
+    def softmin(values):
+        v = values / temperature
+        low = v.min()
+        return -temperature * (math.log(np.exp(-(v - low)).sum()) - low)
+
+    before = (tau * rates(wp)).sum(axis=1) * slot_duration / horizon
+    v = before / temperature
+    weights = np.exp(-(v - v.min()))
+    weights = weights / weights.sum()
+    coeff = weights[:, None] * tau * (slot_duration / horizon)
+    grad = np.zeros_like(wp)
+    grad[1:m, :2] = (coeff[:, 1:, None] * rate_gradient(wp)[:, 1:, :]).sum(axis=0)
+    largest = float(np.linalg.norm(grad, axis=1).max())
+    if largest <= 0.0:
+        return None
+    first = 16.0 * max_step / largest
+    grad_sq = float((grad * grad).sum())
+    for j in range(tries):
+        step = first * shrink**j
+        cand = project(wp + step * grad, max_step)
+        after = (tau * rates(cand)).sum(axis=1) * slot_duration / horizon
+        gain = softmin(after) - softmin(before)
+        if float(after.min()) >= float(before.min()) and gain >= armijo * step * grad_sq:
+            return cand
+    return None

@@ -6,7 +6,7 @@ from scipy.optimize import linprog
 
 from uavirs.trajectory import Schedule, optimal_schedule
 
-from oracles import grid_maxmin_schedule
+from oracles import grid_maxmin_schedule, schedule_constraint_matrix
 
 
 class TestScheduleExamples:
@@ -68,6 +68,28 @@ class TestOneLp:
         assert value == pytest.approx(0.1 * 51 * 1.3 / 8, rel=1e-9)
         second, _ = optimal_schedule(R, 0.1)
         np.testing.assert_array_equal(second.fractions, tau)
+
+
+class TestConstraintMatrix:
+    """The matrix HiGHS gets is the block-assembled one, entry for entry."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_block_assembly(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        k, m = 1 + seed % 8, (30, 51, 97, 300)[seed % 4]
+        R = rng.uniform(0.0, 6.0, size=(k, m))
+        if seed % 3 == 0:
+            R[rng.random((k, m)) < 0.3] = 0.0  # explicit zeros stay in the pattern
+        if seed % 5 == 0:
+            R[:] = R[0]  # fully tied rows
+        with mock.patch("uavirs.trajectory.linprog", wraps=linprog) as lp:
+            optimal_schedule(R, 0.1)
+        got = lp.call_args.kwargs["A_ub"]
+        ref = schedule_constraint_matrix(R, 0.1)
+        assert got.format == "csc" and got.shape == ref.shape
+        np.testing.assert_array_equal(got.indptr, ref.indptr)
+        np.testing.assert_array_equal(got.indices, ref.indices)
+        assert got.data.tobytes() == ref.data.tobytes()
 
 
 class TestScheduleInvariants:

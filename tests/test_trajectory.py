@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.optimize import linprog
 
 from uavirs.channel import (
@@ -33,7 +33,7 @@ from uavirs.trajectory import (
     straight_line_trajectory,
 )
 
-from oracles import dykstra_speed_projection
+from oracles import dykstra_speed_projection, sequential_line_search
 
 RADIO = RadioParams(tx_power=0.1, noise_power=1e-11, ref_path_gain_db=-30.0)
 
@@ -161,7 +161,76 @@ def speed_chains(draw, min_slack, max_slack=1.0, min_slots=2, max_slots=15):
     return wp, max_step
 
 
+@st.composite
+def speed_stacks(draw):
+    """1 to 6 paths that share M and the endpoints, each perturbed by its own spread.
+
+    A spread of 0 leaves the straight line, which is feasible unless the
+    budget has no slack; small spreads may leave a path feasible too.
+    """
+    m = draw(st.integers(2, 40))
+    max_step = draw(st.floats(0.5, 20.0))
+    slack = draw(st.sampled_from([0.0, 0.001, 0.01]) | st.floats(0.0, 0.95))
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    start = np.array([draw(st.floats(-200.0, 200.0)), draw(st.floats(-200.0, 200.0))])
+    end = start + (1.0 - slack) * m * max_step * np.array([math.cos(angle), math.sin(angle)])
+    line = np.full((m + 1, 3), ALTITUDE)
+    line[:, :2] = start + np.linspace(0.0, 1.0, m + 1)[:, None] * (end - start)
+    line[0, :2], line[-1, :2] = start, end
+    spreads = draw(
+        st.lists(st.sampled_from([0.0, 0.01]) | st.floats(0.0, 3.0), min_size=1, max_size=6)
+    )
+    stack = np.repeat(line[None], len(spreads), axis=0)
+    for path, spread in zip(stack, spreads):
+        offsets = draw(
+            st.lists(st.floats(-1.0, 1.0), min_size=2 * (m - 1), max_size=2 * (m - 1))
+        )
+        path[1:-1, :2] += spread * max_step * np.array(offsets).reshape(m - 1, 2)
+    return stack, max_step
+
+
 class TestProjectSpeed:
+    @settings(max_examples=60)
+    @given(stack=speed_stacks())
+    def test_stack_matches_one_path_calls(self, stack):
+        paths, max_step = stack
+        out = _project_speed(paths, max_step)
+        assert out.shape == paths.shape
+        for path, got in zip(paths, out):
+            assert got.tobytes() == _project_speed(path, max_step).tobytes()
+
+    def test_failed_factorization_stops_only_its_chain(self):
+        # A factorization that fails in the middle chain's block stops that
+        # chain where it stands (the straight line); the others go on as
+        # they would alone.
+        rng = np.random.default_rng(4)
+        m, max_step = 12, 5.0
+        constraints = TrajectoryConstraints(
+            Position3D(0.0, 0.0, ALTITUDE),
+            Position3D(0.5 * m * max_step, 0.0, ALTITUDE),
+            ALTITUDE,
+            max_step,
+            1.0,
+        )
+        line = straight_line_trajectory(constraints, m).waypoints
+        paths = np.repeat(line[None], 3, axis=0)
+        paths[:, 1:-1, :2] += rng.uniform(-2.0, 2.0, (3, m - 1, 2)) * max_step
+        alone = [_project_speed(path, max_step) for path in paths]
+        calls = []
+
+        def fail_once(band):
+            calls.append(band.shape)
+            if len(calls) == 1:  # the first column of chain 1's block
+                return band, 1 + band.shape[1] // 3
+            return dpbtrf(band)
+
+        with mock.patch("uavirs.trajectory.dpbtrf", side_effect=fail_once):
+            out = _project_speed(paths, max_step)
+        assert calls[1][1] == 2 * calls[0][1] // 3  # the stack shrank to two chains
+        np.testing.assert_array_equal(out[1], line)
+        assert out[0].tobytes() == alone[0].tobytes()
+        assert out[2].tobytes() == alone[2].tobytes()
+
     @given(chain=speed_chains(min_slack=0.0))
     def test_feasible_with_endpoints_and_altitude_fixed(self, chain):
         wp, max_step = chain
@@ -374,19 +443,47 @@ class TestImproveTrajectory:
         assert ps.call_count == 0
 
 
+def solve_recorded(name, **overrides):
+    """Solve a shipped scenario, counting LPs and projections and recording every step.
+
+    Each step is (input trajectory, schedule, rate evaluator, output trajectory).
+    """
+    steps = []
+
+    def step(scenario, trajectory, schedule, *, _evaluator):
+        out = improve_trajectory(scenario, trajectory, schedule, _evaluator=_evaluator)
+        steps.append((trajectory, schedule, _evaluator, out))
+        return out
+
+    scn = load_scenario(scenario_path(name))
+    with mock.patch("uavirs.trajectory.linprog", wraps=linprog) as lp, mock.patch(
+        "uavirs.trajectory._project_speed", wraps=_project_speed
+    ) as ps, mock.patch("uavirs.trajectory.improve_trajectory", side_effect=step):
+        res = min_time_mission(scn, **overrides)
+    return res, lp.call_count, ps.call_count, steps
+
+
+@pytest.fixture(scope="module")
+def fig4_noirs_solve():
+    return solve_recorded("fig4_noirs")
+
+
+@pytest.fixture(scope="module")
+def fig4_surface_solve():
+    """fig4 at rate_target 1.1: the with-surface mission the optimizer must shape."""
+    return solve_recorded("fig4", rate_target=1.1)
+
+
+def accepted_and_rejected(steps):
+    rejected = sum(out is traj for traj, _, _, out in steps)
+    return len(steps) - rejected, rejected
+
+
 class TestKnownAnswers:
     """A rejected step ends the descent without re-solving the unchanged LP."""
 
-    def solve_counted(self, name):
-        scn = load_scenario(scenario_path(name))
-        with mock.patch("uavirs.trajectory.linprog", wraps=linprog) as lp, mock.patch(
-            "uavirs.trajectory._project_speed", wraps=_project_speed
-        ) as ps:
-            res = min_time_mission(scn)
-        return res, lp.call_count, ps.call_count
-
     def test_fig4_one_lp_no_projection(self):
-        res, lp_calls, projections = self.solve_counted("fig4")
+        res, lp_calls, projections, _ = solve_recorded("fig4")
         assert res.mission_time == pytest.approx(3.0)
         assert (lp_calls, projections, res.iterations) == (1, 0, 1)
         speed, probe = res.probes
@@ -394,10 +491,44 @@ class TestKnownAnswers:
         assert len(probe.objective_history) == 2
         assert probe.objective_history[0] == probe.objective_history[1]
 
-    def test_fig4_noirs_lp_count(self):
-        res, lp_calls, _ = self.solve_counted("fig4_noirs")
+    def test_fig4_noirs_lp_count(self, fig4_noirs_solve):
+        res, lp_calls, _, _ = fig4_noirs_solve
         assert res.mission_time == pytest.approx(5.1)
         assert (lp_calls, res.iterations) == (21, 21)
+
+    def test_fig4_noirs_accepted_and_rejected_steps(self, fig4_noirs_solve):
+        *_, steps = fig4_noirs_solve
+        assert accepted_and_rejected(steps) == (11, 10)
+
+    def test_fig4_surface_mission(self, fig4_surface_solve):
+        res, lp_calls, _, steps = fig4_surface_solve
+        assert res.converged
+        assert res.mission_time == pytest.approx(4.8)
+        assert res.achieved_min_rate >= 1.1
+        assert (lp_calls, res.iterations) == (20, 19)
+        assert accepted_and_rejected(steps) == (10, 9)
+
+
+class TestStackedLineSearch:
+    """Stacked candidate projections take the step a one-at-a-time search takes."""
+
+    @pytest.mark.parametrize("solve", ["fig4_noirs_solve", "fig4_surface_solve"])
+    def test_every_bcd_state_matches_sequential_search(self, solve, request):
+        *_, steps = request.getfixturevalue(solve)
+        for traj, sched, ev, out in steps:
+            ref = sequential_line_search(
+                traj.waypoints,
+                sched.fractions,
+                traj.slot_duration,
+                ev.scenario.experiment.constraints.max_step,
+                ev.rates,
+                ev.rate_gradient,
+                _project_speed,
+            )
+            if ref is None:
+                assert out is traj
+            else:
+                assert out is not traj and out.waypoints.tobytes() == ref.tobytes()
 
 
 class TestMinTimeMission:
