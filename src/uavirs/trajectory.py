@@ -6,8 +6,9 @@ block-coordinate descent that alternates two blocks until the scheduled
 min-throughput stalls:
 
   * schedule block -- one exact max-min TDMA linear program over the per-slot
-    rate matrix (scipy/HiGHS); HiGHS returns the same optimum for the same
-    input, so the schedule is deterministic without a tie-break;
+    rate matrix, handed to the HiGHS core that scipy ships; HiGHS returns the
+    same optimum for the same input, so the schedule is deterministic without
+    a tie-break;
   * trajectory block -- one projected ascent step on the softmin-smoothed
     objective, using the closed-form gradient of the rates in the horizontal
     waypoint coordinates and the exact Euclidean projection onto the speed
@@ -26,9 +27,8 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 from .channel import LinkState, Position3D, path_gain, resolve_link_state
 from .errors import ConfigurationError
@@ -50,6 +50,13 @@ _IPM_TOL = 1e-10
 _IPM_SLACK_FLOOR = 1e-13
 _IPM_REACH = 0.99
 _IPM_MAX_STEPS = 50
+# The HiGHS options scipy's linprog(method="highs") sets with its defaults.
+_HIGHS_OPTIONS = highs.HighsOptions()
+_HIGHS_OPTIONS.presolve = "on"
+_HIGHS_OPTIONS.output_flag = False
+_HIGHS_OPTIONS.log_to_console = False
+_HIGHS_OPTIONS.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+_HIGHS_OPTIONS.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
 
 
 @dataclass(eq=False)
@@ -279,15 +286,53 @@ def per_slot_rates(scenario: Scenario, trajectory: Trajectory) -> np.ndarray:
     return _RateEvaluator(scenario).rates(trajectory.waypoints)
 
 
+def linprog(
+    cost: np.ndarray,
+    starts: np.ndarray,
+    rows: np.ndarray,
+    data: np.ndarray,
+    col_upper: np.ndarray,
+    row_upper: np.ndarray,
+) -> np.ndarray:
+    """argmin cost @ x s.t. A x <= row_upper, 0 <= x <= col_upper, by HiGHS.
+
+    A is given in CSC form: column j holds data[starts[j]:starts[j+1]] in
+    rows rows[starts[j]:starts[j+1]]. HiGHS gets the LP scipy's
+    linprog(method="highs") would hand it, with the same options, so it
+    returns the same x. Raises RuntimeError unless HiGHS reports an optimum.
+    """
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = cost.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = row_upper.size
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = starts
+    lp.a_matrix_.index_ = rows
+    lp.a_matrix_.value_ = data
+    lp.col_cost_ = cost
+    lp.col_lower_ = np.zeros(cost.size)
+    lp.col_upper_ = col_upper
+    lp.row_lower_ = np.full(row_upper.size, -highs.kHighsInf)
+    lp.row_upper_ = row_upper
+    solver = highs._Highs()
+    solver.passOptions(_HIGHS_OPTIONS)
+    solver.passModel(lp)
+    run_status = solver.run()
+    status = solver.getModelStatus()
+    if run_status == highs.HighsStatus.kError or status != highs.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"max-min schedule LP failed: {solver.modelStatusToString(status)}")
+    return np.array(solver.getSolution().col_value)
+
+
 def optimal_schedule(R: np.ndarray, slot_duration: float) -> Tuple[Schedule, float]:
     """Exact max-min TDMA allocation for a fixed rate matrix.
 
     Solves max m s.t. sum_t tau[k,t] * slot_duration * R[k,t] >= m for all k,
-    sum_k tau[k,t] <= 1 for all t, 0 <= tau <= 1, as one LP; among tied
-    optima the schedule is the one HiGHS returns, the same for the same
-    input. Returns the schedule, with solver rounding clipped back into the
-    bounds, and the min throughput it achieves (bps/Hz * s). A node with
-    all-zero rates yields m = 0, not an error.
+    sum_k tau[k,t] <= 1 for all t, 0 <= tau <= 1, as one LP that goes to
+    HiGHS directly, as CSC arrays, through linprog; among tied optima the
+    schedule is the one HiGHS returns, the same for the same input. Returns
+    the schedule, with solver rounding clipped back into the bounds, and the
+    min throughput it achieves (bps/Hz * s). A node with all-zero rates
+    yields m = 0, not an error.
     """
     R = np.asarray(R, dtype=float)
     if R.ndim != 2:
@@ -313,17 +358,15 @@ def optimal_schedule(R: np.ndarray, slot_duration: float) -> Tuple[Schedule, flo
     rows[: 2 * n_tau : 2] = np.repeat(np.arange(k), m_slots)
     rows[1 : 2 * n_tau : 2] = k + np.tile(np.arange(m_slots), k)
     rows[2 * n_tau :] = np.arange(k)
-    starts = np.append(np.arange(0, 2 * n_tau + 1, 2), 2 * n_tau + k)
-    a_ub = sp.csc_matrix((data, rows, starts), shape=(k + m_slots, n_tau + 1))
-    b_ub = np.concatenate([np.zeros(k), np.ones(m_slots)])
-    c = np.zeros(n_tau + 1)
-    c[-1] = -1.0
-    bounds = np.repeat([[0.0, 1.0]], n_tau + 1, axis=0)
-    bounds[n_tau, 1] = np.inf  # m >= 0
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:  # pragma: no cover - LP is always feasible/bounded
-        raise RuntimeError(f"max-min schedule LP failed: {res.message}")
-    tau = np.clip(res.x[:n_tau].reshape(k, m_slots), 0.0, 1.0) + 0.0  # also clears -0.0
+    starts = 2 * np.arange(n_tau + 2, dtype=np.int32)
+    starts[-1] = 2 * n_tau + k
+    cost = np.zeros(n_tau + 1)
+    cost[-1] = -1.0
+    col_upper = np.ones(n_tau + 1)
+    col_upper[-1] = highs.kHighsInf  # m >= 0
+    row_upper = np.concatenate([np.zeros(k), np.ones(m_slots)])
+    x = linprog(cost, starts, rows, data, col_upper, row_upper)
+    tau = np.clip(x[:n_tau].reshape(k, m_slots), 0.0, 1.0) + 0.0  # also clears -0.0
     col = tau.sum(axis=0)
     over = col > 1.0
     if np.any(over):

@@ -4,8 +4,9 @@ Nothing here may import from the optimizer code paths it checks: the grid
 scheduler below enumerates airtime splits directly, the deployment
 evaluator recomputes rates from raw float math, the hybrid split rule is
 restated one split at a time from its description, the schedule LP's matrix
-is assembled from blocks, and the trajectory line search is restated one
-candidate at a time around the projection and rates its caller passes in.
+is assembled from blocks and solved through scipy's public linprog, and the
+trajectory line search is restated one candidate at a time around the
+projection and rates its caller passes in.
 """
 
 import itertools
@@ -13,6 +14,7 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import linprog
 
 
 def grid_maxmin_schedule(R, slot_duration, step=0.05):
@@ -50,6 +52,38 @@ def schedule_constraint_matrix(R, slot_duration):
     )
     slot_rows = sp.kron(np.ones((1, k)), sp.identity(m), "csr")
     return sp.bmat([[node_rows, sp.csr_matrix(np.ones((k, 1)))], [slot_rows, None]], "csc")
+
+
+def linprog_max_min_schedule(R, slot_duration):
+    """(tau, value) of the max-min schedule LP through scipy's public linprog.
+
+    The LP of schedule_constraint_matrix with b_ub = (0 per node, 1 per
+    slot), 0 <= tau <= 1, m >= 0, maximizing m, solved by
+    linprog(method="highs"); tau is clipped into [0, 1] (also clearing -0.0)
+    and any slot whose column sum rounds above 1 is renormalized, and value is
+    the smallest throughput that tau gives a node.
+    """
+    R = np.asarray(R, dtype=float)
+    k, m = R.shape
+    n_tau = k * m
+    c = np.zeros(n_tau + 1)
+    c[-1] = -1.0
+    bounds = np.repeat([[0.0, 1.0]], n_tau + 1, axis=0)
+    bounds[n_tau, 1] = np.inf
+    res = linprog(
+        c,
+        A_ub=schedule_constraint_matrix(R, slot_duration),
+        b_ub=np.concatenate([np.zeros(k), np.ones(m)]),
+        bounds=bounds,
+        method="highs",
+    )
+    assert res.success, res.message
+    tau = np.clip(res.x[:n_tau].reshape(k, m), 0.0, 1.0) + 0.0
+    col = tau.sum(axis=0)
+    over = col > 1.0
+    if np.any(over):
+        tau[:, over] /= col[over]
+    return tau, float((tau * (slot_duration * R)).sum(axis=1).min())
 
 
 def leg_amplitude(a_pos, b_pos, exponent, ref_gain_db):

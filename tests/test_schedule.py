@@ -2,11 +2,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
-from uavirs.trajectory import Schedule, optimal_schedule
+from uavirs import trajectory
+from uavirs.trajectory import Schedule, linprog, optimal_schedule
 
-from oracles import grid_maxmin_schedule, schedule_constraint_matrix
+from oracles import grid_maxmin_schedule, linprog_max_min_schedule, schedule_constraint_matrix
 
 
 class TestScheduleExamples:
@@ -84,12 +84,55 @@ class TestConstraintMatrix:
             R[:] = R[0]  # fully tied rows
         with mock.patch("uavirs.trajectory.linprog", wraps=linprog) as lp:
             optimal_schedule(R, 0.1)
-        got = lp.call_args.kwargs["A_ub"]
+        _, starts, rows, data, col_upper, row_upper = lp.call_args.args
         ref = schedule_constraint_matrix(R, 0.1)
-        assert got.format == "csc" and got.shape == ref.shape
-        np.testing.assert_array_equal(got.indptr, ref.indptr)
-        np.testing.assert_array_equal(got.indices, ref.indices)
-        assert got.data.tobytes() == ref.data.tobytes()
+        assert (row_upper.size, col_upper.size) == ref.shape
+        assert starts.tobytes() == ref.indptr.tobytes()
+        assert rows.tobytes() == ref.indices.tobytes()
+        assert data.tobytes() == ref.data.tobytes()
+
+
+class TestAgainstLinprog:
+    """The direct HiGHS call gives scipy's linprog(method="highs") answer, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_same_bits_as_linprog(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        k, m = 1 + seed % 8, (1, 2, 30, 51, 97, 300)[seed % 6]
+        R = rng.uniform(0.0, 6.0, size=(k, m))
+        if seed % 3 == 0:
+            R[rng.random((k, m)) < 0.3] = 0.0  # explicit zeros stay in the pattern
+        if seed % 5 == 0:
+            R[:] = R[0]  # fully tied rows
+        if seed % 7 == 0:
+            R[rng.integers(k)] = 0.0  # a starved node: value 0
+        sched, value = optimal_schedule(R, 0.1)
+        tau_ref, value_ref = linprog_max_min_schedule(R, 0.1)
+        assert sched.fractions.tobytes() == tau_ref.tobytes()
+        assert value == value_ref
+        if seed % 7 == 0:
+            assert value == 0.0
+
+
+class TestSolverFailure:
+    def test_non_optimal_status_raises(self):
+        solver_type = trajectory.highs._Highs
+
+        class InfeasibleHighs:
+            """A real HiGHS instance that reports the model infeasible after its run."""
+
+            def __init__(self):
+                self._solver = solver_type()
+
+            def __getattr__(self, name):
+                return getattr(self._solver, name)
+
+            def getModelStatus(self):
+                return trajectory.highs.HighsModelStatus.kInfeasible
+
+        with mock.patch.object(trajectory.highs, "_Highs", InfeasibleHighs):
+            with pytest.raises(RuntimeError, match="Infeasible"):
+                optimal_schedule(np.array([[1.0, 2.0]]), 1.0)
 
 
 class TestScheduleInvariants:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.optimize import linprog
 
 from uavirs.channel import (
     LinkRuleSet,
@@ -27,6 +26,7 @@ from uavirs.trajectory import (
     _project_speed,
     _RateEvaluator,
     improve_trajectory,
+    linprog,
     min_time_mission,
     optimal_schedule,
     per_slot_rates,
