@@ -55,10 +55,11 @@ from .scenario import (
 
 
 def __getattr__(name):
-    """Import the trajectory solver, and scipy with it, on first use (PEP 562).
+    """Import the trajectory solver, and numpy and scipy with it, on first use (PEP 562).
 
     The names of __all__ not bound above are the solver's; nothing else in the
-    package needs scipy, which is most of the package's import time.
+    package needs scipy, and only array input needs numpy. The two are most of
+    the package's import time.
     """
     if name != "trajectory" and name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

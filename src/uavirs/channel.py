@@ -14,13 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Tuple, Union
 
 from .errors import ConfigurationError
 
-ArrayLike = Union[float, np.ndarray]
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
+# numpy loads only for array input, so the deployment path never imports it.
+ArrayLike = Union[float, "np.ndarray"]
 
 
 @dataclass(frozen=True)
@@ -39,7 +41,9 @@ class Position3D:
         if self.z < 0:
             raise ValueError(f"altitude must be >= 0, got z={self.z}")
 
-    def as_array(self) -> np.ndarray:
+    def as_array(self) -> "np.ndarray":
+        import numpy as np
+
         return np.array([self.x, self.y, self.z], dtype=float)
 
     def distance_to(self, other: "Position3D") -> float:
@@ -50,8 +54,8 @@ class Position3D:
 class RadioParams:
     """Transmit power, noise power (both watts) and the reference path gain.
 
-    ref_path_gain_db is the path gain at the 1 m reference distance, in dB;
-    it must be <= 0 (an attenuation).
+    ref_path_gain_db is the path gain at the reference distance (meters), in
+    dB; it must be <= 0 (an attenuation). Every field must be finite.
     """
 
     tx_power: float = 0.1
@@ -60,13 +64,14 @@ class RadioParams:
     reference_distance: float = 1.0
 
     def __post_init__(self):
-        if not (self.tx_power > 0):
-            raise ValueError(f"tx_power must be > 0, got {self.tx_power}")
-        if not (self.noise_power > 0):
-            raise ValueError(f"noise_power must be > 0, got {self.noise_power}")
-        if self.ref_path_gain_db > 0:
+        for name in ("tx_power", "noise_power", "reference_distance"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+        if not (math.isfinite(self.ref_path_gain_db) and self.ref_path_gain_db <= 0):
             raise ValueError(
-                f"ref_path_gain_db must be <= 0 (attenuation), got {self.ref_path_gain_db}"
+                f"ref_path_gain_db must be finite and <= 0 (attenuation), "
+                f"got {self.ref_path_gain_db!r}"
             )
 
     @property
@@ -122,7 +127,7 @@ class LinkStateRule:
     fallback_state: LinkState = LinkState.NLOS
 
     def __post_init__(self):
-        if self.min_altitude_for_los < 0:
+        if not (self.min_altitude_for_los >= 0):  # also rejects NaN
             raise ValueError("min_altitude_for_los must be >= 0")
         if self.fallback_state is LinkState.LOS:
             raise ValueError("fallback_state must be NLoS or Blocked")
@@ -177,9 +182,19 @@ class LinkRuleSet:
 def path_gain(d: ArrayLike, model: PathLossModel, radio: RadioParams) -> ArrayLike:
     """Linear power gain g0 * d**(-alpha) of a link of length d meters.
 
-    Distances below the 1 m reference are clamped up to 1 m. Accepts scalars
-    or arrays; negative or non-finite distances raise ValueError.
+    Distances below the reference distance are clamped up to it. Accepts
+    scalars or arrays; negative or non-finite distances raise ValueError. A
+    scalar takes plain float math: numpy's scalar power rounds as Python's
+    does, its array power need not.
     """
+    if isinstance(d, (int, float)):
+        if not math.isfinite(d):
+            raise ValueError("distance must be finite")
+        if d < 0:
+            raise ValueError("distance must be >= 0")
+        return float(radio.ref_path_gain * max(d, radio.reference_distance) ** -model.exponent)
+    import numpy as np
+
     arr = np.asarray(d, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("distance must be finite")
@@ -218,6 +233,8 @@ def rate_bps_hz(snr: ArrayLike, time_fraction: ArrayLike = 1.0) -> ArrayLike:
     Computed through log1p, so every positive SNR gives a positive rate, even
     one too small to change 1 + snr.
     """
+    import numpy as np
+
     snr_arr = np.asarray(snr, dtype=float)
     frac_arr = np.asarray(time_fraction, dtype=float)
     if np.any(snr_arr < 0):

@@ -31,6 +31,7 @@ from .scenario import (
     DeploymentExperiment,
     Scenario,
     TrajectoryExperiment,
+    _read_scenario,
     load_scenario,
     scenario_digest,
 )
@@ -203,14 +204,14 @@ def _apply_trajectory_overrides(scenario: Scenario, args) -> Scenario:
 
 def _cmd_trajopt(args) -> int:
     scenario_file = Path(args.scenario)
-    scenario = load_scenario(scenario_file)
+    scenario, scenario_bytes = _read_scenario(scenario_file)
     if isinstance(scenario.experiment, TrajectoryExperiment):
         scenario = _apply_trajectory_overrides(scenario, args)
     started = time.perf_counter()
     result = run_trajectory(scenario)
     wall = time.perf_counter() - started
     bundle = ResultBundle(
-        scenario_digest=scenario_digest(scenario_file.read_bytes()),
+        scenario_digest=scenario_digest(scenario_bytes),
         tool_version=__version__,
         wall_time=wall,
         result=result,
@@ -230,7 +231,7 @@ def _cmd_trajopt(args) -> int:
 
 def _cmd_deploy(args) -> int:
     scenario_file = Path(args.scenario)
-    scenario = load_scenario(scenario_file)
+    scenario, scenario_bytes = _read_scenario(scenario_file)
     strategies = None
     if args.strategies != "all":
         strategies = [DeploymentStrategy(args.strategies)]
@@ -238,7 +239,7 @@ def _cmd_deploy(args) -> int:
     results = run_deployment(scenario, strategies)
     wall = time.perf_counter() - started
     bundle = ResultBundle(
-        scenario_digest=scenario_digest(scenario_file.read_bytes()),
+        scenario_digest=scenario_digest(scenario_bytes),
         tool_version=__version__,
         wall_time=wall,
         result=results,

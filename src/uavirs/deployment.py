@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
-import numpy as np
-
 from .channel import LinkState, Node, path_gain, resolve_link_state
 from .errors import ConfigurationError
 from .irs import IrsSurface, SurfaceKind, covers, min_serving_altitude
@@ -86,21 +84,19 @@ def _state_model(scenario: "Scenario", state: LinkState):
 def _leg_amplitude(
     scenario: "Scenario", a_id: str, a_pos, b_id: str, b_pos, aerial_altitude: float
 ) -> float:
-    """Amplitude gain sqrt(path_gain) of one leg, 0 when the leg is blocked."""
+    """Amplitude gain sqrt(path_gain) of the leg between two Position3Ds, 0 if blocked."""
     rule = scenario.link_rules.rule_for(a_id, b_id)
     state = resolve_link_state((a_id, b_id), aerial_altitude, rule)
     if state is LinkState.BLOCKED:
         return 0.0
-    d = math.dist(tuple(a_pos), tuple(b_pos))
+    d = a_pos.distance_to(b_pos)
     return math.sqrt(path_gain(d, _state_model(scenario, state), scenario.radio))
 
 
 def _direct_amplitude(scenario: "Scenario", user: Node) -> float:
     bs = scenario.bs_node()
     direct_alt = max(bs.position.z, user.position.z)
-    return _leg_amplitude(
-        scenario, bs.id, bs.position.as_array(), user.id, user.position.as_array(), direct_alt
-    )
+    return _leg_amplitude(scenario, bs.id, bs.position, user.id, user.position, direct_alt)
 
 
 def _surface_legs(
@@ -114,12 +110,8 @@ def _surface_legs(
     else:
         surf_pos = surface.position
         leg_alt = surface.position.z
-    up = _leg_amplitude(
-        scenario, bs.id, bs.position.as_array(), surface.id, surf_pos.as_array(), leg_alt
-    )
-    down = _leg_amplitude(
-        scenario, surface.id, surf_pos.as_array(), user.id, user.position.as_array(), leg_alt
-    )
+    up = _leg_amplitude(scenario, bs.id, bs.position, surface.id, surf_pos, leg_alt)
+    down = _leg_amplitude(scenario, surface.id, surf_pos, user.id, user.position, leg_alt)
     return up, down
 
 
@@ -206,12 +198,12 @@ class _HybridSweep(NamedTuple):
     user_ids: Tuple[str, ...]
     aerial_id: str
     ground_ids: Tuple[Optional[str], ...]  # the terrestrial id if covered, else None
-    on_air: np.ndarray  # (users, splits) bool: served by the aerial surface
-    altitudes: List[float]  # per split
-    rates: np.ndarray  # (users, splits) bps/Hz
+    on_air: List[List[bool]]  # [user][split]: served by the aerial surface
+    altitudes: List[float]  # [split]
+    rates: List[List[float]]  # [user][split], bps/Hz
 
     def plan(self, n_aerial: int) -> DeploymentPlan:
-        on_air = self.on_air[:, n_aerial].tolist()
+        on_air = [row[n_aerial] for row in self.on_air]
         return DeploymentPlan(
             aerial_elements=n_aerial,
             terrestrial_elements=self.n_budget - n_aerial,
@@ -233,9 +225,11 @@ def _hybrid_sweep(scenario: "Scenario", n_budget: Optional[int]) -> _HybridSweep
     final altitude is the lowest giving LoS to all aerially assigned users.
 
     Leg amplitudes come from the scalar code once per user and candidate
-    altitude ({0} and the finite LoS thresholds); the rule then runs as
-    arrays over the splits. Rates go through the scalar `_rate` element by
-    element, so every rate is bit-identical to `user_rate` on the same plan.
+    altitude ({0} and the finite LoS thresholds, for the aerial surface only
+    those at or above the user's own); the rule then runs split by split on
+    lists. Every rate goes through the scalar `_rate`, so it is
+    bit-identical to `user_rate` on the same plan; numpy's array `log2` and
+    `**` need not round as the scalar ones do.
     """
     if n_budget is None:
         n_budget = scenario.experiment.n_budget
@@ -244,45 +238,50 @@ def _hybrid_sweep(scenario: "Scenario", n_budget: Optional[int]) -> _HybridSweep
     aerial, terrestrial = _deployment_surfaces(scenario)
     users = scenario.user_nodes()
     num_users = len(users)
-    n_air = np.arange(n_budget + 1)  # also the column index of each split
+    splits = range(n_budget + 1)  # n_aerial, also the index of each split
     thresholds = [_aerial_threshold(scenario, aerial, u.id) for u in users]
     altitudes = sorted({0.0, *(t for t in thresholds if math.isfinite(t))})
     covered = [covers(terrestrial, u.position, node_id=u.id) for u in users]
 
     def rates(surface, altitude, user, elements):
         up, down = _surface_legs(scenario, surface, altitude, user)
-        amplitude = _direct_amplitude(scenario, user) + elements * up * down
-        return [_rate(scenario, a, num_users) for a in amplitude.tolist()]
+        direct = _direct_amplitude(scenario, user)
+        return [_rate(scenario, direct + n * up * down, num_users) for n in elements]
 
     # Rate without the aerial surface: through the terrestrial one if it
     # covers the user, else over the direct link alone (zero elements).
-    ground = np.array(
-        [rates(terrestrial, 0.0, u, (n_budget - n_air) * c) for u, c in zip(users, covered)]
-    )
-    air = np.array(
-        [[rates(aerial, alt, u, n_air) for u in users] for alt in altitudes]
-    )  # (altitude, user, split)
+    ground = [
+        rates(terrestrial, 0.0, u, [(n_budget - n) * c for n in splits])
+        for u, c in zip(users, covered)
+    ]
+    # Below its LoS threshold a user can never be served by the aerial surface.
+    air = [
+        [rates(aerial, alt, u, splits) if alt >= t else None for u, t in zip(users, thresholds)]
+        for alt in altitudes
+    ]
 
-    level = np.zeros(n_budget + 1, dtype=int)  # index into altitudes, per split
-    on_air = np.zeros((num_users, n_budget + 1), dtype=bool)
-    can_fly = n_air > 0
+    level = [0] * len(splits)  # index into altitudes, per split
+    on_air = [[False] * len(splits) for _ in users]
     for i in sorted(range(num_users), key=lambda i: covered[i]):  # uncovered first
         if not math.isfinite(thresholds[i]):
             continue
-        level_if = np.maximum(level, altitudes.index(thresholds[i]))
-        take = can_fly
-        if covered[i]:
-            take = can_fly & (air[level_if, i, n_air] > ground[i])
-        on_air[i] = take
-        level = np.where(take, level_if, level)
+        needed = altitudes.index(thresholds[i])
+        for n in splits[1:]:  # no aerial elements, no aerial service
+            level_if = level[n] if level[n] > needed else needed
+            if not covered[i] or air[level_if][i][n] > ground[i][n]:
+                on_air[i][n] = True
+                level[n] = level_if
     return _HybridSweep(
         n_budget=n_budget,
         user_ids=tuple(u.id for u in users),
         aerial_id=aerial.id,
         ground_ids=tuple(terrestrial.id if c else None for c in covered),
         on_air=on_air,
-        altitudes=[altitudes[k] for k in level.tolist()],
-        rates=np.where(on_air, air[level, :, n_air].T, ground),
+        altitudes=[altitudes[k] for k in level],
+        rates=[
+            [air[level[n]][i][n] if on_air[i][n] else ground[i][n] for n in splits]
+            for i in range(num_users)
+        ],
     )
 
 
@@ -359,7 +358,7 @@ def allocation_sweep(scenario: "Scenario", n_budget: Optional[int] = None):
             min_rate=min(rates),
             strategy=DeploymentStrategy.HYBRID,
         )
-        for n_aerial, rates in enumerate(sweep.rates.T.tolist())
+        for n_aerial, rates in enumerate(zip(*sweep.rates))
     ]
 
 
@@ -371,5 +370,6 @@ def exhaustive_allocate(scenario: "Scenario", n_budget: Optional[int] = None) ->
     re-evaluated and checked through `user_rate`.
     """
     sweep = _hybrid_sweep(scenario, n_budget)
-    best = int(np.argmax(sweep.rates.min(axis=0)))  # first maximum
+    minima = [min(rates) for rates in zip(*sweep.rates)]
+    best = minima.index(max(minima))  # first maximum
     return _evaluate_plan(scenario, sweep.plan(best), DeploymentStrategy.HYBRID)

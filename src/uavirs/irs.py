@@ -20,8 +20,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Optional, Tuple
 
-import numpy as np
-
 from .channel import (
     LinkRuleSet,
     LinkState,
@@ -110,15 +108,15 @@ def covers(
         return node_id in surface.covered_node_ids
 
     if surface.kind is SurfaceKind.TERRESTRIAL:
-        normal = np.asarray(surface.facing_normal, dtype=float)
-        norm = np.linalg.norm(normal)
-        if norm == 0.0:
+        normal = surface.facing_normal
+        if math.hypot(*normal) == 0.0:
             raise ConfigurationError(f"surface {surface.id!r} has a zero-length facing_normal")
-        offset = node_pos.as_array() - surface.position.as_array()
-        if float(offset @ normal) <= 0.0:
+        at = surface.position
+        offset = (node_pos.x - at.x, node_pos.y - at.y, node_pos.z - at.z)
+        if sum(o * n for o, n in zip(offset, normal)) <= 0.0:
             return False
         if surface.coverage_radius is not None:
-            return float(np.linalg.norm(offset)) <= surface.coverage_radius
+            return math.hypot(*offset) <= surface.coverage_radius
         return True
 
     # Aerial: panoramic reflection, needs line of sight only.

@@ -575,16 +575,22 @@ def loads_scenario(text: str) -> Scenario:
     return scenario
 
 
-def load_scenario(path) -> Scenario:
-    """Load and validate a scenario file."""
+def _read_scenario(path) -> Tuple[Scenario, bytes]:
+    """Load and validate a scenario file; also returns the bytes that were parsed."""
     file_path = Path(path)
     if not file_path.exists():
         raise ScenarioError(f"scenario file not found: {file_path}")
     try:
-        text = file_path.read_text(encoding="utf-8")
+        data = file_path.read_bytes()
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
         raise ScenarioError(f"cannot read scenario file: {exc}")
-    return loads_scenario(text)
+    return loads_scenario(text), data
+
+
+def load_scenario(path) -> Scenario:
+    """Load and validate a scenario file."""
+    return _read_scenario(path)[0]
 
 
 def _position_list(p: Position3D) -> list:

@@ -49,6 +49,16 @@ class TestPathGain:
         g = path_gain(d, PathLossModel(2.0), RADIO)
         np.testing.assert_allclose(g, [1e-3, 1e-5, 1e-7], rtol=1e-12)
 
+    @given(d=st.floats(0.0, 5000.0), exponent=st.floats(1.0, 6.0))
+    def test_scalar_matches_numpy_scalar_bit_for_bit(self, d, exponent):
+        # A scalar distance takes plain float math; it must round exactly as
+        # the numpy expression every earlier result was computed with.
+        g0, ref = RADIO.ref_path_gain, RADIO.reference_distance
+        expected = float(g0 * np.maximum(np.asarray(d), ref) ** -exponent)
+        got = path_gain(d, PathLossModel(exponent), RADIO)
+        assert type(got) is float
+        assert got == expected
+
     @given(
         d1=st.floats(1.0, 1e4),
         d2=st.floats(1.0, 1e4),
@@ -109,6 +119,14 @@ class TestResolveLinkState:
     def test_pair_order_does_not_matter(self):
         rule = LinkStateRule(("b", "a"), 20.0)
         assert resolve_link_state(("a", "b"), 25.0, rule) is LinkState.LOS
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError, match="min_altitude_for_los"):
+            LinkStateRule(("a", "b"), math.nan)
+
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(ValueError, match="min_altitude_for_los"):
+            LinkStateRule(("a", "b"), -1.0)
 
     @given(altitude=st.floats(0.0, 200.0))
     def test_single_transition_at_threshold(self, altitude):
@@ -191,3 +209,22 @@ class TestRadioParams:
             RadioParams(tx_power=0.0)
         with pytest.raises(ValueError):
             RadioParams(noise_power=-1e-12)
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("tx_power", math.nan),
+            ("tx_power", math.inf),
+            ("noise_power", math.nan),
+            ("noise_power", math.inf),
+            ("ref_path_gain_db", math.nan),
+            ("ref_path_gain_db", -math.inf),
+            ("reference_distance", 0.0),
+            ("reference_distance", -1.0),
+            ("reference_distance", math.nan),
+            ("reference_distance", math.inf),
+        ],
+    )
+    def test_non_finite_or_out_of_range_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            RadioParams(**{field: bad})

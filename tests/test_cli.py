@@ -7,8 +7,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from uavirs import cli
 from uavirs.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
-from uavirs.scenario import load_scenario, scenario_path
+from uavirs.scenario import load_scenario, scenario_digest, scenario_path
 from uavirs.trajectory import Trajectory, per_slot_rates
 
 QUICK_TRAJECTORY = """
@@ -224,6 +225,30 @@ class TestDeploy:
         assert (out1 / "fig5_deployment.csv").read_bytes() == (
             out2 / "fig5_deployment.csv"
         ).read_bytes()
+
+
+class TestDigest:
+    @pytest.mark.parametrize(
+        "command, runner", [("trajopt", "run_trajectory"), ("deploy", "run_deployment")]
+    )
+    def test_digest_is_of_the_bytes_that_ran(self, command, runner, quick_file, tmp_path):
+        source = quick_file
+        if command == "deploy":
+            source = tmp_path / "fig5.scenario"
+            source.write_bytes(scenario_path("fig5").read_bytes())
+        ran = source.read_bytes()
+        solve = getattr(cli, runner)
+
+        def edit_then_solve(scenario, *args):
+            source.write_bytes(ran + b"# edited during the run\n")
+            return solve(scenario, *args)
+
+        out = tmp_path / "out"
+        with mock.patch.object(cli, runner, edit_then_solve):
+            assert main([command, str(source), "--out", str(out), "--quiet"]) == EXIT_OK
+        summary = json.loads((out / f"{source.stem}_summary.json").read_text())
+        assert summary["scenario_digest"] == scenario_digest(ran)
+        assert summary["scenario_digest"] != scenario_digest(source.read_bytes())
 
 
 class TestEntryPoint:

@@ -61,6 +61,12 @@ class TestCovers:
         assert covers(surf, Position3D(100.0, 10.0, 0.0))  # 22.4 m away
         assert not covers(surf, Position3D(100.0, -30.0, 0.0))  # 60.8 m away
 
+    def test_node_at_exactly_the_radius_is_covered(self):
+        # offset (0, -24, -10) from the surface at (100, 30, 10): 26 m exactly
+        surf = terrestrial(coverage_radius=26.0)
+        assert covers(surf, Position3D(100.0, 6.0, 0.0))
+        assert not covers(terrestrial(coverage_radius=25.999), Position3D(100.0, 6.0, 0.0))
+
     def test_half_space_invariant_to_inplane_offset(self):
         # distance along directions orthogonal to the normal is irrelevant
         surf = terrestrial(coverage_radius=None)

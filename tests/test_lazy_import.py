@@ -1,7 +1,7 @@
-"""The trajectory solver, and scipy with it, loads only when a trajectory is solved.
+"""The trajectory solver, and numpy and scipy with it, load only when a trajectory is solved.
 
 Each check runs in a fresh interpreter, since this test process has long since
-imported scipy.
+imported both.
 """
 
 import json
@@ -14,6 +14,7 @@ import pytest
 from uavirs.scenario import scenario_path
 
 SCIPY_LOADED = "[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]"
+NUMPY_LOADED = "[m for m in sys.modules if m == 'numpy' or m.startswith('numpy.')]"
 
 
 def run_fresh(code, env, cwd):
@@ -49,11 +50,12 @@ def test_no_scipy_without_a_trajectory_solve(calls, package_env, tmp_path):
         fig5 = str(uavirs.scenario_path('fig5'))
         {calls}
         print({SCIPY_LOADED})
+        print({NUMPY_LOADED})
         """,
         package_env,
         tmp_path,
     )
-    assert out.strip() == "[]"
+    assert out.split() == ["[]", "[]"]
 
 
 def test_every_public_name_resolves(package_env, tmp_path):

@@ -191,6 +191,11 @@ experiment: {kind: deployment, n_budget: -1}
         with pytest.raises(ScenarioError, match="cannot read"):
             load_scenario(tmp_path)
 
+    def test_crlf_file_loads_like_lf(self, tmp_path):
+        path = tmp_path / "crlf.scenario"
+        path.write_bytes(scenario_path("fig5").read_bytes().replace(b"\n", b"\r\n"))
+        assert load_scenario(path) == load_scenario(scenario_path("fig5"))
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["fig4", "fig4_noirs", "fig5"])
