@@ -10,8 +10,9 @@ from uavirs import (
     LinkStateRule,
     PathLossModel,
     RadioParams,
+    leg_amplitude,
+    link_rate,
     path_gain,
-    rate_bps_hz,
     resolve_link_state,
 )
 
@@ -38,8 +39,9 @@ for altitude in (20.0, 49.9, 50.0, 80.0):
     print(f"  altitude {altitude:5.1f} m -> {state.value}")
 print()
 
-# Spectral efficiency with TDMA airtime sharing.
+# Spectral efficiency with TDMA airtime sharing: a link's rate comes from its
+# amplitude gain, the square root of the path gain.
 print("rate for a node at 60 m, as a function of its airtime share")
-snr = radio.tx_power * path_gain(60.0, PathLossModel(2.6), radio) / radio.noise_power
+rate = link_rate(leg_amplitude(60.0, PathLossModel(2.6), radio), radio)
 for fraction in (1.0, 0.5, 0.125):
-    print(f"  fraction {fraction:5.3f} -> {rate_bps_hz(snr, fraction):6.3f} bps/Hz")
+    print(f"  fraction {fraction:5.3f} -> {fraction * rate:6.3f} bps/Hz")

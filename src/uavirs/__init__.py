@@ -19,8 +19,9 @@ from .channel import (
     PathLossModel,
     Position3D,
     RadioParams,
+    leg_amplitude,
+    link_rate,
     path_gain,
-    rate_bps_hz,
     resolve_link_state,
 )
 from .deployment import (
@@ -33,20 +34,12 @@ from .deployment import (
     user_rate,
 )
 from .errors import ConfigurationError, ExperimentMismatchError, ScenarioError
-from .irs import (
-    CascadedLink,
-    IrsSurface,
-    SurfaceKind,
-    covers,
-    effective_snr,
-    min_serving_altitude,
-)
+from .irs import IrsSurface, SurfaceKind, covers, min_serving_altitude
 from .scenario import (
     DeploymentExperiment,
     Scenario,
     TrajectoryConstraints,
     TrajectoryExperiment,
-    dump_scenario,
     load_scenario,
     loads_scenario,
     scenario_digest,
@@ -70,7 +63,6 @@ def __getattr__(name):
 __all__ = [
     "__version__",
     "CandidateProbe",
-    "CascadedLink",
     "ConfigurationError",
     "DeploymentExperiment",
     "DeploymentPlan",
@@ -96,11 +88,11 @@ __all__ = [
     "TrajectoryExperiment",
     "allocation_sweep",
     "covers",
-    "dump_scenario",
-    "effective_snr",
     "evaluate_strategy",
     "exhaustive_allocate",
     "improve_trajectory",
+    "leg_amplitude",
+    "link_rate",
     "load_scenario",
     "loads_scenario",
     "min_serving_altitude",
@@ -108,7 +100,6 @@ __all__ = [
     "optimal_schedule",
     "path_gain",
     "per_slot_rates",
-    "rate_bps_hz",
     "resolve_link_state",
     "scenario_digest",
     "scenario_path",

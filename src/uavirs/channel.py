@@ -1,9 +1,13 @@
-"""Geometry, large-scale path loss, link-state resolution and spectral efficiency.
+"""Geometry, large-scale path loss, link-state resolution and the channel kernel.
 
 All channels are deterministic LoS-amplitude models: the power gain of a link
 of length d is g0 * d**(-alpha) with g0 the linear gain at the 1 m reference
 distance. Link states are a binary LoS/NLoS switch (plus Blocked for links
 that carry exactly zero gain), resolved from the aerial endpoint's altitude.
+
+Both solvers price a link through one kernel: leg_amplitude gives each leg's
+amplitude gain, a surface adds N * a_up * a_down coherently to the direct
+amplitude, and link_rate turns the total amplitude into bps/Hz.
 
 Everything here is a pure function of its arguments; there is no module-level
 mutable state.
@@ -227,21 +231,30 @@ def resolve_link_state(
     return rule.fallback_state
 
 
-def rate_bps_hz(snr: ArrayLike, time_fraction: ArrayLike = 1.0) -> ArrayLike:
-    """Shannon spectral efficiency: time_fraction * log2(1 + snr), in bps/Hz.
+def leg_amplitude(d: ArrayLike, model: PathLossModel, radio: RadioParams) -> ArrayLike:
+    """Amplitude gain sqrt(path_gain(d, model, radio)) of one link or surface leg.
 
-    Computed through log1p, so every positive SNR gives a positive rate, even
-    one too small to change 1 + snr.
+    A surface of N elements adds N * leg_amplitude(up) * leg_amplitude(down)
+    coherently to the direct amplitude. A scalar takes math.sqrt, an array
+    np.sqrt.
     """
+    gain = path_gain(d, model, radio)
+    if isinstance(gain, float):
+        return math.sqrt(gain)
     import numpy as np
 
-    snr_arr = np.asarray(snr, dtype=float)
-    frac_arr = np.asarray(time_fraction, dtype=float)
-    if np.any(snr_arr < 0):
-        raise ValueError("snr must be >= 0")
-    if np.any((frac_arr < 0) | (frac_arr > 1)):
-        raise ValueError("time_fraction must lie in [0, 1]")
-    rate = frac_arr * (np.log1p(snr_arr) / math.log(2.0))
-    if np.isscalar(snr) and np.isscalar(time_fraction):
-        return float(rate)
-    return rate
+    return np.sqrt(gain)
+
+
+def link_rate(amplitude: ArrayLike, radio: RadioParams) -> ArrayLike:
+    """Spectral efficiency log2(1 + tx_power * A**2 / noise_power), in bps/Hz.
+
+    A is the total amplitude gain of the link. A scalar takes math.log2, an
+    array np.log2.
+    """
+    snr = radio.tx_power * amplitude**2 / radio.noise_power
+    if isinstance(snr, float):  # one type, not a tuple: this runs once per rate in the sweep
+        return math.log2(1.0 + snr)
+    import numpy as np
+
+    return np.log2(1.0 + snr)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
-from .channel import LinkState, Node, path_gain, resolve_link_state
+from .channel import LinkState, Node, leg_amplitude, link_rate, resolve_link_state
 from .errors import ConfigurationError
 from .irs import IrsSurface, SurfaceKind, covers, min_serving_altitude
 
@@ -43,8 +43,8 @@ class DeploymentPlan:
     def __post_init__(self):
         if self.aerial_elements < 0 or self.terrestrial_elements < 0:
             raise ValueError("element counts must be >= 0")
-        if self.uirs_altitude < 0:
-            raise ValueError("uirs_altitude must be >= 0")
+        if not (math.isfinite(self.uirs_altitude) and self.uirs_altitude >= 0):
+            raise ValueError(f"uirs_altitude must be finite and >= 0, got {self.uirs_altitude!r}")
         object.__setattr__(self, "assignment", tuple(self.assignment))
 
     def serving_surface_id(self, user_id: str) -> Optional[str]:
@@ -84,13 +84,12 @@ def _state_model(scenario: "Scenario", state: LinkState):
 def _leg_amplitude(
     scenario: "Scenario", a_id: str, a_pos, b_id: str, b_pos, aerial_altitude: float
 ) -> float:
-    """Amplitude gain sqrt(path_gain) of the leg between two Position3Ds, 0 if blocked."""
+    """Amplitude gain of the leg between two Position3Ds in its resolved state, 0 if blocked."""
     rule = scenario.link_rules.rule_for(a_id, b_id)
     state = resolve_link_state((a_id, b_id), aerial_altitude, rule)
     if state is LinkState.BLOCKED:
         return 0.0
-    d = a_pos.distance_to(b_pos)
-    return math.sqrt(path_gain(d, _state_model(scenario, state), scenario.radio))
+    return leg_amplitude(a_pos.distance_to(b_pos), _state_model(scenario, state), scenario.radio)
 
 
 def _direct_amplitude(scenario: "Scenario", user: Node) -> float:
@@ -115,12 +114,6 @@ def _surface_legs(
     return up, down
 
 
-def _rate(scenario: "Scenario", amplitude: float, num_users: int) -> float:
-    radio = scenario.radio
-    snr = radio.tx_power * amplitude**2 / radio.noise_power
-    return math.log2(1.0 + snr) / num_users
-
-
 def _rate_through(
     scenario: "Scenario",
     surface: Optional[IrsSurface],
@@ -134,7 +127,7 @@ def _rate_through(
     if surface is not None and elements > 0:
         up, down = _surface_legs(scenario, surface, altitude, user)
         amplitude += elements * up * down
-    return _rate(scenario, amplitude, num_users)
+    return link_rate(amplitude, scenario.radio) / num_users
 
 
 def _check_plan(scenario: "Scenario", plan: DeploymentPlan) -> None:
@@ -227,8 +220,8 @@ def _hybrid_sweep(scenario: "Scenario", n_budget: Optional[int]) -> _HybridSweep
     Leg amplitudes come from the scalar code once per user and candidate
     altitude ({0} and the finite LoS thresholds, for the aerial surface only
     those at or above the user's own); the rule then runs split by split on
-    lists. Every rate goes through the scalar `_rate`, so it is
-    bit-identical to `user_rate` on the same plan; numpy's array `log2` and
+    lists. Every rate goes through the scalar branch of `link_rate`, so it is
+    bit-identical to `user_rate` on the same plan; numpy's array logarithm and
     `**` need not round as the scalar ones do.
     """
     if n_budget is None:
@@ -238,6 +231,7 @@ def _hybrid_sweep(scenario: "Scenario", n_budget: Optional[int]) -> _HybridSweep
     aerial, terrestrial = _deployment_surfaces(scenario)
     users = scenario.user_nodes()
     num_users = len(users)
+    radio = scenario.radio
     splits = range(n_budget + 1)  # n_aerial, also the index of each split
     thresholds = [_aerial_threshold(scenario, aerial, u.id) for u in users]
     altitudes = sorted({0.0, *(t for t in thresholds if math.isfinite(t))})
@@ -246,7 +240,7 @@ def _hybrid_sweep(scenario: "Scenario", n_budget: Optional[int]) -> _HybridSweep
     def rates(surface, altitude, user, elements):
         up, down = _surface_legs(scenario, surface, altitude, user)
         direct = _direct_amplitude(scenario, user)
-        return [_rate(scenario, direct + n * up * down, num_users) for n in elements]
+        return [link_rate(direct + n * up * down, radio) / num_users for n in elements]
 
     # Rate without the aerial surface: through the terrestrial one if it
     # covers the user, else over the direct link alone (zero elements).

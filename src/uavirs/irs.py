@@ -1,4 +1,4 @@
-"""Reflecting surfaces, their coverage rules, and the cascaded reflected channel.
+"""Reflecting surfaces and their coverage rules.
 
 Two surface kinds exist. A terrestrial surface is wall-mounted: it serves only
 nodes in its front half-space ((node - surface) . facing_normal > 0), further
@@ -10,7 +10,7 @@ Reflection is ideal passive beamforming: continuous phases, unit amplitude,
 perfect alignment, so the reflected path contributes N identical per-element
 amplitudes that add coherently with the direct path (N**2 power scaling). The
 per-element amplitude obeys the product-distance law: it is the product of the
-amplitude gains of the two legs.
+amplitude gains of the two legs, each from channel.leg_amplitude.
 """
 
 from __future__ import annotations
@@ -20,14 +20,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Optional, Tuple
 
-from .channel import (
-    LinkRuleSet,
-    LinkState,
-    PathLossModel,
-    Position3D,
-    RadioParams,
-    path_gain,
-)
+from .channel import LinkRuleSet, LinkState, Position3D
 from .errors import ConfigurationError
 
 
@@ -49,14 +42,22 @@ class IrsSurface:
     covered_node_ids: Optional[frozenset] = None
 
     def __post_init__(self):
-        if self.num_elements < 0:
-            raise ValueError("num_elements must be >= 0")
-        if self.kind is SurfaceKind.TERRESTRIAL and self.facing_normal is None:
+        if not (isinstance(self.num_elements, int) and self.num_elements >= 0):
+            raise ValueError(f"num_elements must be an integer >= 0, got {self.num_elements!r}")
+        if self.facing_normal is not None:
+            normal = tuple(float(c) for c in self.facing_normal)
+            if len(normal) != 3 or not all(map(math.isfinite, normal)) or not any(normal):
+                raise ConfigurationError(
+                    f"surface {self.id!r} needs a finite, non-zero 3-vector facing_normal, "
+                    f"got {self.facing_normal!r}"
+                )
+            object.__setattr__(self, "facing_normal", normal)
+        elif self.kind is SurfaceKind.TERRESTRIAL:
             raise ConfigurationError(
                 f"terrestrial surface {self.id!r} requires a facing_normal"
             )
-        if self.coverage_radius is not None and self.coverage_radius <= 0:
-            raise ValueError("coverage_radius must be > 0 when set")
+        if self.coverage_radius is not None and not (self.coverage_radius > 0):
+            raise ValueError(f"coverage_radius must be > 0 when set, got {self.coverage_radius!r}")
         if self.covered_node_ids is not None:
             object.__setattr__(self, "covered_node_ids", frozenset(self.covered_node_ids))
 
@@ -69,23 +70,6 @@ class IrsSurface:
 
     def with_elements(self, n: int) -> "IrsSurface":
         return replace(self, num_elements=int(n))
-
-
-@dataclass(frozen=True)
-class CascadedLink:
-    """Transmitter -> surface -> receiver reflected path (product-distance law)."""
-
-    src_distance: float
-    dst_distance: float
-    src_model: PathLossModel
-    dst_model: PathLossModel
-    elements: int
-
-    def per_element_amplitude(self, radio: RadioParams) -> float:
-        """Amplitude gain of one element: sqrt(gain_src) * sqrt(gain_dst)."""
-        g_src = path_gain(self.src_distance, self.src_model, radio)
-        g_dst = path_gain(self.dst_distance, self.dst_model, radio)
-        return math.sqrt(g_src) * math.sqrt(g_dst)
 
 
 def covers(
@@ -108,12 +92,9 @@ def covers(
         return node_id in surface.covered_node_ids
 
     if surface.kind is SurfaceKind.TERRESTRIAL:
-        normal = surface.facing_normal
-        if math.hypot(*normal) == 0.0:
-            raise ConfigurationError(f"surface {surface.id!r} has a zero-length facing_normal")
         at = surface.position
         offset = (node_pos.x - at.x, node_pos.y - at.y, node_pos.z - at.z)
-        if sum(o * n for o, n in zip(offset, normal)) <= 0.0:
+        if sum(o * n for o, n in zip(offset, surface.facing_normal)) <= 0.0:
             return False
         if surface.coverage_radius is not None:
             return math.hypot(*offset) <= surface.coverage_radius
@@ -121,25 +102,6 @@ def covers(
 
     # Aerial: panoramic reflection, needs line of sight only.
     return link_state is LinkState.LOS
-
-
-def effective_snr(
-    direct_gain: float,
-    cascaded: Optional[CascadedLink],
-    radio: RadioParams,
-) -> float:
-    """Linear SNR of the coherently combined direct + reflected channel.
-
-    Amplitude A = sqrt(direct_gain) + N * per-element cascaded amplitude, and
-    SNR = tx_power * A**2 / noise_power. Pass cascaded=None when no surface
-    covers the node; a blocked direct link is direct_gain = 0.
-    """
-    if direct_gain < 0:
-        raise ValueError("direct_gain must be >= 0")
-    amplitude = math.sqrt(direct_gain)
-    if cascaded is not None and cascaded.elements > 0:
-        amplitude += cascaded.elements * cascaded.per_element_amplitude(radio)
-    return radio.tx_power * amplitude**2 / radio.noise_power
 
 
 def min_serving_altitude(

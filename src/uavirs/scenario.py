@@ -1,11 +1,10 @@
-"""Scenario files: strict YAML schema, validation, and round-trip emission.
+"""Scenario files: strict YAML schema and validation.
 
 A scenario is a single YAML document holding the nodes, surfaces, radio
 constants, per-link-class path-loss exponents, link-state rules, and exactly
 one experiment block (trajectory or deployment). Unknown keys are rejected;
 every validation error names the offending field. All defaults from the
-design ledger are applied at load time and echoed into the loaded object, so
-dumping and reloading a scenario reproduces it exactly.
+design ledger are applied at load time and echoed into the loaded object.
 """
 
 from __future__ import annotations
@@ -591,70 +590,3 @@ def _read_scenario(path) -> Tuple[Scenario, bytes]:
 def load_scenario(path) -> Scenario:
     """Load and validate a scenario file."""
     return _read_scenario(path)[0]
-
-
-def _position_list(p: Position3D) -> list:
-    return [p.x, p.y, p.z]
-
-
-def dump_scenario(scenario: Scenario) -> str:
-    """Serialize a scenario back to YAML; loads_scenario(dump(s)) == s."""
-    doc = {"name": scenario.name}
-    if scenario.description:
-        doc["description"] = scenario.description
-    doc["nodes"] = [
-        {"id": n.id, "role": n.role.value, "position": _position_list(n.position)}
-        for n in scenario.nodes
-    ]
-    if scenario.surfaces:
-        doc["surfaces"] = []
-        for s in scenario.surfaces:
-            entry = {
-                "id": s.id,
-                "kind": s.kind.value,
-                "position": _position_list(s.position),
-                "num_elements": s.num_elements,
-            }
-            if s.facing_normal is not None:
-                entry["facing_normal"] = list(s.facing_normal)
-            if s.coverage_radius is not None:
-                entry["coverage_radius"] = s.coverage_radius
-            if s.covered_node_ids is not None:
-                entry["covered_node_ids"] = sorted(s.covered_node_ids)
-            doc["surfaces"].append(entry)
-    doc["radio"] = {
-        "tx_power_w": scenario.radio.tx_power,
-        "noise_power_w": scenario.radio.noise_power,
-        "ref_path_gain_db": scenario.radio.ref_path_gain_db,
-    }
-    doc["path_loss_classes"] = {
-        key: model.exponent for key, model in scenario.path_loss_classes.items()
-    }
-    if len(scenario.link_rules):
-        doc["link_state_rules"] = [
-            {
-                "endpoints": list(rule.endpoints),
-                "min_altitude_for_los": rule.min_altitude_for_los,
-                "fallback": rule.fallback_state.value,
-            }
-            for rule in scenario.link_rules
-        ]
-    exp = scenario.experiment
-    if isinstance(exp, TrajectoryExperiment):
-        doc["experiment"] = {
-            "kind": "trajectory",
-            "start": _position_list(exp.constraints.start),
-            "end": _position_list(exp.constraints.end),
-            "fixed_altitude": exp.constraints.fixed_altitude,
-            "v_max": exp.constraints.v_max,
-            "slot_duration": exp.constraints.slot_duration,
-            "rate_target": exp.rate_target,
-            "max_time": exp.max_time,
-        }
-    else:
-        doc["experiment"] = {
-            "kind": "deployment",
-            "n_budget": exp.n_budget,
-            "strategies": [s.value for s in exp.strategies],
-        }
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)

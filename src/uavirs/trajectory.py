@@ -30,7 +30,14 @@ import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.optimize._highspy import _core as highs
 
-from .channel import LinkState, Position3D, path_gain, resolve_link_state
+from .channel import (
+    LinkState,
+    PathLossModel,
+    Position3D,
+    leg_amplitude,
+    link_rate,
+    resolve_link_state,
+)
 from .errors import ConfigurationError
 from .scenario import Scenario, TrajectoryConstraints
 
@@ -166,11 +173,10 @@ class _RateEvaluator:
         self.node_ids = tuple(n.id for n in self.nodes)
         self.node_pos = np.array([n.position.as_array() for n in self.nodes])
         uav = scenario.uav_node()
-        model_direct = scenario.path_loss("uav_sn")
 
         k = len(self.nodes)
         self._direct_blocked = np.zeros(k, dtype=bool)
-        self._direct_exp = model_direct.exponent
+        self._direct_model = scenario.path_loss("uav_sn")
         # Per node: serving surface index into self._surfaces, or -1.
         self._serving = np.full(k, -1, dtype=int)
         self._dst_amplitude = np.zeros(k)  # static surface->node per-element amplitude
@@ -204,8 +210,8 @@ class _RateEvaluator:
                 self._surfaces.append(surface)
             self._serving[i] = surf_index[surface.id]
             d_down = surface.position.distance_to(node.position)
-            self._dst_amplitude[i] = surface.num_elements * math.sqrt(
-                path_gain(d_down, scenario.path_loss("irs_sn"), self.radio)
+            self._dst_amplitude[i] = surface.num_elements * leg_amplitude(
+                d_down, scenario.path_loss("irs_sn"), self.radio
             )
 
         self._surf_pos = (
@@ -213,26 +219,24 @@ class _RateEvaluator:
             if self._surfaces
             else np.zeros((0, 3))
         )
-        self._uav_irs_exp = (
-            scenario.path_loss("uav_irs").exponent if self._surfaces else None
-        )
+        self._uav_irs_model = scenario.path_loss("uav_irs") if self._surfaces else None
 
     def _amp_gain(
-        self, offset: np.ndarray, exponent: float, with_slope: bool
+        self, offset: np.ndarray, model: PathLossModel, with_slope: bool
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Amplitude gain sqrt(g0) * d^(-exponent/2) of one leg, d = ||offset||.
+        """Amplitude gain leg_amplitude(d) of one leg, d = ||offset||.
 
         With with_slope, also its gradient with respect to the horizontal
         components of offset: -(exponent/2) * gain / d^2 * offset, and zero
         inside the reference-distance clamp, where the gain is constant.
         """
         dist = np.linalg.norm(offset, axis=-1)
-        clamped = np.maximum(dist, self.radio.reference_distance)
-        gain = math.sqrt(self.radio.ref_path_gain) * clamped ** (-exponent / 2.0)
+        gain = leg_amplitude(dist, model, self.radio)
         if not with_slope:
             return gain, None
+        clamped = np.maximum(dist, self.radio.reference_distance)
         coeff = np.where(
-            dist > self.radio.reference_distance, -0.5 * exponent * gain / clamped**2, 0.0
+            dist > self.radio.reference_distance, -0.5 * model.exponent * gain / clamped**2, 0.0
         )
         return gain, coeff[..., None] * offset[..., :2]
 
@@ -244,13 +248,13 @@ class _RateEvaluator:
         With with_slope, also dA[k, t] / d(horizontal wp[t]), shape (K, M, 2).
         """
         amp, slope = self._amp_gain(
-            wp[None, :, :] - self.node_pos[:, None, :], self._direct_exp, with_slope
+            wp[None, :, :] - self.node_pos[:, None, :], self._direct_model, with_slope
         )
         amp[self._direct_blocked] = 0.0
         if with_slope:
             slope[self._direct_blocked] = 0.0
         for j in range(len(self._surfaces)):
-            a_up, s_up = self._amp_gain(wp - self._surf_pos[j], self._uav_irs_exp, with_slope)
+            a_up, s_up = self._amp_gain(wp - self._surf_pos[j], self._uav_irs_model, with_slope)
             served = self._serving == j
             amp[served] += self._dst_amplitude[served, None] * a_up[None, :]
             if with_slope:
@@ -258,16 +262,15 @@ class _RateEvaluator:
         return amp, slope
 
     def rates(self, waypoints: np.ndarray) -> np.ndarray:
-        """Rate matrix R[k, t] = log2(1 + SNR) at waypoints[t], t = 0..M-1."""
+        """Rate matrix R[k, t] = link_rate of the amplitude at waypoints[t], t = 0..M-1."""
         amp, _ = self._amplitude(waypoints[:-1], False)
-        snr = (self.radio.tx_power / self.radio.noise_power) * amp**2
-        return np.log2(1.0 + snr)
+        return link_rate(amp, self.radio)
 
     def rate_gradient(self, waypoints: np.ndarray) -> np.ndarray:
         """dR[k, t] / d(horizontal waypoints[t]), shape (K, M, 2); R as in rates."""
         amp, slope = self._amplitude(waypoints[:-1], True)
         gamma = self.radio.tx_power / self.radio.noise_power
-        # R = log2(1 + gamma A^2), so dR = 2 gamma A / ((1 + gamma A^2) ln 2) dA.
+        # R = ln(1 + gamma A^2) / ln 2, so dR = 2 gamma A / ((1 + gamma A^2) ln 2) dA.
         factor = 2.0 * gamma * amp / ((1.0 + gamma * amp**2) * math.log(2.0))
         return factor[:, :, None] * slope
 
@@ -278,11 +281,14 @@ def per_slot_rates(scenario: Scenario, trajectory: Trajectory) -> np.ndarray:
     Row order follows the scenario's sensor-node order; slot t is evaluated at
     waypoint t. The reflected path through a covering surface is combined
     coherently with the direct path; nodes colocated with a waypoint are
-    handled by the 1 m reference-distance clamp.
+    handled by the 1 m reference-distance clamp. Link states are resolved at
+    the fixed altitude, so every waypoint must fly at it.
     """
     constraints = scenario.experiment.constraints
     if not trajectory.is_speed_feasible(constraints):
         raise ValueError("trajectory violates the speed bound")
+    if np.abs(trajectory.waypoints[:, 2] - constraints.fixed_altitude).max() > 1e-9:
+        raise ValueError(f"trajectory leaves the fixed altitude {constraints.fixed_altitude} m")
     return _RateEvaluator(scenario).rates(trajectory.waypoints)
 
 
@@ -339,8 +345,8 @@ def optimal_schedule(R: np.ndarray, slot_duration: float) -> Tuple[Schedule, flo
         raise ValueError("R must be a K x M matrix")
     if R.shape[0] == 0:
         raise ValueError("R needs at least one node row")
-    if np.any(R < 0):
-        raise ValueError("rates must be >= 0")
+    if not np.all((R >= 0) & np.isfinite(R)):  # also rejects NaN
+        raise ValueError("rates must be finite and >= 0")
     if not (slot_duration > 0):
         raise ValueError("slot_duration must be > 0")
     k, m_slots = R.shape

@@ -13,6 +13,7 @@ from uavirs.channel import (
     Position3D,
     RadioParams,
 )
+from uavirs import channel
 from uavirs.deployment import (
     DeploymentPlan,
     DeploymentStrategy,
@@ -22,7 +23,7 @@ from uavirs.deployment import (
     user_rate,
 )
 from uavirs.errors import ConfigurationError
-from uavirs.irs import CascadedLink, IrsSurface, SurfaceKind, effective_snr
+from uavirs.irs import IrsSurface, SurfaceKind
 from uavirs.scenario import DeploymentExperiment, Scenario, load_scenario, scenario_path
 
 from oracles import deployment_user_rate, hybrid_split, leg_amplitude
@@ -206,15 +207,16 @@ class TestUserRate:
         assert snr_floor > 1e3
         assert abs((rate(2 * n) - rate(n)) - 2.0 / num_users) < 0.01
 
-    def test_prelog_consistency_with_effective_snr(self, fig5):
-        # K * rate must equal log2(1 + SNR) with SNR from the channel layer
+    def test_prelog_consistency_with_link_rate(self, fig5):
+        # K * rate must equal the channel kernel's rate of the reflected
+        # amplitude, bit for bit: the direct link is blocked, both legs LoS
         plan = DeploymentPlan(325, 275, 30.0, (("user1", "uirs"), ("user2", "tirs")))
         rate = user_rate(fig5, plan, "user1")
         d_up = Position3D(0.0, 0.0, 25.0).distance_to(Position3D(10.0, 0.0, 30.0))
         d_down = Position3D(10.0, 0.0, 30.0).distance_to(Position3D(80.0, 0.0, 0.0))
-        link = CascadedLink(d_up, d_down, PathLossModel(2.2), PathLossModel(2.2), 325)
-        snr = effective_snr(0.0, link, fig5.radio)
-        assert 2.0 * rate == pytest.approx(math.log2(1.0 + snr), rel=1e-12)
+        up = channel.leg_amplitude(d_up, PathLossModel(2.2), fig5.radio)
+        down = channel.leg_amplitude(d_down, PathLossModel(2.2), fig5.radio)
+        assert 2.0 * rate == channel.link_rate(325 * up * down, fig5.radio)
 
 
 class TestEvaluateStrategy:
@@ -549,6 +551,11 @@ class TestPlanValidation:
     def test_negative_elements_rejected(self):
         with pytest.raises(ValueError):
             DeploymentPlan(-1, 10, 0.0, ())
+
+    @pytest.mark.parametrize("altitude", [math.nan, math.inf, -1.0])
+    def test_bad_altitude_rejected(self, altitude):
+        with pytest.raises(ValueError, match="uirs_altitude"):
+            DeploymentPlan(10, 10, altitude, ())
 
     def test_unknown_surface_rejected(self, fig5):
         plan = DeploymentPlan(600, 0, 50.0, (("user1", "mystery"), ("user2", None)))

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,17 +10,11 @@ from uavirs.channel import (
     PathLossModel,
     Position3D,
     RadioParams,
-    rate_bps_hz,
+    leg_amplitude,
+    link_rate,
 )
 from uavirs.errors import ConfigurationError
-from uavirs.irs import (
-    CascadedLink,
-    IrsSurface,
-    SurfaceKind,
-    covers,
-    effective_snr,
-    min_serving_altitude,
-)
+from uavirs.irs import IrsSurface, SurfaceKind, covers, min_serving_altitude
 
 RADIO = RadioParams(tx_power=0.1, noise_power=1e-11, ref_path_gain_db=-30.0)
 
@@ -90,71 +86,70 @@ class TestCovers:
             covers(surf, Position3D(0.0, 0.0, 0.0))
 
     def test_zero_normal_is_an_error(self):
-        surf = terrestrial(facing_normal=(0.0, 0.0, 0.0))
-        with pytest.raises(ConfigurationError):
-            covers(surf, Position3D(0.0, 0.0, 0.0))
+        with pytest.raises(ConfigurationError, match="facing_normal"):
+            terrestrial(facing_normal=(0.0, 0.0, 0.0))
+
+
+def reflected_snr(direct_gain, d_up, d_down, exponent, elements):
+    """SNR of the direct amplitude plus N coherent per-element amplitudes."""
+    model = PathLossModel(exponent)
+    amplitude = math.sqrt(direct_gain)
+    amplitude += elements * leg_amplitude(d_up, model, RADIO) * leg_amplitude(d_down, model, RADIO)
+    return RADIO.tx_power * amplitude**2 / RADIO.noise_power
 
 
 class TestEffectiveSnr:
+    """The reflection model of the module docstring, priced through the channel kernel."""
+
     def test_no_elements_reduces_to_direct_link(self):
         g = 2.5e-7
-        link = CascadedLink(10.0, 10.0, PathLossModel(2.0), PathLossModel(2.0), 0)
         expected = RADIO.tx_power * g / RADIO.noise_power
-        assert effective_snr(g, link, RADIO) == pytest.approx(expected, rel=1e-12)
-        assert effective_snr(g, None, RADIO) == pytest.approx(expected, rel=1e-12)
+        assert reflected_snr(g, 10.0, 10.0, 2.0, 0) == pytest.approx(expected, rel=1e-12)
 
     def test_blocked_direct_coherent_sum_squares(self):
         # per-element amplitude 1e-5 (two 10 m legs at exponent 2), N elements
-        link = CascadedLink(10.0, 10.0, PathLossModel(2.0), PathLossModel(2.0), 250)
-        snr = effective_snr(0.0, link, RADIO)
+        snr = reflected_snr(0.0, 10.0, 10.0, 2.0, 250)
         expected = RADIO.tx_power * (250 * 1e-5) ** 2 / RADIO.noise_power
         assert snr == pytest.approx(expected, rel=1e-9)
 
     def test_coherent_combination_example(self):
         # direct amplitude 1e-3, per-element amplitude 1e-5, 300 elements:
         # A = 4e-3 exactly, A**2 = 1.6e-5 exactly
-        link = CascadedLink(10.0, 10.0, PathLossModel(2.0), PathLossModel(2.0), 300)
-        snr = effective_snr(1e-6, link, RADIO)
+        snr = reflected_snr(1e-6, 10.0, 10.0, 2.0, 300)
         assert snr == pytest.approx(RADIO.tx_power * 1.6e-5 / RADIO.noise_power, rel=1e-9)
 
     def test_rejects_negative_direct_gain(self):
+        # a leg's gain comes from its length, and a negative length is an error
         with pytest.raises(ValueError):
-            effective_snr(-1e-9, None, RADIO)
+            leg_amplitude(-1e-9, PathLossModel(2.0), RADIO)
 
     def test_product_distance_law(self):
         # with both legs at exponent 2, doubling either leg quarters the SNR
-        base = CascadedLink(10.0, 20.0, PathLossModel(2.0), PathLossModel(2.0), 100)
-        double_src = CascadedLink(20.0, 20.0, PathLossModel(2.0), PathLossModel(2.0), 100)
-        double_dst = CascadedLink(10.0, 40.0, PathLossModel(2.0), PathLossModel(2.0), 100)
-        s0 = effective_snr(0.0, base, RADIO)
-        assert effective_snr(0.0, double_src, RADIO) == pytest.approx(s0 / 4, rel=1e-9)
-        assert effective_snr(0.0, double_dst, RADIO) == pytest.approx(s0 / 4, rel=1e-9)
+        s0 = reflected_snr(0.0, 10.0, 20.0, 2.0, 100)
+        assert reflected_snr(0.0, 20.0, 20.0, 2.0, 100) == pytest.approx(s0 / 4, rel=1e-9)
+        assert reflected_snr(0.0, 10.0, 40.0, 2.0, 100) == pytest.approx(s0 / 4, rel=1e-9)
 
     @given(n=st.integers(0, 500), extra=st.integers(0, 500))
     def test_monotone_in_elements(self, n, extra):
         def snr(count):
-            link = CascadedLink(10.0, 15.0, PathLossModel(2.2), PathLossModel(2.2), count)
-            return effective_snr(4e-7, link, RADIO)
+            return reflected_snr(4e-7, 10.0, 15.0, 2.2, count)
 
         assert snr(n + extra) >= snr(n)
 
     @pytest.mark.parametrize("n", [50, 150, 300])
     def test_doubling_elements_quadruples_blocked_snr(self, n):
         def snr(count):
-            link = CascadedLink(10.0, 15.0, PathLossModel(2.2), PathLossModel(2.2), count)
-            return effective_snr(0.0, link, RADIO)
+            return reflected_snr(0.0, 10.0, 15.0, 2.2, count)
 
         assert snr(2 * n) / snr(n) == pytest.approx(4.0, rel=1e-12)
 
     @pytest.mark.parametrize("n", [150, 300])
     def test_high_snr_rate_gap_is_two_bits(self, n):
         # with the direct link blocked, doubling N adds 2 bps/Hz in high SNR
-        link_n = CascadedLink(5.0, 8.0, PathLossModel(2.2), PathLossModel(2.2), n)
-        link_2n = CascadedLink(5.0, 8.0, PathLossModel(2.2), PathLossModel(2.2), 2 * n)
-        snr_n = effective_snr(0.0, link_n, RADIO)
-        snr_2n = effective_snr(0.0, link_2n, RADIO)
-        assert snr_n > 1e3
-        gap = rate_bps_hz(snr_2n) - rate_bps_hz(snr_n)
+        model = PathLossModel(2.2)
+        per_element = leg_amplitude(5.0, model, RADIO) * leg_amplitude(8.0, model, RADIO)
+        assert reflected_snr(0.0, 5.0, 8.0, 2.2, n) > 1e3
+        gap = link_rate(2 * n * per_element, RADIO) - link_rate(n * per_element, RADIO)
         assert abs(gap - 2.0) < 0.01
 
 
@@ -196,6 +191,24 @@ class TestSurface:
     def test_negative_elements_rejected(self):
         with pytest.raises(ValueError):
             aerial(num_elements=-1)
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, math.nan, "300"])
+    def test_non_integer_elements_rejected(self, count):
+        with pytest.raises(ValueError, match="num_elements"):
+            aerial(num_elements=count)
+
+    @pytest.mark.parametrize(
+        "normal", [(math.nan, -1.0, 0.0), (0.0, -math.inf, 0.0), (0.0, -1.0)]
+    )
+    def test_bad_normal_rejected_at_construction(self, normal):
+        # a NaN normal used to pass, and then covered every node
+        with pytest.raises(ConfigurationError, match="facing_normal"):
+            terrestrial(facing_normal=normal)
+
+    @pytest.mark.parametrize("radius", [math.nan, 0.0, -5.0])
+    def test_bad_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="coverage_radius"):
+            terrestrial(coverage_radius=radius)
 
     def test_terrestrial_needs_normal(self):
         with pytest.raises(ConfigurationError):

@@ -10,7 +10,6 @@ from uavirs.irs import SurfaceKind
 from uavirs.scenario import (
     DeploymentExperiment,
     TrajectoryExperiment,
-    dump_scenario,
     load_scenario,
     loads_scenario,
     scenario_digest,
@@ -195,18 +194,6 @@ experiment: {kind: deployment, n_budget: -1}
         path = tmp_path / "crlf.scenario"
         path.write_bytes(scenario_path("fig5").read_bytes().replace(b"\n", b"\r\n"))
         assert load_scenario(path) == load_scenario(scenario_path("fig5"))
-
-
-class TestRoundTrip:
-    @pytest.mark.parametrize("name", ["fig4", "fig4_noirs", "fig5"])
-    def test_shipped_scenarios_round_trip(self, name):
-        scn = load_scenario(scenario_path(name))
-        assert loads_scenario(dump_scenario(scn)) == scn
-
-    def test_round_trip_is_stable(self):
-        scn = loads_scenario(MINIMAL_TRAJECTORY)
-        once = dump_scenario(scn)
-        assert dump_scenario(loads_scenario(once)) == once
 
 
 YAML_LOADERS = [

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -37,6 +38,11 @@ class TestScheduleExamples:
     def test_rejects_negative_rates(self):
         with pytest.raises(ValueError):
             optimal_schedule(np.array([[-1.0, 2.0]]), 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_rates(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            optimal_schedule(np.array([[bad, 1.0]]), 1.0)
 
     def test_rejects_empty_node_set(self):
         with pytest.raises(ValueError, match="node row"):

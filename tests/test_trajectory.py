@@ -15,6 +15,8 @@ from uavirs.channel import (
     PathLossModel,
     Position3D,
     RadioParams,
+    leg_amplitude,
+    link_rate,
 )
 from uavirs.irs import IrsSurface, SurfaceKind
 from uavirs.scenario import Scenario, TrajectoryExperiment, load_scenario, scenario_path
@@ -132,6 +134,40 @@ class TestPerSlotRates:
         bad = Trajectory(np.array([[0.0, 0.0, 30.0], [100.0, 0.0, 30.0]]), 0.1)
         with pytest.raises(ValueError):
             per_slot_rates(scn, bad)
+
+    def test_trajectory_off_the_fixed_altitude_rejected(self):
+        # link states are resolved at the fixed altitude, so a path flown
+        # elsewhere would mix two geometries
+        scn = load_scenario(scenario_path("fig4"))
+        traj = straight_line_trajectory(scn.experiment.constraints, 30)
+        low = traj.waypoints.copy()
+        low[:, 2] = 0.0
+        with pytest.raises(ValueError, match="fixed altitude"):
+            per_slot_rates(scn, Trajectory(low, traj.slot_duration))
+        low[:, 2] = 30.0 + 1e-8
+        with pytest.raises(ValueError, match="fixed altitude"):
+            per_slot_rates(scn, Trajectory(low, traj.slot_duration))
+
+    def test_matches_the_scalar_channel_kernel(self):
+        # sn1 hears the UAV directly; sn4 also through the 300-element surface
+        scn = load_scenario(scenario_path("fig4"))
+        traj = straight_line_trajectory(scn.experiment.constraints, 30)
+        R = per_slot_rates(scn, traj)
+        radio, surface = scn.radio, scn.surfaces[0]
+        for k, nid in ((0, "sn1"), (3, "sn4")):
+            node = scn.node(nid).position
+            down = leg_amplitude(
+                surface.position.distance_to(node), scn.path_loss("irs_sn"), radio
+            )
+            for t, wp in enumerate(traj.waypoints[:-1]):
+                uav = Position3D(*wp)
+                amp = leg_amplitude(uav.distance_to(node), scn.path_loss("uav_sn"), radio)
+                if nid == "sn4":
+                    up = leg_amplitude(
+                        uav.distance_to(surface.position), scn.path_loss("uav_irs"), radio
+                    )
+                    amp += surface.num_elements * down * up
+                assert R[k, t] == pytest.approx(link_rate(amp, radio), rel=1e-14, abs=0.0)
 
 
 ALTITUDE = 30.0
