@@ -200,10 +200,12 @@ def path_gain(d: ArrayLike, model: PathLossModel, radio: RadioParams) -> ArrayLi
     import numpy as np
 
     arr = np.asarray(d, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("distance must be finite")
-    if np.any(arr < 0):
-        raise ValueError("distance must be >= 0")
+    if arr.size:
+        lo, hi = arr.min(), arr.max()  # a NaN anywhere makes both NaN
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("distance must be finite")
+        if lo < 0:
+            raise ValueError("distance must be >= 0")
     clamped = np.maximum(arr, radio.reference_distance)
     gain = radio.ref_path_gain * clamped ** (-model.exponent)
     if np.isscalar(d) or arr.ndim == 0:

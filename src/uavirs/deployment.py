@@ -41,8 +41,9 @@ class DeploymentPlan:
     assignment: Tuple[Tuple[str, Optional[str]], ...]  # (user id, surface id | None)
 
     def __post_init__(self):
-        if self.aerial_elements < 0 or self.terrestrial_elements < 0:
-            raise ValueError("element counts must be >= 0")
+        for count in (self.aerial_elements, self.terrestrial_elements):
+            if not (isinstance(count, int) and count >= 0):
+                raise ValueError(f"element counts must be integers >= 0, got {count!r}")
         if not (math.isfinite(self.uirs_altitude) and self.uirs_altitude >= 0):
             raise ValueError(f"uirs_altitude must be finite and >= 0, got {self.uirs_altitude!r}")
         object.__setattr__(self, "assignment", tuple(self.assignment))

@@ -18,17 +18,24 @@ min-throughput stalls:
 
 The inner objective is non-decreasing across accepted iterations by
 construction, and every trajectory ever returned is speed-feasible.
+
+Of scipy, the solver loads only the HiGHS core and LAPACK's _flapack, from
+their files: importing scipy.optimize and scipy.linalg (sparse, special, fft
+and more) costs a short mission more time and memory than its solve. They are
+the module objects scipy's own imports give, whichever loads first.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.optimize._highspy import _core as highs
+import scipy
 
 from .channel import (
     LinkState,
@@ -40,6 +47,22 @@ from .channel import (
 )
 from .errors import ConfigurationError
 from .scenario import Scenario, TrajectoryConstraints
+
+
+def _compiled(package, name):
+    """scipy's compiled module package.name, loaded without running package's __init__."""
+    directory = os.path.join(os.path.dirname(scipy.__file__), *package.split(".")[1:])
+    spec = importlib.machinery.PathFinder.find_spec(f"{package}.{name}", [directory])
+    if spec is None:
+        raise ImportError(f"scipy has no compiled module {package}.{name}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+highs = _compiled("scipy.optimize._highspy", "_core")
+_flapack = _compiled("scipy.linalg", "_flapack")
+dpbtrf, dpbtrs = _flapack.dpbtrf, _flapack.dpbtrs
 
 SPEED_SLACK = 1e-9  # tolerance on ||waypoint step|| <= v_max * slot_duration
 # Trajectory step: softmin temperature (bps/Hz), line-search shrink factor and

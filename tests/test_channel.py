@@ -41,10 +41,30 @@ class TestPathGain:
         assert path_gain(0.2, model, RADIO) == path_gain(1.0, model, RADIO)
         assert path_gain(0.0, model, RADIO) == path_gain(1.0, model, RADIO)
 
-    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            -1.0,
+            float("nan"),
+            float("inf"),
+            pytest.param(-math.inf, id="-inf"),
+            pytest.param(np.array(-1.0), id="array-0d-negative"),
+            pytest.param(np.array([1.0, -1.0]), id="array-negative"),
+            pytest.param(np.array([5.0, np.nan]), id="array-nan"),
+            pytest.param(np.array([[5.0], [np.inf]]), id="array-inf"),
+            pytest.param(np.array([-np.inf, 5.0]), id="array-minus-inf"),
+            pytest.param(np.array([-1.0, np.nan]), id="array-negative-and-nan"),
+        ],
+    )
     def test_rejects_bad_distances(self, bad):
-        with pytest.raises(ValueError):
+        # non-finite input is named as such, even where it is also negative
+        message = "finite" if not np.all(np.isfinite(bad)) else ">= 0"
+        with pytest.raises(ValueError, match=f"^distance must be {message}$"):
             path_gain(bad, PathLossModel(2.0), RADIO)
+
+    def test_empty_array_is_valid(self):
+        g = path_gain(np.empty((0, 3)), PathLossModel(2.0), RADIO)
+        assert g.shape == (0, 3)
 
     def test_vectorized(self):
         d = np.array([1.0, 10.0, 100.0])

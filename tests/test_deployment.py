@@ -552,6 +552,20 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             DeploymentPlan(-1, 10, 0.0, ())
 
+    @pytest.mark.parametrize(
+        "aerial, terrestrial, assignment",
+        [
+            (2.5, 0.5, (("user1", "uirs"), ("user2", "tirs"))),
+            (math.nan, 0, ()),
+            (10, 10.0, ()),
+        ],
+        ids=["fractional", "nan", "integral-float"],
+    )
+    def test_non_integer_elements_rejected(self, aerial, terrestrial, assignment):
+        # the same check IrsSurface.num_elements makes: an int >= 0
+        with pytest.raises(ValueError, match="element counts must be integers"):
+            DeploymentPlan(aerial, terrestrial, 30.0, assignment)
+
     @pytest.mark.parametrize("altitude", [math.nan, math.inf, -1.0])
     def test_bad_altitude_rejected(self, altitude):
         with pytest.raises(ValueError, match="uirs_altitude"):
