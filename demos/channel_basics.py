@@ -6,6 +6,7 @@ Run with `python demos/channel_basics.py`.
 import numpy as np
 
 from uavirs import (
+    LinkRuleSet,
     LinkState,
     LinkStateRule,
     PathLossModel,
@@ -31,11 +32,12 @@ print(f"  (distances: {distances.tolist()} m)\n")
 
 # A binary link-state rule: LoS above the altitude threshold, the declared
 # fallback below it. The relaying scenario uses thresholds of 30 m and 50 m.
-rule = LinkStateRule(("uirs", "user2"), min_altitude_for_los=50.0,
-                     fallback_state=LinkState.NLOS)
+# A scenario's rules form a LinkRuleSet; a pair without a rule is always LoS.
+rules = LinkRuleSet([LinkStateRule(("uirs", "user2"), min_altitude_for_los=50.0,
+                                   fallback_state=LinkState.NLOS)])
 print("link state of the aerial-surface/user-2 pair vs altitude")
 for altitude in (20.0, 49.9, 50.0, 80.0):
-    state = resolve_link_state(("uirs", "user2"), altitude, rule)
+    state = resolve_link_state(rules, "uirs", "user2", altitude)
     print(f"  altitude {altitude:5.1f} m -> {state.value}")
 print()
 

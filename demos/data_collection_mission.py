@@ -1,7 +1,7 @@
 """Reproduce the data-collection comparison: minimum mission time with versus
 without the 300-element terrestrial surface, on the shipped fig4 scenario.
 
-Run with `python demos/data_collection_mission.py` (takes ~5 s).
+Run with `python demos/data_collection_mission.py` (takes ~1 s).
 """
 
 from uavirs import load_scenario, min_time_mission, scenario_path

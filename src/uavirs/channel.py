@@ -137,9 +137,6 @@ class LinkStateRule:
             raise ValueError("fallback_state must be NLoS or Blocked")
         object.__setattr__(self, "endpoints", _normalize_pair(self.endpoints))
 
-    def matches(self, pair: Tuple[str, str]) -> bool:
-        return self.endpoints == _normalize_pair(pair)
-
 
 def _normalize_pair(pair: Iterable[str]) -> Tuple[str, str]:
     a, b = pair
@@ -213,21 +210,13 @@ def path_gain(d: ArrayLike, model: PathLossModel, radio: RadioParams) -> ArrayLi
     return gain
 
 
-def resolve_link_state(
-    pair: Tuple[str, str], aerial_altitude: float, rule: Optional[LinkStateRule]
-) -> LinkState:
-    """Resolve the binary link state of `pair` at the aerial endpoint's altitude.
+def resolve_link_state(rules: LinkRuleSet, a: str, b: str, aerial_altitude: float) -> LinkState:
+    """Binary link state of the pair (a, b) at the aerial endpoint's altitude.
 
-    LoS iff altitude >= rule.min_altitude_for_los, else the rule's fallback.
-    A missing rule (None) or a rule for a different pair is a configuration
-    error: every configured link must carry exactly one rule.
+    LoS iff altitude >= the pair's min_altitude_for_los (0 for a pair without
+    a rule), else the rule's fallback.
     """
-    if rule is None:
-        raise ConfigurationError(f"no link-state rule for pair {pair}")
-    if not rule.matches(pair):
-        raise ConfigurationError(
-            f"rule for {rule.endpoints} does not apply to pair {_normalize_pair(pair)}"
-        )
+    rule = rules.rule_for(a, b)
     if aerial_altitude >= rule.min_altitude_for_los:
         return LinkState.LOS
     return rule.fallback_state

@@ -20,9 +20,9 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Union
+from typing import TYPE_CHECKING, List
 
 from . import __version__
 from .deployment import DeploymentResult, DeploymentStrategy, evaluate_strategy
@@ -36,7 +36,7 @@ from .scenario import (
     scenario_digest,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - run_trajectory loads the solver, and scipy
+if TYPE_CHECKING:  # pragma: no cover - _cmd_trajopt loads the solver, and scipy
     from .trajectory import MissionResult
 
 EXIT_OK = 0
@@ -45,38 +45,9 @@ EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4
 
 
-@dataclass(eq=False)
-class ResultBundle:
-    """One experiment run: provenance plus the optimizer output."""
-
-    scenario_digest: str
-    tool_version: str
-    wall_time: float
-    result: Union[MissionResult, List[DeploymentResult]]
-
-
 def _fmt(value: float) -> str:
     """Shortest round-trip float formatting, so emitted tables re-parse exactly."""
     return repr(float(value))
-
-
-def run_trajectory(scenario: Scenario, **overrides) -> MissionResult:
-    if not isinstance(scenario.experiment, TrajectoryExperiment):
-        raise ExperimentMismatchError(
-            "scenario holds a deployment experiment; use the deploy subcommand"
-        )
-    from .trajectory import min_time_mission
-
-    return min_time_mission(scenario, **overrides)
-
-
-def run_deployment(scenario: Scenario, strategies=None) -> List[DeploymentResult]:
-    if not isinstance(scenario.experiment, DeploymentExperiment):
-        raise ExperimentMismatchError(
-            "scenario holds a trajectory experiment; use the trajopt subcommand"
-        )
-    chosen = strategies if strategies is not None else scenario.experiment.strategies
-    return [evaluate_strategy(scenario, s) for s in chosen]
 
 
 def trajectory_table(result: MissionResult) -> str:
@@ -119,59 +90,25 @@ def deployment_table(results: List[DeploymentResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _summary_payload(bundle: ResultBundle) -> dict:
-    payload = {
-        "scenario_digest": bundle.scenario_digest,
-        "tool_version": bundle.tool_version,
-        "wall_time_s": bundle.wall_time,
-    }
-    result = bundle.result
-    if not isinstance(result, list):  # deploy returns a list of DeploymentResult
-        payload["experiment"] = "trajectory"
-        payload["mission_time_s"] = result.mission_time
-        payload["achieved_min_rate_bps_hz"] = result.achieved_min_rate
-        payload["rate_target_bps_hz"] = result.rate_target
-        payload["converged"] = result.converged
-        payload["iterations"] = result.iterations
-        payload["per_node_rates_bps_hz"] = {
-            nid: float(r) for nid, r in zip(result.node_ids, result.per_node_rates)
-        }
-    else:
-        payload["experiment"] = "deployment"
-        payload["strategies"] = {
-            res.strategy.value: {
-                "n_aerial": res.plan.aerial_elements,
-                "n_terrestrial": res.plan.terrestrial_elements,
-                "altitude_m": res.plan.uirs_altitude,
-                "per_user_rates_bps_hz": {
-                    uid: r for uid, r in zip(res.user_ids, res.per_user_rates)
-                },
-                "min_rate_bps_hz": res.min_rate,
-            }
-            for res in result
-        }
-    return payload
-
-
-def emit_results(bundle: ResultBundle, scenario_file: Path, out_dir: Path) -> List[Path]:
-    """Write the CSV table and the JSON summary; returns the paths written."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = scenario_file.stem
-    written = []
-    if not isinstance(bundle.result, list):
-        table_path = out_dir / f"{stem}_trajectory.csv"
-        table_path.write_text(trajectory_table(bundle.result), encoding="utf-8")
-    else:
-        table_path = out_dir / f"{stem}_deployment.csv"
-        table_path.write_text(deployment_table(bundle.result), encoding="utf-8")
-    written.append(table_path)
-    summary_path = out_dir / f"{stem}_summary.json"
-    summary_path.write_text(
-        json.dumps(_summary_payload(bundle), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
+def _summary(scenario_bytes: bytes, wall_time: float, experiment: str, **fields) -> dict:
+    """The summary record: provenance, then the experiment's own fields."""
+    return dict(
+        scenario_digest=scenario_digest(scenario_bytes),
+        tool_version=__version__,
+        wall_time_s=wall_time,
+        experiment=experiment,
+        **fields,
     )
-    written.append(summary_path)
-    return written
+
+
+def emit_results(table: str, summary: dict, scenario_file: Path, out_dir: Path) -> List[Path]:
+    """Write <stem>_<experiment>.csv and <stem>_summary.json; returns their paths."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    table_path = out_dir / f"{scenario_file.stem}_{summary['experiment']}.csv"
+    table_path.write_text(table, encoding="utf-8")
+    summary_path = out_dir / f"{scenario_file.stem}_summary.json"
+    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return [table_path, summary_path]
 
 
 def _apply_trajectory_overrides(scenario: Scenario, args) -> Scenario:
@@ -205,18 +142,29 @@ def _apply_trajectory_overrides(scenario: Scenario, args) -> Scenario:
 def _cmd_trajopt(args) -> int:
     scenario_file = Path(args.scenario)
     scenario, scenario_bytes = _read_scenario(scenario_file)
-    if isinstance(scenario.experiment, TrajectoryExperiment):
-        scenario = _apply_trajectory_overrides(scenario, args)
+    if not isinstance(scenario.experiment, TrajectoryExperiment):
+        raise ExperimentMismatchError(
+            "scenario holds a deployment experiment; use the deploy subcommand"
+        )
+    scenario = _apply_trajectory_overrides(scenario, args)
+    from .trajectory import min_time_mission  # numpy and scipy load only here
+
     started = time.perf_counter()
-    result = run_trajectory(scenario)
-    wall = time.perf_counter() - started
-    bundle = ResultBundle(
-        scenario_digest=scenario_digest(scenario_bytes),
-        tool_version=__version__,
-        wall_time=wall,
-        result=result,
+    result = min_time_mission(scenario)
+    summary = _summary(
+        scenario_bytes,
+        time.perf_counter() - started,
+        "trajectory",
+        mission_time_s=result.mission_time,
+        achieved_min_rate_bps_hz=result.achieved_min_rate,
+        rate_target_bps_hz=result.rate_target,
+        converged=result.converged,
+        iterations=result.iterations,
+        per_node_rates_bps_hz={
+            nid: float(r) for nid, r in zip(result.node_ids, result.per_node_rates)
+        },
     )
-    written = emit_results(bundle, scenario_file, Path(args.out))
+    written = emit_results(trajectory_table(result), summary, scenario_file, Path(args.out))
     if not args.quiet:
         status = "converged" if result.converged else "INFEASIBLE within max_time"
         print(
@@ -232,19 +180,33 @@ def _cmd_trajopt(args) -> int:
 def _cmd_deploy(args) -> int:
     scenario_file = Path(args.scenario)
     scenario, scenario_bytes = _read_scenario(scenario_file)
-    strategies = None
+    if not isinstance(scenario.experiment, DeploymentExperiment):
+        raise ExperimentMismatchError(
+            "scenario holds a trajectory experiment; use the trajopt subcommand"
+        )
+    strategies = scenario.experiment.strategies
     if args.strategies != "all":
-        strategies = [DeploymentStrategy(args.strategies)]
+        strategies = (DeploymentStrategy(args.strategies),)
     started = time.perf_counter()
-    results = run_deployment(scenario, strategies)
-    wall = time.perf_counter() - started
-    bundle = ResultBundle(
-        scenario_digest=scenario_digest(scenario_bytes),
-        tool_version=__version__,
-        wall_time=wall,
-        result=results,
+    results = [evaluate_strategy(scenario, s) for s in strategies]
+    summary = _summary(
+        scenario_bytes,
+        time.perf_counter() - started,
+        "deployment",
+        strategies={
+            res.strategy.value: {
+                "n_aerial": res.plan.aerial_elements,
+                "n_terrestrial": res.plan.terrestrial_elements,
+                "altitude_m": res.plan.uirs_altitude,
+                "per_user_rates_bps_hz": {
+                    uid: r for uid, r in zip(res.user_ids, res.per_user_rates)
+                },
+                "min_rate_bps_hz": res.min_rate,
+            }
+            for res in results
+        },
     )
-    written = emit_results(bundle, scenario_file, Path(args.out))
+    written = emit_results(deployment_table(results), summary, scenario_file, Path(args.out))
     if not args.quiet:
         for res in results:
             print(

@@ -86,8 +86,7 @@ def _leg_amplitude(
     scenario: "Scenario", a_id: str, a_pos, b_id: str, b_pos, aerial_altitude: float
 ) -> float:
     """Amplitude gain of the leg between two Position3Ds in its resolved state, 0 if blocked."""
-    rule = scenario.link_rules.rule_for(a_id, b_id)
-    state = resolve_link_state((a_id, b_id), aerial_altitude, rule)
+    state = resolve_link_state(scenario.link_rules, a_id, b_id, aerial_altitude)
     if state is LinkState.BLOCKED:
         return 0.0
     return leg_amplitude(a_pos.distance_to(b_pos), _state_model(scenario, state), scenario.radio)
@@ -145,8 +144,7 @@ def _check_plan(scenario: "Scenario", plan: DeploymentPlan) -> None:
                     f"user {uid!r} is outside the terrestrial surface's coverage"
                 )
         elif sid == aerial.id:
-            rule = scenario.link_rules.rule_for(aerial.id, uid)
-            state = resolve_link_state((aerial.id, uid), plan.uirs_altitude, rule)
+            state = resolve_link_state(scenario.link_rules, aerial.id, uid, plan.uirs_altitude)
             if state is not LinkState.LOS:
                 raise ConfigurationError(
                     f"user {uid!r} has no LoS to the aerial surface at "
@@ -209,7 +207,7 @@ class _HybridSweep(NamedTuple):
         )
 
 
-def _hybrid_sweep(scenario: "Scenario", n_budget: Optional[int]) -> _HybridSweep:
+def _hybrid_sweep(scenario: "Scenario") -> _HybridSweep:
     """Altitude, assignment and rates of every element split at once.
 
     Users without terrestrial coverage go to the aerial surface when LoS is
@@ -225,10 +223,7 @@ def _hybrid_sweep(scenario: "Scenario", n_budget: Optional[int]) -> _HybridSweep
     bit-identical to `user_rate` on the same plan; numpy's array logarithm and
     `**` need not round as the scalar ones do.
     """
-    if n_budget is None:
-        n_budget = scenario.experiment.n_budget
-    if n_budget < 0:
-        raise ValueError("element budget must be >= 0")
+    n_budget = scenario.experiment.n_budget
     aerial, terrestrial = _deployment_surfaces(scenario)
     users = scenario.user_nodes()
     num_users = len(users)
@@ -294,12 +289,8 @@ def _evaluate_plan(
     )
 
 
-def evaluate_strategy(
-    scenario: "Scenario",
-    strategy: DeploymentStrategy,
-    n_budget: Optional[int] = None,
-) -> DeploymentResult:
-    """Evaluate one deployment strategy for a given element budget.
+def evaluate_strategy(scenario: "Scenario", strategy: DeploymentStrategy) -> DeploymentResult:
+    """Evaluate one deployment strategy for the experiment's element budget.
 
     USER_SIDE puts the whole budget on the terrestrial surface (uncovered
     users stay unserved); BS_SIDE puts it on the aerial surface at the lowest
@@ -308,13 +299,10 @@ def evaluate_strategy(
     """
     if not isinstance(strategy, DeploymentStrategy):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if n_budget is None:
-        n_budget = scenario.experiment.n_budget
-    if n_budget < 0:
-        raise ValueError("element budget must be >= 0")
     if strategy is DeploymentStrategy.HYBRID:
-        return exhaustive_allocate(scenario, n_budget)
+        return exhaustive_allocate(scenario)
 
+    n_budget = scenario.experiment.n_budget
     aerial, terrestrial = _deployment_surfaces(scenario)
     users = scenario.user_nodes()
     if strategy is DeploymentStrategy.USER_SIDE:
@@ -338,13 +326,13 @@ def evaluate_strategy(
     return _evaluate_plan(scenario, plan, strategy)
 
 
-def allocation_sweep(scenario: "Scenario", n_budget: Optional[int] = None):
+def allocation_sweep(scenario: "Scenario"):
     """All element splits in order: hybrid rule applied at each n_aerial.
 
-    Returns one DeploymentResult per n_aerial in 0..n_budget; useful for
-    plotting rate-vs-allocation curves.
+    Returns one DeploymentResult per n_aerial in 0..experiment.n_budget;
+    useful for plotting rate-vs-allocation curves.
     """
-    sweep = _hybrid_sweep(scenario, n_budget)
+    sweep = _hybrid_sweep(scenario)
     return [
         DeploymentResult(
             plan=sweep.plan(n_aerial),
@@ -357,14 +345,14 @@ def allocation_sweep(scenario: "Scenario", n_budget: Optional[int] = None):
     ]
 
 
-def exhaustive_allocate(scenario: "Scenario", n_budget: Optional[int] = None) -> DeploymentResult:
+def exhaustive_allocate(scenario: "Scenario") -> DeploymentResult:
     """Best element split by enumerating every (n_aerial, n_terrestrial) pair.
 
     Each split gets the hybrid altitude/assignment rule; the split with the
     highest min rate wins, ties to the smallest aerial count. The winner is
     re-evaluated and checked through `user_rate`.
     """
-    sweep = _hybrid_sweep(scenario, n_budget)
+    sweep = _hybrid_sweep(scenario)
     minima = [min(rates) for rates in zip(*sweep.rates)]
     best = minima.index(max(minima))  # first maximum
     return _evaluate_plan(scenario, sweep.plan(best), DeploymentStrategy.HYBRID)

@@ -88,6 +88,10 @@ class TrajectoryExperiment:
     rate_target: float
     max_time: float = DEFAULT_MAX_TIME
 
+    def __post_init__(self):
+        if not (self.rate_target > 0):  # also rejects NaN
+            raise ValueError(f"rate_target must be > 0, got {self.rate_target!r}")
+
 
 @dataclass(frozen=True)
 class DeploymentExperiment:
@@ -97,6 +101,10 @@ class DeploymentExperiment:
         DeploymentStrategy.BS_SIDE,
         DeploymentStrategy.HYBRID,
     )
+
+    def __post_init__(self):
+        if not (isinstance(self.n_budget, int) and self.n_budget >= 0):
+            raise ValueError(f"n_budget must be an integer >= 0, got {self.n_budget!r}")
 
 
 Experiment = Union[TrajectoryExperiment, DeploymentExperiment]
@@ -155,11 +163,7 @@ class Scenario:
     def _surface_covers(self, surface: IrsSurface, node: Node) -> bool:
         state = None
         if surface.kind is SurfaceKind.AERIAL_MOUNTED:
-            state = resolve_link_state(
-                (surface.id, node.id),
-                surface.position.z,
-                self.link_rules.rule_for(surface.id, node.id),
-            )
+            state = resolve_link_state(self.link_rules, surface.id, node.id, surface.position.z)
         return covers(surface, node.position, link_state=state, node_id=node.id)
 
     def with_experiment(self, experiment: Experiment) -> "Scenario":
@@ -195,7 +199,7 @@ def _fail(field: str, message: str):
 def _check_keys(mapping: dict, allowed: set, where: str) -> None:
     unknown = set(mapping) - allowed
     if unknown:
-        name = sorted(unknown)[0]
+        name = sorted(unknown, key=str)[0]  # YAML keys need not all be strings
         _fail(f"{where}{name}", "unknown key")
 
 
@@ -226,6 +230,12 @@ def _as_int(value, field: str) -> int:
     return value
 
 
+def _as_choice(value, choices: dict, field: str):
+    if not (isinstance(value, str) and value in choices):  # a list is no dict key
+        _fail(field, f"expected one of {sorted(choices)}, got {value!r}")
+    return choices[value]
+
+
 def _as_position(value, field: str) -> Position3D:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         _fail(field, f"expected [x, y, z], got {value!r}")
@@ -253,11 +263,9 @@ def _parse_node(entry, where: str) -> Node:
         _fail(where, "node entries must be mappings")
     _check_keys(entry, {"id", "role", "position"}, f"{where}.")
     node_id = _as_str(_require(entry, "id", f"{where}."), f"{where}.id")
-    role_raw = _as_str(_require(entry, "role", f"{where}."), f"{where}.role")
-    if role_raw not in _ROLES:
-        _fail(f"{where}.role", f"expected one of {sorted(_ROLES)}, got {role_raw!r}")
+    role = _as_choice(_require(entry, "role", f"{where}."), _ROLES, f"{where}.role")
     position = _as_position(_require(entry, "position", f"{where}."), f"{where}.position")
-    return Node(node_id, _ROLES[role_raw], position)
+    return Node(node_id, role, position)
 
 
 def _parse_surface(entry, where: str) -> IrsSurface:
@@ -274,10 +282,7 @@ def _parse_surface(entry, where: str) -> IrsSurface:
     }
     _check_keys(entry, allowed, f"{where}.")
     surf_id = _as_str(_require(entry, "id", f"{where}."), f"{where}.id")
-    kind_raw = _as_str(_require(entry, "kind", f"{where}."), f"{where}.kind")
-    if kind_raw not in _KINDS:
-        _fail(f"{where}.kind", f"expected one of {sorted(_KINDS)}, got {kind_raw!r}")
-    kind = _KINDS[kind_raw]
+    kind = _as_choice(_require(entry, "kind", f"{where}."), _KINDS, f"{where}.kind")
     position = _as_position(_require(entry, "position", f"{where}."), f"{where}.position")
     num_elements = _as_int(entry.get("num_elements", 0), f"{where}.num_elements")
     if num_elements < 0:
@@ -331,11 +336,9 @@ def _parse_rule(entry, where: str) -> LinkStateRule:
     )
     if threshold < 0:
         _fail(f"{where}.min_altitude_for_los", "must be >= 0")
-    fallback_raw = entry.get("fallback", "nlos")
-    if fallback_raw not in _FALLBACKS:
-        _fail(f"{where}.fallback", f"expected one of {sorted(_FALLBACKS)}, got {fallback_raw!r}")
+    fallback = _as_choice(entry.get("fallback", "nlos"), _FALLBACKS, f"{where}.fallback")
     try:
-        return LinkStateRule(endpoints, threshold, _FALLBACKS[fallback_raw])
+        return LinkStateRule(endpoints, threshold, fallback)
     except ValueError as exc:
         _fail(where, str(exc))
 
@@ -412,14 +415,9 @@ def _parse_experiment(entry, where: str) -> Experiment:
             raw = ["user", "bs", "hybrid"]
         if not isinstance(raw, list) or not raw:
             _fail(f"{where}.strategies", f"expected a non-empty list, got {raw!r}")
-        strategies = []
-        for i, s in enumerate(raw):
-            if s not in _STRATEGIES:
-                _fail(
-                    f"{where}.strategies[{i}]",
-                    f"expected one of {sorted(_STRATEGIES)}, got {s!r}",
-                )
-            strategies.append(_STRATEGIES[s])
+        strategies = [
+            _as_choice(s, _STRATEGIES, f"{where}.strategies[{i}]") for i, s in enumerate(raw)
+        ]
         if len(set(strategies)) != len(strategies):
             _fail(f"{where}.strategies", "strategies must be unique")
         return DeploymentExperiment(n_budget, tuple(strategies))

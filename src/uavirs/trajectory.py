@@ -31,7 +31,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -188,7 +188,8 @@ class _RateEvaluator:
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        constraints = scenario.experiment.constraints
+        altitude = scenario.experiment.constraints.fixed_altitude
+        rules = scenario.link_rules
         self.radio = scenario.radio
         self.nodes = scenario.sensor_nodes()
         if not self.nodes:
@@ -207,25 +208,14 @@ class _RateEvaluator:
         surf_index = {}
 
         for i, node in enumerate(self.nodes):
-            rule = scenario.link_rules.rule_for(uav.id, node.id)
-            state = resolve_link_state(
-                (uav.id, node.id), constraints.fixed_altitude, rule
-            )
+            state = resolve_link_state(rules, uav.id, node.id, altitude)
             self._direct_blocked[i] = state is LinkState.BLOCKED
 
             surface = scenario.covering_surface(node.id)
             if surface is None or surface.num_elements == 0:
                 continue
-            leg_up = resolve_link_state(
-                (uav.id, surface.id),
-                constraints.fixed_altitude,
-                scenario.link_rules.rule_for(uav.id, surface.id),
-            )
-            leg_down = resolve_link_state(
-                (surface.id, node.id),
-                surface.position.z,
-                scenario.link_rules.rule_for(surface.id, node.id),
-            )
+            leg_up = resolve_link_state(rules, uav.id, surface.id, altitude)
+            leg_down = resolve_link_state(rules, surface.id, node.id, surface.position.z)
             if leg_up is LinkState.BLOCKED or leg_down is LinkState.BLOCKED:
                 continue
             if surface.id not in surf_index:
@@ -734,15 +724,11 @@ def _solve_fixed_time(
     return _InnerSolution(traj, sched, value, history)
 
 
-def min_time_mission(
-    scenario: Scenario,
-    constraints: Optional[TrajectoryConstraints] = None,
-    rate_target: Optional[float] = None,
-    *,
-    max_time: Optional[float] = None,
-) -> MissionResult:
-    """Shortest discretized mission meeting a per-node average-rate target.
+def min_time_mission(scenario: Scenario) -> MissionResult:
+    """Shortest discretized mission meeting the experiment's per-node rate target.
 
+    Everything comes from scenario.experiment (constraints, rate_target,
+    max_time); solve another variant with scenario.with_experiment(replace(...)).
     Bisects the mission duration over multiples of the slot length, scoring
     each candidate with the inner block-coordinate descent (warm-started from
     the previously evaluated duration). The descent at one duration stops
@@ -753,22 +739,10 @@ def min_time_mission(
     converged=False.
     """
     exp = scenario.experiment
-    if constraints is not None or rate_target is not None or max_time is not None:
-        exp = replace(
-            exp,
-            constraints=constraints if constraints is not None else exp.constraints,
-            rate_target=rate_target if rate_target is not None else exp.rate_target,
-            max_time=max_time if max_time is not None else exp.max_time,
-        )
-        scenario = scenario.with_experiment(exp)
     constraints = exp.constraints
     rate_target = exp.rate_target
-    max_time = exp.max_time
-    if not (rate_target > 0):
-        raise ValueError("rate_target must be > 0")
-
     delta = constraints.slot_duration
-    m_min, m_max = constraints.slot_range(max_time)
+    m_min, m_max = constraints.slot_range(exp.max_time)
 
     ev = _RateEvaluator(scenario)
     probes: List[CandidateProbe] = []

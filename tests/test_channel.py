@@ -112,35 +112,33 @@ class TestPathGain:
             assert path_gain(d, los, RADIO) > path_gain(d, nlos, RADIO)
 
 
+def one_rule(*args):
+    return LinkRuleSet([LinkStateRule(*args)])
+
+
 class TestResolveLinkState:
     def test_at_threshold_is_los(self):
-        rule = LinkStateRule(("uirs", "user2"), 50.0, LinkState.NLOS)
-        assert resolve_link_state(("uirs", "user2"), 50.0, rule) is LinkState.LOS
+        rules = one_rule(("uirs", "user2"), 50.0, LinkState.NLOS)
+        assert resolve_link_state(rules, "uirs", "user2", 50.0) is LinkState.LOS
 
     def test_below_threshold_falls_back(self):
-        rule = LinkStateRule(("uirs", "user2"), 50.0, LinkState.NLOS)
-        assert resolve_link_state(("uirs", "user2"), 30.0, rule) is LinkState.NLOS
+        rules = one_rule(("uirs", "user2"), 50.0, LinkState.NLOS)
+        assert resolve_link_state(rules, "uirs", "user2", 30.0) is LinkState.NLOS
 
     def test_zero_threshold_always_los(self):
-        rule = LinkStateRule(("a", "b"))
-        assert resolve_link_state(("a", "b"), 0.0, rule) is LinkState.LOS
+        rules = one_rule(("a", "b"))
+        assert resolve_link_state(rules, "a", "b", 0.0) is LinkState.LOS
+        # a pair without a rule takes the default zero threshold
+        assert resolve_link_state(rules, "a", "c", 0.0) is LinkState.LOS
 
     def test_blocked_fallback(self):
-        rule = LinkStateRule(("bs", "user1"), math.inf, LinkState.BLOCKED)
-        assert resolve_link_state(("bs", "user1"), 1e6, rule) is LinkState.BLOCKED
-
-    def test_missing_rule_is_an_error(self):
-        with pytest.raises(ConfigurationError):
-            resolve_link_state(("a", "b"), 10.0, None)
-
-    def test_mismatched_rule_is_an_error(self):
-        rule = LinkStateRule(("a", "b"), 10.0)
-        with pytest.raises(ConfigurationError):
-            resolve_link_state(("a", "c"), 10.0, rule)
+        rules = one_rule(("bs", "user1"), math.inf, LinkState.BLOCKED)
+        assert resolve_link_state(rules, "bs", "user1", 1e6) is LinkState.BLOCKED
 
     def test_pair_order_does_not_matter(self):
-        rule = LinkStateRule(("b", "a"), 20.0)
-        assert resolve_link_state(("a", "b"), 25.0, rule) is LinkState.LOS
+        rules = one_rule(("b", "a"), 20.0)
+        assert resolve_link_state(rules, "a", "b", 25.0) is LinkState.LOS
+        assert resolve_link_state(rules, "a", "b", 15.0) is LinkState.NLOS
 
     def test_nan_threshold_rejected(self):
         with pytest.raises(ValueError, match="min_altitude_for_los"):
@@ -152,8 +150,8 @@ class TestResolveLinkState:
 
     @given(altitude=st.floats(0.0, 200.0))
     def test_single_transition_at_threshold(self, altitude):
-        rule = LinkStateRule(("x", "y"), 75.0, LinkState.NLOS)
-        state = resolve_link_state(("x", "y"), altitude, rule)
+        rules = one_rule(("x", "y"), 75.0, LinkState.NLOS)
+        state = resolve_link_state(rules, "x", "y", altitude)
         assert state is (LinkState.LOS if altitude >= 75.0 else LinkState.NLOS)
 
 

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import subprocess
 import sys
@@ -7,7 +8,6 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from uavirs import cli
 from uavirs.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from uavirs.scenario import load_scenario, scenario_digest, scenario_path
 from uavirs.trajectory import Trajectory, per_slot_rates
@@ -229,22 +229,28 @@ class TestDeploy:
 
 class TestDigest:
     @pytest.mark.parametrize(
-        "command, runner", [("trajopt", "run_trajectory"), ("deploy", "run_deployment")]
+        "command, solver",
+        [
+            ("trajopt", "uavirs.trajectory.min_time_mission"),
+            ("deploy", "uavirs.cli.evaluate_strategy"),
+        ],
+        ids=["trajopt-min_time_mission", "deploy-evaluate_strategy"],
     )
-    def test_digest_is_of_the_bytes_that_ran(self, command, runner, quick_file, tmp_path):
+    def test_digest_is_of_the_bytes_that_ran(self, command, solver, quick_file, tmp_path):
         source = quick_file
         if command == "deploy":
             source = tmp_path / "fig5.scenario"
             source.write_bytes(scenario_path("fig5").read_bytes())
         ran = source.read_bytes()
-        solve = getattr(cli, runner)
+        module, name = solver.rsplit(".", 1)
+        solve = getattr(importlib.import_module(module), name)
 
         def edit_then_solve(scenario, *args):
             source.write_bytes(ran + b"# edited during the run\n")
             return solve(scenario, *args)
 
         out = tmp_path / "out"
-        with mock.patch.object(cli, runner, edit_then_solve):
+        with mock.patch(solver, edit_then_solve):
             assert main([command, str(source), "--out", str(out), "--quiet"]) == EXIT_OK
         summary = json.loads((out / f"{source.stem}_summary.json").read_text())
         assert summary["scenario_digest"] == scenario_digest(ran)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -63,6 +64,10 @@ def make_deploy_scenario(
         link_rules=LinkRuleSet(rules),
         experiment=DeploymentExperiment(n_budget),
     )
+
+
+def with_budget(scenario, n_budget):
+    return scenario.with_experiment(replace(scenario.experiment, n_budget=n_budget))
 
 
 def blocked(a, b):
@@ -414,7 +419,7 @@ class TestHybridSweep:
     def test_matches_scalar_rates_and_oracle_on_fig5(self, fig5):
         rate = oracle_rate(fig5)
         for n_budget in [*range(81), 150, 600, 1200]:
-            sweep = allocation_sweep(fig5, n_budget)
+            sweep = allocation_sweep(with_budget(fig5, n_budget))
             assert [r.plan.aerial_elements for r in sweep] == list(range(n_budget + 1))
             for res in sweep:
                 n_air = res.plan.aerial_elements
@@ -504,10 +509,11 @@ class TestHybridSweep:
         assert res.plan.uirs_altitude == 45.0
 
     def test_zero_budget_is_one_empty_split(self, fig5):
-        (res,) = allocation_sweep(fig5, 0)
+        empty = with_budget(fig5, 0)
+        (res,) = allocation_sweep(empty)
         assert res.plan == DeploymentPlan(0, 0, 0.0, (("user1", None), ("user2", "tirs")))
         assert res.per_user_rates == (0.0, 0.0)  # both direct links are blocked
-        best = exhaustive_allocate(fig5, 0)
+        best = exhaustive_allocate(empty)
         assert best.plan == res.plan
         assert best.min_rate == 0.0
 
@@ -543,8 +549,16 @@ class TestHybridSweep:
 
     @pytest.mark.parametrize("search", [allocation_sweep, exhaustive_allocate])
     def test_negative_budget_rejected(self, fig5, search):
-        with pytest.raises(ValueError):
-            search(fig5, -1)
+        # the budget is checked where the experiment is built, so no search
+        # ever runs on a negative one
+        with pytest.raises(ValueError, match="n_budget must be an integer >= 0"):
+            search(with_budget(fig5, -1))
+
+    @pytest.mark.parametrize("n_budget", [-1, 2.5, math.nan, 600.0])
+    def test_bad_budget_rejected(self, n_budget):
+        # the same check DeploymentPlan makes of its element counts: an int >= 0
+        with pytest.raises(ValueError, match="n_budget must be an integer >= 0"):
+            DeploymentExperiment(n_budget)
 
 
 class TestPlanValidation:

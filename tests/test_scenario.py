@@ -190,6 +190,26 @@ experiment: {kind: deployment, n_budget: -1}
         with pytest.raises(ScenarioError, match="cannot read"):
             load_scenario(tmp_path)
 
+    def test_list_fallback_names_the_field(self):
+        text = scenario_path("fig5").read_text().replace("fallback: nlos", "fallback: [nlos]", 1)
+        with pytest.raises(ScenarioError, match="expected one of") as info:
+            loads_scenario(text)
+        assert info.value.field == "link_state_rules[0].fallback"
+
+    def test_list_strategy_names_the_field(self):
+        text = scenario_path("fig5").read_text().replace(
+            "strategies: [user, bs, hybrid]", "strategies: [[user], bs]"
+        )
+        with pytest.raises(ScenarioError, match="expected one of") as info:
+            loads_scenario(text)
+        assert info.value.field == "experiment.strategies[0]"
+
+    def test_non_string_unknown_key_names_the_field(self):
+        text = scenario_path("fig5").read_text() + "1: one\nwibble: 3\n"
+        with pytest.raises(ScenarioError, match="unknown key") as info:
+            loads_scenario(text)
+        assert info.value.field == "1"
+
     def test_crlf_file_loads_like_lf(self, tmp_path):
         path = tmp_path / "crlf.scenario"
         path.write_bytes(scenario_path("fig5").read_bytes().replace(b"\n", b"\r\n"))

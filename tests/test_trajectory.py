@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -480,7 +481,8 @@ class TestImproveTrajectory:
 
 
 def solve_recorded(name, **overrides):
-    """Solve a shipped scenario, counting LPs and projections and recording every step.
+    """Solve a shipped scenario, with its experiment's fields replaced by overrides,
+    counting LPs and projections and recording every step.
 
     Each step is (input trajectory, schedule, rate evaluator, output trajectory).
     """
@@ -492,10 +494,11 @@ def solve_recorded(name, **overrides):
         return out
 
     scn = load_scenario(scenario_path(name))
+    scn = scn.with_experiment(replace(scn.experiment, **overrides))
     with mock.patch("uavirs.trajectory.linprog", wraps=linprog) as lp, mock.patch(
         "uavirs.trajectory._project_speed", wraps=_project_speed
     ) as ps, mock.patch("uavirs.trajectory.improve_trajectory", side_effect=step):
-        res = min_time_mission(scn, **overrides)
+        res = min_time_mission(scn)
     return res, lp.call_count, ps.call_count, steps
 
 
@@ -583,9 +586,10 @@ class TestMinTimeMission:
         assert res.mission_time == pytest.approx(2.0)
 
     def test_invalid_target_rejected(self):
-        scn = make_scenario([("sn1", (50.0, 0.0, 0.0))])
-        with pytest.raises(ValueError):
-            min_time_mission(scn, rate_target=0.0)
+        constraints = make_scenario([("sn1", (50.0, 0.0, 0.0))]).experiment.constraints
+        for target in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="rate_target must be > 0"):
+                TrajectoryExperiment(constraints, target)
 
     def test_infeasible_target_reports_best(self):
         scn = make_scenario([("sn1", (50.0, 500.0, 0.0))], rate_target=5.0, max_time=4.0)
