@@ -122,7 +122,10 @@ def _apply_trajectory_overrides(scenario: Scenario, args) -> Scenario:
     exp = scenario.experiment
     constraints = exp.constraints
     if args.slot_duration is not None:
-        constraints = replace(constraints, slot_duration=args.slot_duration)
+        try:
+            constraints = replace(constraints, slot_duration=args.slot_duration)
+        except ValueError as exc:
+            raise ScenarioError(str(exc), field="--slot-duration") from exc
     max_time = args.max_time if args.max_time is not None else exp.max_time
     try:
         constraints.slot_range(max_time)

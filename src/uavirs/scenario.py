@@ -9,7 +9,6 @@ design ledger are applied at load time and echoed into the loaded object.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -33,6 +32,16 @@ from .deployment import DeploymentStrategy
 from .errors import ConfigurationError, ScenarioError
 from .irs import IrsSurface, SurfaceKind, covers
 
+# CPython's built-in SHA-256: hashlib's would map OpenSSL's libcrypto for one
+# digest per run. hashlib only for builds without the built-in module.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 # libyaml's loader when PyYAML was built with it (about 8x faster). Both share
 # SafeConstructor and Resolver, so they build the same documents; libyaml words
 # parse errors differently and marks the end of the text on the line after it.
@@ -42,9 +51,18 @@ DEFAULT_SLOT_DURATION = 0.1
 DEFAULT_MAX_TIME = 60.0
 
 
+class _StepOutOfRange(ValueError):
+    """v_max * slot_duration is a step the speed projection cannot square."""
+
+
 @dataclass(frozen=True)
 class TrajectoryConstraints:
-    """Endpoint, altitude, speed and slot-length limits for one mission."""
+    """Endpoint, altitude, speed and slot-length limits for one mission.
+
+    The largest step, max_step = v_max * slot_duration, must have a finite,
+    non-zero float square: the speed projection works in squared lengths,
+    and beyond that range its slack overflows or rounds to zero.
+    """
 
     start: Position3D
     end: Position3D
@@ -57,6 +75,11 @@ class TrajectoryConstraints:
             raise ValueError("v_max must be > 0")
         if not (self.slot_duration > 0):
             raise ValueError("slot_duration must be > 0")
+        if not (0.0 < self.max_step * self.max_step < math.inf):
+            raise _StepOutOfRange(
+                f"v_max * slot_duration = {self.max_step!r} m is out of range: "
+                "its square must be a finite float > 0"
+            )
         if self.start.z != self.fixed_altitude or self.end.z != self.fixed_altitude:
             raise ValueError("start and end must lie at the fixed altitude")
 
@@ -177,9 +200,13 @@ class Scenario:
 
 
 def scenario_digest(text: Union[str, bytes]) -> str:
-    """Content hash (sha256 hex) of a scenario file's bytes."""
+    """Content hash (sha256 hex) of a scenario file's bytes; str is hashed as UTF-8.
+
+    Computed with CPython's built-in SHA-256, the same hex digest as
+    hashlib.sha256, without loading OpenSSL.
+    """
     data = text.encode("utf-8") if isinstance(text, str) else text
-    return hashlib.sha256(data).hexdigest()
+    return _sha256(data).hexdigest()
 
 
 def scenario_path(name: str) -> Path:
@@ -398,6 +425,8 @@ def _parse_experiment(entry, where: str) -> Experiment:
             _fail(f"{where}.rate_target", "must be > 0")
         try:
             constraints = TrajectoryConstraints(start, end, altitude, v_max, slot)
+        except _StepOutOfRange as exc:  # slot_duration has a default; v_max does not
+            _fail(f"{where}.v_max", str(exc))
         except ValueError as exc:
             _fail(where, str(exc))
         try:

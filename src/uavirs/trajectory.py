@@ -22,7 +22,11 @@ construction, and every trajectory ever returned is speed-feasible.
 Of scipy, the solver loads only the HiGHS core and LAPACK's _flapack, from
 their files: importing scipy.optimize and scipy.linalg (sparse, special, fft
 and more) costs a short mission more time and memory than its solve. They are
-the module objects scipy's own imports give, whichever loads first.
+the module objects scipy's own imports give, whichever loads first. The HiGHS
+core loads with this module. _flapack, which maps scipy's own OpenBLAS, loads
+on the first interior-point solve of the speed projection, when dpbtrf or
+dpbtrs is first read from this module (__getattr__): a mission whose speed
+budget has no slack never makes one.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -61,8 +66,16 @@ def _compiled(package, name):
 
 
 highs = _compiled("scipy.optimize._highspy", "_core")
-_flapack = _compiled("scipy.linalg", "_flapack")
-dpbtrf, dpbtrs = _flapack.dpbtrf, _flapack.dpbtrs
+
+
+def __getattr__(name):
+    """Bind LAPACK's dpbtrf and dpbtrs from _flapack on first use (PEP 562)."""
+    if name not in ("dpbtrf", "dpbtrs"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    flapack = _compiled("scipy.linalg", "_flapack")
+    globals().update(dpbtrf=flapack.dpbtrf, dpbtrs=flapack.dpbtrs)
+    return globals()[name]
+
 
 SPEED_SLACK = 1e-9  # tolerance on ||waypoint step|| <= v_max * slot_duration
 # Trajectory step: softmin temperature (bps/Hz), line-search shrink factor and
@@ -80,6 +93,9 @@ _IPM_TOL = 1e-10
 _IPM_SLACK_FLOOR = 1e-13
 _IPM_REACH = 0.99
 _IPM_MAX_STEPS = 50
+# Halvings of a step length in (0, 1] after which it is 0 and keeps the
+# strictly feasible path; only a non-finite slack or step gets past them.
+_IPM_MAX_HALVINGS = 1075
 # The HiGHS options scipy's linprog(method="highs") sets with its defaults.
 _HIGHS_OPTIONS = highs.HighsOptions()
 _HIGHS_OPTIONS.presolve = "on"
@@ -468,7 +484,8 @@ def _interior_point_chain(xy: np.ndarray, line: np.ndarray, max_step: float) -> 
     _IPM_SLACK_FLOOR * L^2, plus the second-order term. A chain stops once
     its stationarity residual is below _IPM_TOL * L and each of its segments
     has slack below _IPM_TOL * L^2 or multiplier below _IPM_TOL, or after
-    _IPM_MAX_STEPS.
+    _IPM_MAX_STEPS. A step that no halving brings inside the bound (a
+    non-finite slack) raises RuntimeError.
 
     The chains are solved together but each on its own: per-chain arrays
     have shape (B, M), one banded matrix holds their Newton systems end to
@@ -479,6 +496,7 @@ def _interior_point_chain(xy: np.ndarray, line: np.ndarray, max_step: float) -> 
     chain, and sigma * mu is Python float arithmetic, because numpy's array
     power rounds differently.
     """
+    lapack = sys.modules[__name__]  # dpbtrf and dpbtrs bind on first read
     m = xy.shape[1] - 1
     width = 2 * (m - 1)  # unknowns per chain in the band
     target = xy[:, 1:-1, 0] + 1j * xy[:, 1:-1, 1]
@@ -506,10 +524,10 @@ def _interior_point_chain(xy: np.ndarray, line: np.ndarray, max_step: float) -> 
                 cross = ratio * seg.real * seg.imag
                 band = np.zeros((4, live.size, width))  # chains' first columns stay uncoupled
                 band[3] = 1.0 + (diag[:, :-1] + diag[:, 1:]).reshape(-1, width)
-                band[1, :, 2:] = -diag[:, 1:-1].reshape(-1, width - 2)
+                band[1, :, 2:] = -diag[:, 1:-1].reshape(live.size, width - 2)
                 band[2, :, 1::2] = cross[:, :-1] + cross[:, 1:]
                 band[2, :, 2::2] = band[0, :, 3::2] = -cross[:, 1:-1]
-                chol, info = dpbtrf(band.reshape(4, -1))
+                chol, info = lapack.dpbtrf(band.reshape(4, -1))
                 if info:  # H is SPD; only rounding at a degenerate optimum gets here
                     gone = np.arange(live.size) == (info - 1) // width
             if gone.any():
@@ -524,7 +542,7 @@ def _interior_point_chain(xy: np.ndarray, line: np.ndarray, max_step: float) -> 
 
             def direction(rhs, q):
                 """b = s . ds (the linearized slack falls by b), dlam, a = ||ds||^2."""
-                solved = dpbtrs(chol, rhs.view(float).ravel())[0]
+                solved = lapack.dpbtrs(chol, rhs.view(float).ravel())[0]
                 step[:, 1:-1] = solved.view(complex).reshape(rhs.shape)
                 dseg = step[:, 1:] - step[:, :-1]
                 b = (conj_seg * dseg).real
@@ -540,7 +558,7 @@ def _interior_point_chain(xy: np.ndarray, line: np.ndarray, max_step: float) -> 
             b, dlam, a = direction(pull[:, 1:] - pull[:, :-1] - fit, q)  # corrector
             reach = np.maximum(_IPM_REACH, 1.0 - mu / area)
             alpha = _step_to_boundary(slack, b, a, lam, dlam, reach)
-            while True:
+            for _ in range(_IPM_MAX_HALVINGS + 1):
                 trial = path + alpha[:, None] * step
                 trial_seg = trial[:, 1:] - trial[:, :-1]
                 trial_slack = _slack(trial_seg, max_step)
@@ -548,6 +566,8 @@ def _interior_point_chain(xy: np.ndarray, line: np.ndarray, max_step: float) -> 
                 if not outside.any():
                     break
                 alpha[outside] *= 0.5
+            else:
+                raise RuntimeError("speed projection: no step keeps the path inside the bound")
             path, seg, slack = trial, trial_seg, trial_slack
             lam = lam + alpha[:, None] * dlam
             steps += 1

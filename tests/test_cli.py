@@ -151,6 +151,7 @@ class TestTrajopt:
             ("--slot-duration", "0"),
             ("--slot-duration", "nan"),
             ("--slot-duration", "20"),  # no whole slot fits the 10 s max_time
+            ("--slot-duration", "1e300"),  # v_max * slot_duration squares to inf
             ("--max-time", "-5"),
             ("--max-time", "inf"),
             ("--max-time", "0.5"),  # the straight 60 m flight takes 1.2 s
@@ -178,6 +179,16 @@ class TestTrajopt:
         assert (out1 / "quick_trajectory.csv").read_bytes() == (
             out2 / "quick_trajectory.csv"
         ).read_bytes()
+
+    def test_two_slot_mission_solves(self, tmp_path):
+        # At 800 m/s fig4's 150 m flight fits in two 0.1 s slots, and the
+        # line search projects two-slot paths.
+        source = tmp_path / "fast.scenario"
+        source.write_text(scenario_path("fig4").read_text().replace("v_max: 50.0", "v_max: 800.0"))
+        assert main(["trajopt", str(source), "--out", str(tmp_path / "out"), "--quiet"]) == EXIT_OK
+        summary = json.loads((tmp_path / "out" / "fast_summary.json").read_text())
+        assert summary["converged"] is True
+        assert summary["mission_time_s"] < 3.0  # fig4 at 50 m/s takes 3.0 s
 
 
 class TestDeploy:
@@ -277,3 +288,21 @@ class TestEntryPoint:
             env=package_env,
         )
         assert result.returncode == 2
+
+    def test_huge_v_max_is_a_usage_error(self, tmp_path, package_env):
+        # v_max * slot_duration = 1e307 m squares to inf; before it was
+        # rejected, the speed projection's step halving spun forever.
+        source = tmp_path / "huge.scenario"
+        source.write_text(
+            scenario_path("fig4").read_text().replace("v_max: 50.0", "v_max: 1.0e+308")
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "uavirs", "trajopt", str(source), "--out", "out", "--quiet"],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=package_env,
+            timeout=60,
+        )
+        assert result.returncode == EXIT_USAGE
+        assert "error: experiment.v_max:" in result.stderr

@@ -166,6 +166,13 @@ experiment: {kind: deployment, n_budget: -1}
         with pytest.raises(ScenarioError, match="v_max"):
             loads_scenario(bad)
 
+    @pytest.mark.parametrize("v_max", ["1.0e+308", "1.0e+160", "1.0e-170"])
+    def test_step_out_of_float_range_names_v_max(self, v_max):
+        text = MINIMAL_TRAJECTORY.replace("v_max: 50.0", f"v_max: {v_max}")
+        with pytest.raises(ScenarioError, match="out of range") as info:
+            loads_scenario(text)
+        assert info.value.field == "experiment.v_max"
+
     @pytest.mark.parametrize("max_time", ["0.5", "2.9", "-1.0"])
     def test_max_time_shorter_than_straight_flight_rejected(self, max_time):
         # fig4 flies 150 m at 50 m/s in 0.1 s slots: 30 slots, 3.0 s at least.

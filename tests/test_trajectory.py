@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from unittest import mock
 
@@ -336,6 +339,46 @@ class TestProjectSpeed:
         assert steps.max() <= max_step + SPEED_SLACK
         np.testing.assert_array_equal(out[[0, -1]], wp[[0, -1]])
         np.testing.assert_array_equal(out[:, 2], wp[:, 2])
+
+    def test_two_slot_path(self):
+        # One interior waypoint: the band has no off-diagonal 2x2 blocks.
+        wp = np.array([[0.0, 0.0, 30.0], [50.0, 40.0, 30.0], [100.0, 0.0, 30.0]])
+        out = _project_speed(wp, 60.0)
+        assert np.linalg.norm(np.diff(out, axis=0), axis=1).max() <= 60.0 + SPEED_SLACK
+        np.testing.assert_allclose(out[1], [50.0, math.sqrt(60.0**2 - 50.0**2), 30.0], rtol=1e-9)
+        np.testing.assert_array_equal(out[[0, -1]], wp[[0, -1]])
+
+    @settings(max_examples=20)
+    @given(chain=speed_chains(min_slack=0.05, max_slots=2))
+    def test_two_slot_chain_matches_dykstra(self, chain):
+        wp, max_step = chain
+        out = _project_speed(wp, max_step)
+        ref = dykstra_speed_projection(wp[:, :2], max_step)
+        assert np.abs(out[:, :2] - ref).max() <= 1e-6 * max_step
+
+    def test_non_finite_slack_raises(self, package_env, tmp_path):
+        # At max_step 1e160 the slack (L - l)(L + l) / 2 overflows, so no
+        # halving of the step brings a trial inside the bound. A child
+        # process with a timeout: the uncapped halving loop never ended.
+        code = """
+        import numpy as np
+        from uavirs.trajectory import _project_speed
+        wp = np.array([[0.0, 0.0, 30.0], [1.0, 2e160, 30.0], [2.0, 0.0, 30.0], [3.0, 0.0, 30.0]])
+        try:
+            _project_speed(wp, 1e160)
+        except RuntimeError as exc:
+            print(exc)
+        """
+        done = subprocess.run(
+            [sys.executable, "-W", "ignore", "-c", textwrap.dedent(code)],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=package_env,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "no step keeps the path inside the bound" in done.stdout
 
     @given(
         m=st.integers(1, 15),
@@ -693,6 +736,16 @@ class TestTypes:
             TrajectoryConstraints(
                 Position3D(0, 0, 30.0), Position3D(1, 0, 30.0), 30.0, 0.0, 0.1
             )
+
+    @pytest.mark.parametrize(
+        "v_max, slot", [(1e308, 0.1), (1e160, 0.1), (50.0, 1e300), (1e-170, 0.1)]
+    )
+    def test_step_whose_square_leaves_float_range_rejected(self, v_max, slot):
+        # The speed projection squares max_step; 1e154 m still squares finite.
+        start, end = Position3D(0, 0, 30.0), Position3D(1, 0, 30.0)
+        with pytest.raises(ValueError, match="v_max \\* slot_duration"):
+            TrajectoryConstraints(start, end, 30.0, v_max, slot)
+        assert TrajectoryConstraints(start, end, 30.0, 1e155, 0.1).max_step == 1e155 * 0.1
 
     def test_trajectory_shape_validation(self):
         with pytest.raises(ValueError):
