@@ -51,17 +51,24 @@ DEFAULT_SLOT_DURATION = 0.1
 DEFAULT_MAX_TIME = 60.0
 
 
+# Largest accepted v_max * slot_duration (m). The speed projection forms
+# products of four lengths (the square of s . ds in its step to the bound),
+# which overflow near 1e77 m; 1e70 m leaves room for steps 1e7 times longer.
+_MAX_STEP_LIMIT = 1e70
+
+
 class _StepOutOfRange(ValueError):
-    """v_max * slot_duration is a step the speed projection cannot square."""
+    """v_max * slot_duration is a step the speed projection cannot handle."""
 
 
 @dataclass(frozen=True)
 class TrajectoryConstraints:
     """Endpoint, altitude, speed and slot-length limits for one mission.
 
-    The largest step, max_step = v_max * slot_duration, must have a finite,
-    non-zero float square: the speed projection works in squared lengths,
-    and beyond that range its slack overflows or rounds to zero.
+    The largest step, max_step = v_max * slot_duration, must have a
+    non-zero float square and be at most _MAX_STEP_LIMIT: the speed
+    projection works in squared lengths and in products of four, and beyond
+    that range its slack rounds to zero or its step length overflows.
     """
 
     start: Position3D
@@ -75,10 +82,10 @@ class TrajectoryConstraints:
             raise ValueError("v_max must be > 0")
         if not (self.slot_duration > 0):
             raise ValueError("slot_duration must be > 0")
-        if not (0.0 < self.max_step * self.max_step < math.inf):
+        if not (0.0 < self.max_step * self.max_step and self.max_step <= _MAX_STEP_LIMIT):
             raise _StepOutOfRange(
                 f"v_max * slot_duration = {self.max_step!r} m is out of range: "
-                "its square must be a finite float > 0"
+                f"it must be at most {_MAX_STEP_LIMIT:g} m and its square a float > 0"
             )
         if self.start.z != self.fixed_altitude or self.end.z != self.fixed_altitude:
             raise ValueError("start and end must lie at the fixed altitude")
@@ -242,9 +249,29 @@ def _as_str(value, field: str) -> str:
     return value
 
 
+def _yaml_float_hint(value) -> str:
+    """The YAML 1.1 spelling of a number in exponent form that it read as text.
+
+    YAML 1.1 floats need a dot and a signed exponent, so 1e4 is a string;
+    the hint asks for 1.0e+4.
+    """
+    if not isinstance(value, str):
+        return ""
+    try:
+        float(value)
+    except ValueError:
+        return ""
+    mantissa, _, exponent = value.strip().lower().partition("e")
+    if not exponent:
+        return ""
+    mantissa += "" if "." in mantissa else ".0"
+    exponent = exponent if exponent[0] in "+-" else "+" + exponent
+    return f" (YAML reads it as text; write {mantissa}e{exponent})"
+
+
 def _as_float(value, field: str, allow_inf: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(field, f"expected a number, got {value!r}")
+        _fail(field, f"expected a number, got {value!r}{_yaml_float_hint(value)}")
     out = float(value)
     if math.isnan(out) or (not allow_inf and math.isinf(out)):
         _fail(field, f"expected a finite number, got {value!r}")

@@ -332,25 +332,37 @@ def linprog(
     """argmin cost @ x s.t. A x <= row_upper, 0 <= x <= col_upper, by HiGHS.
 
     A is given in CSC form: column j holds data[starts[j]:starts[j+1]] in
-    rows rows[starts[j]:starts[j+1]]. HiGHS gets the LP scipy's
-    linprog(method="highs") would hand it, with the same options, so it
-    returns the same x. Raises RuntimeError unless HiGHS reports an optimum.
+    rows rows[starts[j]:starts[j+1]], with int32 starts and rows. HiGHS
+    gets the LP scipy's linprog(method="highs") would hand it, with the same
+    options, so it returns the same x. The arrays go through passModel's
+    array overload, which reads them in place; building a HighsLp would copy
+    them into Python-bound vectors element by element. That overload reads
+    num_col integrality entries whenever it is given an array, so it gets
+    zeros (all continuous), never an empty one. Raises ValueError if the
+    array sizes disagree (HiGHS would read past one) and RuntimeError unless
+    HiGHS reports an optimum.
     """
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = cost.size
-    lp.num_row_ = lp.a_matrix_.num_row_ = row_upper.size
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = starts
-    lp.a_matrix_.index_ = rows
-    lp.a_matrix_.value_ = data
-    lp.col_cost_ = cost
-    lp.col_lower_ = np.zeros(cost.size)
-    lp.col_upper_ = col_upper
-    lp.row_lower_ = np.full(row_upper.size, -highs.kHighsInf)
-    lp.row_upper_ = row_upper
+    if not (cost.size == col_upper.size == starts.size - 1 and rows.size == data.size):
+        raise ValueError("linprog: cost, col_upper, starts, rows and data sizes disagree")
     solver = highs._Highs()
     solver.passOptions(_HIGHS_OPTIONS)
-    solver.passModel(lp)
+    solver.passModel(
+        cost.size,
+        row_upper.size,
+        data.size,
+        highs.MatrixFormat.kColwise,
+        highs.ObjSense.kMinimize,
+        0.0,
+        cost,
+        np.zeros(cost.size),
+        col_upper,
+        np.full(row_upper.size, -highs.kHighsInf),
+        row_upper,
+        starts,
+        rows,
+        data,
+        np.zeros(cost.size, np.int32),  # all continuous; HiGHS reads num_col entries
+    )
     run_status = solver.run()
     status = solver.getModelStatus()
     if run_status == highs.HighsStatus.kError or status != highs.HighsModelStatus.kOptimal:
@@ -478,8 +490,14 @@ def _interior_point_chain(xy: np.ndarray, line: np.ndarray, max_step: float) -> 
 
     Eliminating the multipliers lam leaves H dw = -(w - xy) - D^T(s q / u),
     H = I + sum_t D_t^T (lam_t I + (lam_t / u_t) s_t s_t^T) D_t, SPD with three
-    upper bands in the order (x1, y1, x2, ...) of a complex array x + iy
-    viewed as floats. The predictor has q = 0; the corrector aims at sigma *
+    off-diagonal bands in the order (x1, y1, x2, ...) of a complex array
+    x + iy viewed as floats. dpbtrf factors H in place in LAPACK's lower band
+    layout, low[d, i] = H[i + d, i], in a Fortran-ordered buffer: in the
+    upper layout OpenBLAS's rank-1 update walks a vector with stride 3 and
+    takes more than twice as long. Both layouts form the same products in
+    the same order, so the factor has the same bits. It is copied into the
+    upper layout for dpbtrs, whose lower-layout solve rounds differently.
+    The predictor has q = 0; the corrector aims at sigma *
     mu (mu = lam . u / M, sigma = (mu_aff / mu)^3), at no slack below
     _IPM_SLACK_FLOOR * L^2, plus the second-order term. A chain stops once
     its stationarity residual is below _IPM_TOL * L and each of its segments
@@ -522,14 +540,20 @@ def _interior_point_chain(xy: np.ndarray, line: np.ndarray, max_step: float) -> 
                 ratio = lam / slack
                 diag = lam[..., None] + ratio[..., None] * seg.view(float).reshape(-1, m, 2) ** 2
                 cross = ratio * seg.real * seg.imag
-                band = np.zeros((4, live.size, width))  # chains' first columns stay uncoupled
-                band[3] = 1.0 + (diag[:, :-1] + diag[:, 1:]).reshape(-1, width)
-                band[1, :, 2:] = -diag[:, 1:-1].reshape(live.size, width - 2)
-                band[2, :, 1::2] = cross[:, :-1] + cross[:, 1:]
-                band[2, :, 2::2] = band[0, :, 3::2] = -cross[:, 1:-1]
-                chol, info = lapack.dpbtrf(band.reshape(4, -1))
+                n = live.size * width
+                low = np.zeros((n, 4)).T  # Fortran order, so dpbtrf factors it in place
+                band = low.reshape(4, live.size, width)  # chains' last columns stay uncoupled
+                band[0] = 1.0 + (diag[:, :-1] + diag[:, 1:]).reshape(-1, width)
+                band[2, :, : width - 2] = -diag[:, 1:-1].reshape(live.size, width - 2)
+                band[1, :, 0::2] = cross[:, :-1] + cross[:, 1:]
+                band[1, :, 1 : width - 2 : 2] = band[3, :, 0 : width - 2 : 2] = -cross[:, 1:-1]
+                fac, info = lapack.dpbtrf(low, lower=1, overwrite_ab=1)
                 if info:  # H is SPD; only rounding at a degenerate optimum gets here
                     gone = np.arange(live.size) == (info - 1) // width
+                else:
+                    chol = np.zeros((n, 4)).T  # the same factor in upper layout
+                    for d in range(min(n, 4)):  # a lone 2-slot chain has n = 2
+                        chol[3 - d, d:] = fac[d, : n - d]
             if gone.any():
                 out[live[gone]] = path[gone, 1:-1]
                 keep = ~gone

@@ -66,6 +66,29 @@ class TestValidate:
         assert main(["validate", str(short)]) == EXIT_USAGE
         assert "experiment.max_time" in capsys.readouterr().err
 
+    def test_exponent_without_dot_gets_a_yaml_hint(self, tmp_path, capsys):
+        # YAML 1.1 reads 1e4 as a string; its floats need a dot and an
+        # exponent sign.
+        path = tmp_path / "fast.scenario"
+        fig4 = scenario_path("fig4").read_text()
+        path.write_text(fig4.replace("v_max: 50.0", "v_max: 1e4"))
+        assert main(["validate", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "experiment.v_max: expected a number, got '1e4'" in err
+        assert "write 1.0e+4" in err
+        path.write_text(fig4.replace("v_max: 50.0", "v_max: 1.0e+4"))
+        assert main(["validate", str(path)]) == EXIT_OK
+
+    def test_step_above_the_limit_names_v_max(self, tmp_path, capsys):
+        # 1e70 m, the largest accepted step, is v_max 1e70 in 1 s slots.
+        path = tmp_path / "far.scenario"
+        fig4 = scenario_path("fig4").read_text().replace("slot_duration: 0.1", "slot_duration: 1.0")
+        path.write_text(fig4.replace("v_max: 50.0", "v_max: 1.0e+70"))
+        assert main(["validate", str(path)]) == EXIT_OK
+        path.write_text(fig4.replace("v_max: 50.0", "v_max: 2.0e+70"))
+        assert main(["validate", str(path)]) == EXIT_USAGE
+        assert "error: experiment.v_max: v_max * slot_duration" in capsys.readouterr().err
+
 
 class TestKindMismatch:
     def test_trajopt_on_deployment_scenario(self, capsys):

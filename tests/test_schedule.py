@@ -141,6 +141,21 @@ class TestSolverFailure:
                 optimal_schedule(np.array([[1.0, 2.0]]), 1.0)
 
 
+    def test_mismatched_array_sizes_raise_before_highs(self):
+        # HiGHS reads as many entries as the sizes it is told; a short array
+        # would be read past its end.
+        cost, col_upper = np.array([0.0, -1.0]), np.array([1.0, trajectory.highs.kHighsInf])
+        starts, rows = np.array([0, 2, 3], dtype=np.int32), np.array([0, 1, 0], dtype=np.int32)
+        data, row_upper = np.array([-1.0, 1.0, 1.0]), np.array([0.0, 1.0])
+        assert linprog(cost, starts, rows, data, col_upper, row_upper).tolist() == [1.0, 1.0]
+        with mock.patch.object(trajectory.highs, "_Highs", side_effect=AssertionError):
+            for short in ("col_upper", "starts", "data"):
+                args = dict(cost=cost, starts=starts, rows=rows, data=data, col_upper=col_upper)
+                args[short] = args[short][:-1]
+                with pytest.raises(ValueError, match="sizes disagree"):
+                    linprog(row_upper=row_upper, **args)
+
+
 class TestScheduleInvariants:
     @pytest.mark.parametrize("seed", range(8))
     def test_feasible_and_consistent(self, seed):

@@ -8,6 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import block_diag
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from uavirs.channel import (
@@ -23,7 +24,13 @@ from uavirs.channel import (
     link_rate,
 )
 from uavirs.irs import IrsSurface, SurfaceKind
-from uavirs.scenario import Scenario, TrajectoryExperiment, load_scenario, scenario_path
+from uavirs.scenario import (
+    _MAX_STEP_LIMIT,
+    Scenario,
+    TrajectoryExperiment,
+    load_scenario,
+    scenario_path,
+)
 from uavirs.trajectory import (
     SPEED_SLACK,
     Schedule,
@@ -229,6 +236,38 @@ def speed_stacks(draw):
     return stack, max_step
 
 
+def upper_factor_as_lower(low, lower=0, overwrite_ab=0):
+    """dpbtrf on a lower-layout band, computed by the upper-layout factorization."""
+    assert lower == 1
+    n = low.shape[1]
+    upper = np.zeros((4, n))
+    for d in range(min(n, 4)):
+        upper[3 - d, d:] = low[d, : n - d]
+    chol, info = dpbtrf(upper)
+    fac = np.zeros_like(low)
+    for d in range(min(n, 4)):
+        fac[d, : n - d] = chol[3 - d, d:]
+    return fac, info
+
+
+def newton_matrix(rng, m):
+    """A dense Newton matrix of the speed projection for one chain of m slots.
+
+    H = I + sum_t D_t^T (lam_t I + (lam_t / u_t) s_t s_t^T) D_t over segments
+    s_t inside the unit ball, with multipliers and slacks over many decades.
+    """
+    seg = rng.uniform(-1.0, 1.0, (m, 2)) * rng.uniform(0.0, 0.7, (m, 1))
+    slack = 0.5 * (1.0 - (seg * seg).sum(axis=1)) * 10.0 ** rng.uniform(-8.0, 0.0, m)
+    lam = 10.0 ** rng.uniform(-8.0, 4.0, m)
+    h = np.eye(2 * (m + 1))
+    for t in range(m):
+        block = lam[t] * np.eye(2) + (lam[t] / slack[t]) * np.outer(seg[t], seg[t])
+        d = np.zeros((2, 2 * (m + 1)))
+        d[:, 2 * t : 2 * t + 2], d[:, 2 * t + 2 : 2 * t + 4] = -np.eye(2), np.eye(2)
+        h += d.T @ block @ d
+    return h[2:-2, 2:-2]  # the endpoints are fixed
+
+
 class TestProjectSpeed:
     @settings(max_examples=60)
     @given(stack=speed_stacks())
@@ -258,11 +297,11 @@ class TestProjectSpeed:
         alone = [_project_speed(path, max_step) for path in paths]
         calls = []
 
-        def fail_once(band):
+        def fail_once(band, **kwargs):
             calls.append(band.shape)
             if len(calls) == 1:  # the first column of chain 1's block
                 return band, 1 + band.shape[1] // 3
-            return dpbtrf(band)
+            return dpbtrf(band, **kwargs)
 
         with mock.patch("uavirs.trajectory.dpbtrf", side_effect=fail_once):
             out = _project_speed(paths, max_step)
@@ -270,6 +309,46 @@ class TestProjectSpeed:
         np.testing.assert_array_equal(out[1], line)
         assert out[0].tobytes() == alone[0].tobytes()
         assert out[2].tobytes() == alone[2].tobytes()
+
+    @settings(max_examples=40)
+    @given(stack=speed_stacks())
+    def test_lower_layout_factor_gives_the_upper_layout_bits(self, stack):
+        # The projection factors its Newton band in lower layout; routed
+        # through the upper-layout factorization instead, every bit stays.
+        paths, max_step = stack
+        direct = _project_speed(paths, max_step)
+        with mock.patch("uavirs.trajectory.dpbtrf", side_effect=upper_factor_as_lower):
+            routed = _project_speed(paths, max_step)
+        assert routed.tobytes() == direct.tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("m", [2, 3, 7, 40])
+    def test_lower_and_upper_band_factors_are_equal(self, seed, m):
+        # dpbtf2 forms the same products in the same order in both layouts.
+        rng = np.random.default_rng(seed)
+        dense = block_diag(*(newton_matrix(rng, m) for _ in range(3)))
+        n = dense.shape[0]
+        lower = np.array([np.append(np.diagonal(dense, -d), np.zeros(d)) for d in range(4)])
+        upper = np.array([np.append(np.zeros(3 - d), np.diagonal(dense, 3 - d)) for d in range(4)])
+        fac, info = dpbtrf(np.asfortranarray(lower), lower=1)
+        chol, upper_info = dpbtrf(upper)
+        assert info == upper_info == 0
+        for d in range(4):
+            assert fac[d, : n - d].tobytes() == chol[3 - d, d:].tobytes()
+
+    def test_largest_accepted_step_projects(self):
+        # The step to the bound squares s . ds, a product of four lengths;
+        # at 1e76 times this 3-slot case it overflowed and the projection
+        # returned the straight line.
+        base = np.array(
+            [[0.0, 0.0, 30.0], [30.0, 60.0, 30.0], [70.0, -50.0, 30.0], [100.0, 0.0, 30.0]]
+        )
+        scale = _MAX_STEP_LIMIT / 40.0
+        start, end = Position3D(0.0, 0.0, 30.0), Position3D(100.0 * scale, 0.0, 30.0)
+        constraints = TrajectoryConstraints(start, end, 30.0, 40.0 * scale, 1.0)  # accepted
+        ref = _project_speed(base, 40.0)
+        out = _project_speed(base * scale, constraints.max_step) / scale
+        np.testing.assert_allclose(out[:, :2], ref[:, :2], rtol=1e-9, atol=1e-9 * 100.0)
 
     @given(chain=speed_chains(min_slack=0.0))
     def test_feasible_with_endpoints_and_altitude_fixed(self, chain):
@@ -741,11 +820,15 @@ class TestTypes:
         "v_max, slot", [(1e308, 0.1), (1e160, 0.1), (50.0, 1e300), (1e-170, 0.1)]
     )
     def test_step_whose_square_leaves_float_range_rejected(self, v_max, slot):
-        # The speed projection squares max_step; 1e154 m still squares finite.
+        # The speed projection squares max_step and multiplies four lengths;
+        # the largest accepted step, 1e70 m, keeps those far inside float range.
         start, end = Position3D(0, 0, 30.0), Position3D(1, 0, 30.0)
         with pytest.raises(ValueError, match="v_max \\* slot_duration"):
             TrajectoryConstraints(start, end, 30.0, v_max, slot)
-        assert TrajectoryConstraints(start, end, 30.0, 1e155, 0.1).max_step == 1e155 * 0.1
+        largest = TrajectoryConstraints(start, end, 30.0, _MAX_STEP_LIMIT, 1.0)
+        assert largest.max_step == _MAX_STEP_LIMIT
+        with pytest.raises(ValueError, match="v_max \\* slot_duration"):
+            TrajectoryConstraints(start, end, 30.0, math.nextafter(_MAX_STEP_LIMIT, math.inf), 1.0)
 
     def test_trajectory_shape_validation(self):
         with pytest.raises(ValueError):
