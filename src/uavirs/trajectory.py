@@ -6,9 +6,11 @@ block-coordinate descent that alternates two blocks until the scheduled
 min-throughput stalls:
 
   * schedule block -- one exact max-min TDMA linear program over the per-slot
-    rate matrix, handed to the HiGHS core that scipy ships; HiGHS returns the
-    same optimum for the same input, so the schedule is deterministic without
-    a tie-break;
+    rate matrix, handed to the HiGHS core that scipy ships and solved by its
+    dual simplex without presolve; HiGHS returns the same optimum for the
+    same input, so the schedule is deterministic without a tie-break, and
+    when every rate is positive it is the one scipy's default linprog
+    returns;
   * trajectory block -- one projected ascent step on the softmin-smoothed
     objective, using the closed-form gradient of the rates in the horizontal
     waypoint coordinates and the exact Euclidean projection onto the speed
@@ -96,9 +98,13 @@ _IPM_MAX_STEPS = 50
 # Halvings of a step length in (0, 1] after which it is 0 and keeps the
 # strictly feasible path; only a non-finite slack or step gets past them.
 _IPM_MAX_HALVINGS = 1075
-# The HiGHS options scipy's linprog(method="highs") sets with its defaults.
+# The HiGHS options scipy's linprog(method="highs") sets with its defaults,
+# except presolve: it finds nothing to reduce in a schedule LP whose rates
+# are all positive (HiGHS logs "Not reduced"), and there the dual simplex
+# takes the same path and returns the same bits without it. With a zero rate
+# HiGHS may return another optimum, with the same value to within rounding.
 _HIGHS_OPTIONS = highs.HighsOptions()
-_HIGHS_OPTIONS.presolve = "on"
+_HIGHS_OPTIONS.presolve = "off"
 _HIGHS_OPTIONS.output_flag = False
 _HIGHS_OPTIONS.log_to_console = False
 _HIGHS_OPTIONS.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
@@ -118,6 +124,10 @@ class Trajectory:
             raise ValueError("waypoints must have shape (M+1, 3)")
         if self.waypoints.shape[0] < 2:
             raise ValueError("a trajectory needs at least one slot (two waypoints)")
+        if not np.isfinite(self.waypoints).all():
+            raise ValueError("waypoints must be finite")
+        if not (0 < self.slot_duration < math.inf):  # also rejects NaN
+            raise ValueError("slot_duration must be finite and > 0")
 
     @property
     def num_slots(self) -> int:
@@ -152,8 +162,8 @@ class Schedule:
         self.fractions = np.asarray(self.fractions, dtype=float)
         if self.fractions.ndim != 2:
             raise ValueError("fractions must be a K x M matrix")
-        if np.any(self.fractions < 0) or np.any(self.fractions > 1 + 1e-9):
-            raise ValueError("fractions must lie in [0, 1]")
+        if not np.all((self.fractions >= 0) & (self.fractions <= 1 + 1e-9)):  # also rejects NaN
+            raise ValueError("fractions must be finite and lie in [0, 1]")
         col = self.fractions.sum(axis=0)
         if np.any(col > 1 + 1e-9):
             raise ValueError("per-slot fractions must sum to <= 1")
@@ -333,8 +343,10 @@ def linprog(
 
     A is given in CSC form: column j holds data[starts[j]:starts[j+1]] in
     rows rows[starts[j]:starts[j+1]], with int32 starts and rows. HiGHS
-    gets the LP scipy's linprog(method="highs") would hand it, with the same
-    options, so it returns the same x. The arrays go through passModel's
+    gets the LP scipy's linprog(method="highs") would hand it, with the
+    options in _HIGHS_OPTIONS: scipy's defaults with presolve off. On a
+    schedule LP whose rates are all positive it returns the same x as
+    scipy's default linprog. The arrays go through passModel's
     array overload, which reads them in place; building a HighsLp would copy
     them into Python-bound vectors element by element. That overload reads
     num_col integrality entries whenever it is given an array, so it gets
@@ -379,7 +391,9 @@ def optimal_schedule(R: np.ndarray, slot_duration: float) -> Tuple[Schedule, flo
     schedule is the one HiGHS returns, the same for the same input. Returns
     the schedule, with solver rounding clipped back into the bounds, and the
     min throughput it achieves (bps/Hz * s). A node with all-zero rates
-    yields m = 0, not an error.
+    yields m = 0, not an error. Raises ValueError, before HiGHS runs, unless
+    R is finite and >= 0, slot_duration finite and > 0 and slot_duration * R
+    finite.
     """
     R = np.asarray(R, dtype=float)
     if R.ndim != 2:
@@ -388,8 +402,12 @@ def optimal_schedule(R: np.ndarray, slot_duration: float) -> Tuple[Schedule, flo
         raise ValueError("R needs at least one node row")
     if not np.all((R >= 0) & np.isfinite(R)):  # also rejects NaN
         raise ValueError("rates must be finite and >= 0")
-    if not (slot_duration > 0):
-        raise ValueError("slot_duration must be > 0")
+    if not (0 < slot_duration < math.inf):  # also rejects NaN
+        raise ValueError("slot_duration must be finite and > 0")
+    # A Python float product overflows to inf without a warning; if the
+    # largest rate's is finite, so is every entry of slot_duration * R.
+    if not math.isfinite(slot_duration * float(R.max(initial=0.0))):
+        raise ValueError("slot_duration * R overflows")
     k, m_slots = R.shape
     n_tau = k * m_slots
     throughput = slot_duration * R  # per-slot contribution of tau[k,t]

@@ -54,14 +54,13 @@ def schedule_constraint_matrix(R, slot_duration):
     return sp.bmat([[node_rows, sp.csr_matrix(np.ones((k, 1)))], [slot_rows, None]], "csc")
 
 
-def linprog_max_min_schedule(R, slot_duration):
-    """(tau, value) of the max-min schedule LP through scipy's public linprog.
+def linprog_schedule_solution(R, slot_duration, presolve=False):
+    """x = (tau in row-major (k, t) order, m) of the max-min schedule LP, unrounded.
 
     The LP of schedule_constraint_matrix with b_ub = (0 per node, 1 per
     slot), 0 <= tau <= 1, m >= 0, maximizing m, solved by
-    linprog(method="highs"); tau is clipped into [0, 1] (also clearing -0.0)
-    and any slot whose column sum rounds above 1 is renormalized, and value is
-    the smallest throughput that tau gives a node.
+    linprog(method="highs") with scipy's default options but presolve, which
+    is off unless asked for.
     """
     R = np.asarray(R, dtype=float)
     k, m = R.shape
@@ -76,9 +75,23 @@ def linprog_max_min_schedule(R, slot_duration):
         b_ub=np.concatenate([np.zeros(k), np.ones(m)]),
         bounds=bounds,
         method="highs",
+        options={"presolve": presolve},
     )
     assert res.success, res.message
-    tau = np.clip(res.x[:n_tau].reshape(k, m), 0.0, 1.0) + 0.0
+    return res.x
+
+
+def linprog_max_min_schedule(R, slot_duration):
+    """(tau, value) of the max-min schedule LP through scipy's public linprog.
+
+    tau is linprog_schedule_solution's, presolve off, clipped into [0, 1]
+    (also clearing -0.0), and any slot whose column sum rounds above 1 is
+    renormalized; value is the smallest throughput that tau gives a node.
+    """
+    R = np.asarray(R, dtype=float)
+    k, m = R.shape
+    x = linprog_schedule_solution(R, slot_duration)
+    tau = np.clip(x[: k * m].reshape(k, m), 0.0, 1.0) + 0.0
     col = tau.sum(axis=0)
     over = col > 1.0
     if np.any(over):

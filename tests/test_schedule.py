@@ -7,7 +7,12 @@ import pytest
 from uavirs import trajectory
 from uavirs.trajectory import Schedule, linprog, optimal_schedule
 
-from oracles import grid_maxmin_schedule, linprog_max_min_schedule, schedule_constraint_matrix
+from oracles import (
+    grid_maxmin_schedule,
+    linprog_max_min_schedule,
+    linprog_schedule_solution,
+    schedule_constraint_matrix,
+)
 
 
 class TestScheduleExamples:
@@ -43,6 +48,20 @@ class TestScheduleExamples:
     def test_rejects_non_finite_rates(self, bad):
         with pytest.raises(ValueError, match="finite"):
             optimal_schedule(np.array([[bad, 1.0]]), 1.0)
+
+    @pytest.mark.parametrize("rate", [0.0, 1.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_slot_duration_before_highs(self, bad, rate):
+        with mock.patch.object(trajectory.highs, "_Highs", side_effect=AssertionError):
+            with pytest.raises(ValueError, match="slot_duration must be finite and > 0"):
+                optimal_schedule(np.full((2, 3), rate), bad)
+
+    def test_rejects_overflowing_throughput_before_highs(self):
+        with mock.patch.object(trajectory.highs, "_Highs", side_effect=AssertionError):
+            with pytest.raises(ValueError, match="overflows"):
+                optimal_schedule(np.full((2, 3), 1e308), 10.0)
+            with pytest.raises(ValueError, match="overflows"):
+                optimal_schedule(np.array([[0.0, 1e300], [1.0, 2.0]]), 1e9)
 
     def test_rejects_empty_node_set(self):
         with pytest.raises(ValueError, match="node row"):
@@ -99,7 +118,8 @@ class TestConstraintMatrix:
 
 
 class TestAgainstLinprog:
-    """The direct HiGHS call gives scipy's linprog(method="highs") answer, bit for bit."""
+    """The direct HiGHS call gives scipy's linprog(method="highs") answer with
+    presolve off, bit for bit, also with zero rates and starved nodes."""
 
     @pytest.mark.parametrize("seed", range(60))
     def test_same_bits_as_linprog(self, seed):
@@ -118,6 +138,41 @@ class TestAgainstLinprog:
         assert value == value_ref
         if seed % 7 == 0:
             assert value == 0.0
+
+
+class TestPresolveIsFree:
+    """With every rate positive, presolve does not change scipy's linprog answer.
+
+    HiGHS's presolve finds nothing to reduce in such an LP, and the dual
+    simplex takes the same path: x has the same bits with and without
+    presolve. That is why the schedule LP runs without it; a starved node
+    still gives exactly 0."""
+
+    @pytest.mark.parametrize("seed", range(54))
+    def test_same_bits_with_and_without_presolve(self, seed):
+        rng = np.random.default_rng(800 + seed)
+        k, m = 1 + seed % 9, (1, 2, 30, 51, 97, 300)[seed // 9]
+        if seed % 2:
+            R = 0.5 * rng.integers(1, 9, size=(k, m))  # exact ties within and across rows
+        else:
+            R = rng.uniform(0.01, 6.0, size=(k, m))
+        if seed % 3 == 0:
+            R[:] = R[0]  # fully tied rows
+        elif k > 2:
+            R[1] = R[0]  # one tied pair
+        assert np.all(R > 0.0)
+        x_off = linprog_schedule_solution(R, 0.1, presolve=False)
+        x_on = linprog_schedule_solution(R, 0.1, presolve=True)
+        assert x_off.tobytes() == x_on.tobytes()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_starved_node_gives_exactly_zero(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        k, m = 2 + seed % 8, (1, 2, 30, 51, 97, 300)[seed % 6]
+        R = rng.uniform(0.01, 6.0, size=(k, m))
+        R[rng.integers(k)] = 0.0
+        _, value = optimal_schedule(R, 0.1)
+        assert value == 0.0
 
 
 class TestSolverFailure:
@@ -174,6 +229,9 @@ class TestScheduleInvariants:
             Schedule(np.array([[0.7, 0.2], [0.6, 0.2]]))  # slot 0 over-allocated
         with pytest.raises(ValueError):
             Schedule(np.array([[-0.1, 0.0]]))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                Schedule(np.array([[bad, 0.5]]))
 
 
 class TestAgainstGridOracle:

@@ -836,6 +836,18 @@ class TestTypes:
         with pytest.raises(ValueError):
             Trajectory(np.zeros((4, 2)), 0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_trajectory_rejects_non_finite_waypoints(self, bad):
+        waypoints = np.array([[0.0, 0.0, 30.0], [1.0, 0.0, 30.0], [2.0, 0.0, 30.0]])
+        waypoints[1, 0] = bad
+        with pytest.raises(ValueError, match="waypoints must be finite"):
+            Trajectory(waypoints, 0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.1])
+    def test_trajectory_rejects_bad_slot_duration(self, bad):
+        with pytest.raises(ValueError, match="slot_duration must be finite and > 0"):
+            Trajectory(np.zeros((2, 3)), bad)
+
     def test_mission_time(self):
         traj = straight_line_trajectory(
             TrajectoryConstraints(
