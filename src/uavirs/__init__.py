@@ -30,7 +30,6 @@ from .deployment import (
     DeploymentStrategy,
     allocation_sweep,
     evaluate_strategy,
-    exhaustive_allocate,
     user_rate,
 )
 from .errors import ConfigurationError, ExperimentMismatchError, ScenarioError
@@ -89,7 +88,6 @@ __all__ = [
     "allocation_sweep",
     "covers",
     "evaluate_strategy",
-    "exhaustive_allocate",
     "improve_trajectory",
     "leg_amplitude",
     "link_rate",

@@ -28,6 +28,9 @@ if TYPE_CHECKING:  # pragma: no cover
 # numpy loads only for array input, so the deployment path never imports it.
 ArrayLike = Union[float, "np.ndarray"]
 
+# Distance (m) of the reference path gain; shorter links are clamped up to it.
+REFERENCE_DISTANCE = 1.0
+
 
 @dataclass(frozen=True)
 class Position3D:
@@ -58,17 +61,16 @@ class Position3D:
 class RadioParams:
     """Transmit power, noise power (both watts) and the reference path gain.
 
-    ref_path_gain_db is the path gain at the reference distance (meters), in
-    dB; it must be <= 0 (an attenuation). Every field must be finite.
+    ref_path_gain_db is the path gain at REFERENCE_DISTANCE, in dB; it must
+    be <= 0 (an attenuation). Every field must be finite.
     """
 
     tx_power: float = 0.1
     noise_power: float = 1e-11
     ref_path_gain_db: float = -30.0
-    reference_distance: float = 1.0
 
     def __post_init__(self):
-        for name in ("tx_power", "noise_power", "reference_distance"):
+        for name in ("tx_power", "noise_power"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {v!r}")
@@ -183,7 +185,7 @@ class LinkRuleSet:
 def path_gain(d: ArrayLike, model: PathLossModel, radio: RadioParams) -> ArrayLike:
     """Linear power gain g0 * d**(-alpha) of a link of length d meters.
 
-    Distances below the reference distance are clamped up to it. Accepts
+    Distances below REFERENCE_DISTANCE are clamped up to it. Accepts
     scalars or arrays; negative or non-finite distances raise ValueError. A
     scalar takes plain float math: numpy's scalar power rounds as Python's
     does, its array power need not.
@@ -193,7 +195,7 @@ def path_gain(d: ArrayLike, model: PathLossModel, radio: RadioParams) -> ArrayLi
             raise ValueError("distance must be finite")
         if d < 0:
             raise ValueError("distance must be >= 0")
-        return float(radio.ref_path_gain * max(d, radio.reference_distance) ** -model.exponent)
+        return float(radio.ref_path_gain * max(d, REFERENCE_DISTANCE) ** -model.exponent)
     import numpy as np
 
     arr = np.asarray(d, dtype=float)
@@ -203,7 +205,7 @@ def path_gain(d: ArrayLike, model: PathLossModel, radio: RadioParams) -> ArrayLi
             raise ValueError("distance must be finite")
         if lo < 0:
             raise ValueError("distance must be >= 0")
-    clamped = np.maximum(arr, radio.reference_distance)
+    clamped = np.maximum(arr, REFERENCE_DISTANCE)
     gain = radio.ref_path_gain * clamped ** (-model.exponent)
     if np.isscalar(d) or arr.ndim == 0:
         return float(gain)

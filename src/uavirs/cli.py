@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import replace
@@ -112,34 +111,27 @@ def emit_results(table: str, summary: dict, scenario_file: Path, out_dir: Path) 
 
 
 def _apply_trajectory_overrides(scenario: Scenario, args) -> Scenario:
-    for flag, value in (
-        ("--rate-target", args.rate_target),
-        ("--slot-duration", args.slot_duration),
-        ("--max-time", args.max_time),
-    ):
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise ScenarioError(f"must be a finite number > 0, got {value!r}", field=flag)
+    """The scenario with each given flag replaced; the types built check every value.
+
+    A ValueError names its flag. The slot length and max_time are replaced
+    together: the experiment checks the pair, naming --max-time if given.
+    """
     exp = scenario.experiment
-    constraints = exp.constraints
-    if args.slot_duration is not None:
-        try:
-            constraints = replace(constraints, slot_duration=args.slot_duration)
-        except ValueError as exc:
-            raise ScenarioError(str(exc), field="--slot-duration") from exc
-    max_time = args.max_time if args.max_time is not None else exp.max_time
+    constraints, max_time = exp.constraints, exp.max_time
+    flag = "--rate-target"
     try:
-        constraints.slot_range(max_time)
+        if args.rate_target is not None:
+            exp = replace(exp, rate_target=args.rate_target)
+        flag = "--slot-duration"
+        if args.slot_duration is not None:
+            constraints = replace(constraints, slot_duration=args.slot_duration)
+        if args.max_time is not None:
+            flag, max_time = "--max-time", args.max_time
+        if args.slot_duration is not None or args.max_time is not None:
+            exp = replace(exp, constraints=constraints, max_time=max_time)
     except ValueError as exc:
-        # The loaded scenario passed this check, so an override broke it.
-        flag = "--max-time" if args.max_time is not None else "--slot-duration"
         raise ScenarioError(str(exc), field=flag) from exc
-    exp = replace(
-        exp,
-        constraints=constraints,
-        rate_target=args.rate_target if args.rate_target is not None else exp.rate_target,
-        max_time=max_time,
-    )
-    return scenario.with_experiment(exp)
+    return scenario if exp is scenario.experiment else scenario.with_experiment(exp)
 
 
 def _cmd_trajopt(args) -> int:

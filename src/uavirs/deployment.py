@@ -42,7 +42,7 @@ class DeploymentPlan:
 
     def __post_init__(self):
         for count in (self.aerial_elements, self.terrestrial_elements):
-            if not (isinstance(count, int) and count >= 0):
+            if not (type(count) is int and count >= 0):  # bool is no count
                 raise ValueError(f"element counts must be integers >= 0, got {count!r}")
         if not (math.isfinite(self.uirs_altitude) and self.uirs_altitude >= 0):
             raise ValueError(f"uirs_altitude must be finite and >= 0, got {self.uirs_altitude!r}")
@@ -65,13 +65,10 @@ class DeploymentResult:
 
 
 def _deployment_surfaces(scenario: "Scenario") -> Tuple[IrsSurface, IrsSurface]:
-    aerial = [s for s in scenario.surfaces if s.kind is SurfaceKind.AERIAL_MOUNTED]
-    terrestrial = [s for s in scenario.surfaces if s.kind is SurfaceKind.TERRESTRIAL]
-    if len(aerial) != 1 or len(terrestrial) != 1:
-        raise ConfigurationError(
-            "deployment scenarios need exactly one aerial and one terrestrial surface"
-        )
-    return aerial[0], terrestrial[0]
+    """The aerial and the terrestrial surface; a deployment Scenario has one of each."""
+    (aerial,) = [s for s in scenario.surfaces if s.kind is SurfaceKind.AERIAL_MOUNTED]
+    (terrestrial,) = [s for s in scenario.surfaces if s.kind is SurfaceKind.TERRESTRIAL]
+    return aerial, terrestrial
 
 
 def _state_model(scenario: "Scenario", state: LinkState):
@@ -294,13 +291,19 @@ def evaluate_strategy(scenario: "Scenario", strategy: DeploymentStrategy) -> Dep
 
     USER_SIDE puts the whole budget on the terrestrial surface (uncovered
     users stay unserved); BS_SIDE puts it on the aerial surface at the lowest
-    altitude with LoS to every user that can ever reach LoS; HYBRID runs the
-    exhaustive split search.
+    altitude with LoS to every user that can ever reach LoS; HYBRID enumerates
+    every (n_aerial, n_terrestrial) split, applies the hybrid altitude and
+    assignment rule to each, and keeps the highest min rate, ties to the
+    fewest aerial elements. Its winner is re-evaluated and checked through
+    `user_rate`.
     """
     if not isinstance(strategy, DeploymentStrategy):
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy is DeploymentStrategy.HYBRID:
-        return exhaustive_allocate(scenario)
+        sweep = _hybrid_sweep(scenario)
+        minima = [min(rates) for rates in zip(*sweep.rates)]
+        best = minima.index(max(minima))  # first maximum
+        return _evaluate_plan(scenario, sweep.plan(best), strategy)
 
     n_budget = scenario.experiment.n_budget
     aerial, terrestrial = _deployment_surfaces(scenario)
@@ -343,16 +346,3 @@ def allocation_sweep(scenario: "Scenario"):
         )
         for n_aerial, rates in enumerate(zip(*sweep.rates))
     ]
-
-
-def exhaustive_allocate(scenario: "Scenario") -> DeploymentResult:
-    """Best element split by enumerating every (n_aerial, n_terrestrial) pair.
-
-    Each split gets the hybrid altitude/assignment rule; the split with the
-    highest min rate wins, ties to the smallest aerial count. The winner is
-    re-evaluated and checked through `user_rate`.
-    """
-    sweep = _hybrid_sweep(scenario)
-    minima = [min(rates) for rates in zip(*sweep.rates)]
-    best = minima.index(max(minima))  # first maximum
-    return _evaluate_plan(scenario, sweep.plan(best), DeploymentStrategy.HYBRID)

@@ -6,7 +6,7 @@ class ConfigurationError(Exception):
 
 
 class ScenarioError(Exception):
-    """A scenario file failed to parse or validate.
+    """A scenario failed to parse or validate.
 
     ``field`` names the offending entry when known (e.g. "experiment.n_budget").
     """

@@ -42,7 +42,7 @@ class IrsSurface:
     covered_node_ids: Optional[frozenset] = None
 
     def __post_init__(self):
-        if not (isinstance(self.num_elements, int) and self.num_elements >= 0):
+        if not (type(self.num_elements) is int and self.num_elements >= 0):  # bool is no count
             raise ValueError(f"num_elements must be an integer >= 0, got {self.num_elements!r}")
         if self.facing_normal is not None:
             normal = tuple(float(c) for c in self.facing_normal)
@@ -69,7 +69,7 @@ class IrsSurface:
         return replace(self, position=pos)
 
     def with_elements(self, n: int) -> "IrsSurface":
-        return replace(self, num_elements=int(n))
+        return replace(self, num_elements=n)
 
 
 def covers(

@@ -99,12 +99,15 @@ class TrajectoryConstraints:
         """Fewest and most slots a mission can take within max_time.
 
         The fewest fly the straight start-to-end line at v_max; the most fit
-        whole in max_time. Raises ValueError when max_time cannot cover that
-        straight flight.
+        whole in max_time. Raises ValueError when max_time is not a finite
+        number of slots or cannot cover that straight flight.
         """
+        slots = max_time / self.slot_duration
+        if not math.isfinite(slots):
+            raise ValueError(f"max_time must be a finite number of slots, got {max_time!r} s")
         distance = self.start.distance_to(self.end)
         m_min = max(1, math.ceil(distance / self.max_step - 1e-9))
-        m_max = math.floor(max_time / self.slot_duration + 1e-9)
+        m_max = math.floor(slots + 1e-9)
         if m_max < m_min:
             raise ValueError(
                 f"max_time {max_time} s cannot cover the straight {distance:.1f} m flight"
@@ -119,8 +122,9 @@ class TrajectoryExperiment:
     max_time: float = DEFAULT_MAX_TIME
 
     def __post_init__(self):
-        if not (self.rate_target > 0):  # also rejects NaN
-            raise ValueError(f"rate_target must be > 0, got {self.rate_target!r}")
+        if not (0 < self.rate_target < math.inf):  # also rejects NaN
+            raise ValueError(f"rate_target must be > 0 and finite, got {self.rate_target!r}")
+        self.constraints.slot_range(self.max_time)
 
 
 @dataclass(frozen=True)
@@ -133,8 +137,15 @@ class DeploymentExperiment:
     )
 
     def __post_init__(self):
-        if not (isinstance(self.n_budget, int) and self.n_budget >= 0):
+        if not (type(self.n_budget) is int and self.n_budget >= 0):  # bool is no count
             raise ValueError(f"n_budget must be an integer >= 0, got {self.n_budget!r}")
+        strategies = self.strategies
+        if not (strategies and all(isinstance(s, DeploymentStrategy) for s in strategies)):
+            raise ValueError(
+                f"strategies must be a non-empty tuple of DeploymentStrategy, got {strategies!r}"
+            )
+        if len(set(strategies)) != len(strategies):
+            raise ValueError("strategies must be unique")
 
 
 Experiment = Union[TrajectoryExperiment, DeploymentExperiment]
@@ -142,7 +153,14 @@ Experiment = Union[TrajectoryExperiment, DeploymentExperiment]
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully validated experiment description."""
+    """A fully validated experiment description.
+
+    It checks itself when built, copies included: ids, references, roles and
+    link classes must suit its experiment, and each violation raises a
+    ScenarioError naming the offending part. Nodes may share a position (every
+    distance is clamped up to the 1 m reference); only loads_scenario rejects
+    that, as a policy for files.
+    """
 
     name: str
     nodes: Tuple[Node, ...]
@@ -152,6 +170,54 @@ class Scenario:
     link_rules: LinkRuleSet
     experiment: Experiment
     description: str = ""
+
+    def __post_init__(self):
+        ids = [n.id for n in self.nodes]
+        if len(set(ids)) != len(ids):
+            _fail("nodes", "node ids must be unique")
+        surf_ids = [s.id for s in self.surfaces]
+        if len(set(surf_ids)) != len(surf_ids) or set(surf_ids) & set(ids):
+            _fail("surfaces", "surface ids must be unique and distinct from node ids")
+        for s in self.surfaces:
+            for nid in sorted(s.covered_node_ids or ()):
+                if nid not in ids:
+                    _fail("surfaces", f"surface {s.id!r} covers unknown node {nid!r}")
+        known = set(ids) | set(surf_ids)
+        for rule in self.link_rules:
+            for endpoint in rule.endpoints:
+                if endpoint not in known:
+                    _fail("link_state_rules", f"unknown endpoint {endpoint!r}")
+
+        if isinstance(self.experiment, TrajectoryExperiment):
+            if len(self._by_role(NodeRole.UAV)) != 1:
+                _fail("nodes", "trajectory scenarios need exactly one UAV node")
+            if not self.sensor_nodes():
+                _fail("nodes", "trajectory scenarios need at least one sensor node")
+            required = {"uav_sn"} | ({"uav_irs", "irs_sn"} if self.surfaces else set())
+            for cls in sorted(required):
+                if cls not in self.path_loss_classes:
+                    _fail("path_loss_classes", f"missing required link class {cls!r}")
+            for node in self.sensor_nodes():
+                covering = [s.id for s in self.surfaces if self._surface_covers(s, node)]
+                if len(covering) > 1:
+                    _fail(
+                        "surfaces",
+                        f"node {node.id!r} is covered by multiple surfaces {covering}",
+                    )
+        else:
+            if len(self._by_role(NodeRole.BS)) != 1:
+                _fail("nodes", "deployment scenarios need exactly one BS node")
+            if not self.user_nodes():
+                _fail("nodes", "deployment scenarios need at least one user node")
+            kinds = [s.kind for s in self.surfaces]
+            if [kinds.count(k) for k in SurfaceKind] != [1, 1]:
+                _fail(
+                    "surfaces",
+                    "deployment scenarios need exactly one aerial and one terrestrial surface",
+                )
+            for cls in ("los", "nlos"):
+                if cls not in self.path_loss_classes:
+                    _fail("path_loss_classes", f"missing required link class {cls!r}")
 
     def node(self, node_id: str) -> Node:
         for n in self.nodes:
@@ -183,7 +249,7 @@ class Scenario:
             raise ConfigurationError(f"no path-loss model for link class {link_class!r}")
 
     def covering_surface(self, node_id: str) -> Optional[IrsSurface]:
-        """The unique surface covering a node, or None (validated at load)."""
+        """The unique surface covering a node, or None (checked when built)."""
         node = self.node(node_id)
         for surface in self.surfaces:
             if self._surface_covers(surface, node):
@@ -456,11 +522,10 @@ def _parse_experiment(entry, where: str) -> Experiment:
             _fail(f"{where}.v_max", str(exc))
         except ValueError as exc:
             _fail(where, str(exc))
-        try:
-            constraints.slot_range(max_time)
+        try:  # the fields are checked one by one above; what is left is slot_range
+            return TrajectoryExperiment(constraints, target, max_time)
         except ValueError as exc:
             _fail(f"{where}.max_time", str(exc))
-        return TrajectoryExperiment(constraints, target, max_time)
     if kind == "deployment":
         _check_keys(entry, {"kind", "n_budget", "strategies"}, f"{where}.")
         n_budget = _as_int(_require(entry, "n_budget", f"{where}."), f"{where}.n_budget")
@@ -471,71 +536,14 @@ def _parse_experiment(entry, where: str) -> Experiment:
             raw = ["user", "bs", "hybrid"]
         if not isinstance(raw, list) or not raw:
             _fail(f"{where}.strategies", f"expected a non-empty list, got {raw!r}")
-        strategies = [
+        strategies = tuple(
             _as_choice(s, _STRATEGIES, f"{where}.strategies[{i}]") for i, s in enumerate(raw)
-        ]
-        if len(set(strategies)) != len(strategies):
-            _fail(f"{where}.strategies", "strategies must be unique")
-        return DeploymentExperiment(n_budget, tuple(strategies))
+        )
+        try:
+            return DeploymentExperiment(n_budget, strategies)
+        except ValueError as exc:
+            _fail(f"{where}.strategies", str(exc))
     _fail(f"{where}.kind", f"expected 'trajectory' or 'deployment', got {kind!r}")
-
-
-def _validate_semantics(scenario: Scenario) -> None:
-    ids = [n.id for n in scenario.nodes]
-    if len(set(ids)) != len(ids):
-        _fail("nodes", "node ids must be unique")
-    surf_ids = [s.id for s in scenario.surfaces]
-    if len(set(surf_ids)) != len(surf_ids) or set(surf_ids) & set(ids):
-        _fail("surfaces", "surface ids must be unique and distinct from node ids")
-    known = set(ids) | set(surf_ids)
-    for i, a in enumerate(scenario.nodes):
-        for b in scenario.nodes[i + 1 :]:
-            if a.position == b.position:
-                _fail("nodes", f"nodes {a.id!r} and {b.id!r} share a position")
-    for s in scenario.surfaces:
-        if s.covered_node_ids is not None:
-            for nid in sorted(s.covered_node_ids):
-                if nid not in ids:
-                    _fail("surfaces", f"surface {s.id!r} covers unknown node {nid!r}")
-    for rule in scenario.link_rules:
-        for endpoint in rule.endpoints:
-            if endpoint not in known:
-                _fail("link_state_rules", f"unknown endpoint {endpoint!r}")
-
-    exp = scenario.experiment
-    if isinstance(exp, TrajectoryExperiment):
-        if len(scenario._by_role(NodeRole.UAV)) != 1:
-            _fail("nodes", "trajectory scenarios need exactly one UAV node")
-        if not scenario.sensor_nodes():
-            _fail("nodes", "trajectory scenarios need at least one sensor node")
-        required = {"uav_sn"} | ({"uav_irs", "irs_sn"} if scenario.surfaces else set())
-        for cls in sorted(required):
-            if cls not in scenario.path_loss_classes:
-                _fail("path_loss_classes", f"missing required link class {cls!r}")
-        for node in scenario.sensor_nodes():
-            covering = [
-                s.id for s in scenario.surfaces if scenario._surface_covers(s, node)
-            ]
-            if len(covering) > 1:
-                _fail(
-                    "surfaces",
-                    f"node {node.id!r} is covered by multiple surfaces {covering}",
-                )
-    else:
-        if len(scenario._by_role(NodeRole.BS)) != 1:
-            _fail("nodes", "deployment scenarios need exactly one BS node")
-        if not scenario.user_nodes():
-            _fail("nodes", "deployment scenarios need at least one user node")
-        aerial = [s for s in scenario.surfaces if s.kind is SurfaceKind.AERIAL_MOUNTED]
-        terrestrial = [s for s in scenario.surfaces if s.kind is SurfaceKind.TERRESTRIAL]
-        if len(aerial) != 1 or len(terrestrial) != 1:
-            _fail(
-                "surfaces",
-                "deployment scenarios need exactly one aerial and one terrestrial surface",
-            )
-        for cls in ("los", "nlos"):
-            if cls not in scenario.path_loss_classes:
-                _fail("path_loss_classes", f"missing required link class {cls!r}")
 
 
 _TOP_KEYS = {
@@ -624,7 +632,10 @@ def loads_scenario(text: str) -> Scenario:
         experiment=experiment,
         description=description,
     )
-    _validate_semantics(scenario)
+    for i, a in enumerate(nodes):  # a file policy: the solvers clamp colocated nodes
+        for b in nodes[i + 1 :]:
+            if a.position == b.position:
+                _fail("nodes", f"nodes {a.id!r} and {b.id!r} share a position")
     return scenario
 
 

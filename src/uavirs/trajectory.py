@@ -45,6 +45,7 @@ import numpy as np
 import scipy
 
 from .channel import (
+    REFERENCE_DISTANCE,
     LinkState,
     PathLossModel,
     Position3D,
@@ -52,7 +53,6 @@ from .channel import (
     link_rate,
     resolve_link_state,
 )
-from .errors import ConfigurationError
 from .scenario import Scenario, TrajectoryConstraints
 
 
@@ -217,9 +217,7 @@ class _RateEvaluator:
         altitude = scenario.experiment.constraints.fixed_altitude
         rules = scenario.link_rules
         self.radio = scenario.radio
-        self.nodes = scenario.sensor_nodes()
-        if not self.nodes:
-            raise ConfigurationError("trajectory scenario has no sensor nodes")
+        self.nodes = scenario.sensor_nodes()  # at least one: the Scenario checks that
         self.node_ids = tuple(n.id for n in self.nodes)
         self.node_pos = np.array([n.position.as_array() for n in self.nodes])
         uav = scenario.uav_node()
@@ -273,9 +271,9 @@ class _RateEvaluator:
         gain = leg_amplitude(dist, model, self.radio)
         if not with_slope:
             return gain, None
-        clamped = np.maximum(dist, self.radio.reference_distance)
+        clamped = np.maximum(dist, REFERENCE_DISTANCE)
         coeff = np.where(
-            dist > self.radio.reference_distance, -0.5 * model.exponent * gain / clamped**2, 0.0
+            dist > REFERENCE_DISTANCE, -0.5 * model.exponent * gain / clamped**2, 0.0
         )
         return gain, coeff[..., None] * offset[..., :2]
 

@@ -8,7 +8,15 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from uavirs.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from uavirs.cli import (
+    EXIT_INFEASIBLE,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    _apply_trajectory_overrides,
+    build_parser,
+    main,
+)
 from uavirs.scenario import load_scenario, scenario_digest, scenario_path
 from uavirs.trajectory import Trajectory, per_slot_rates
 
@@ -178,6 +186,7 @@ class TestTrajopt:
             ("--max-time", "-5"),
             ("--max-time", "inf"),
             ("--max-time", "0.5"),  # the straight 60 m flight takes 1.2 s
+            ("--max-time", "1e308"),  # max_time / slot_duration overflows to inf
         ],
     )
     def test_bad_override_is_a_usage_error(self, quick_file, tmp_path, capsys, flag, value):
@@ -186,6 +195,19 @@ class TestTrajopt:
         )
         assert code == EXIT_USAGE
         assert f"error: {flag}:" in capsys.readouterr().err
+
+    def test_slot_duration_and_max_time_apply_together(self, quick_file):
+        # one 20 s slot does not fit the file's 10 s max_time, but fits 40 s
+        args = build_parser().parse_args(
+            ["trajopt", str(quick_file), "--slot-duration", "20", "--max-time", "40"]
+        )
+        exp = _apply_trajectory_overrides(load_scenario(quick_file), args).experiment
+        assert (exp.constraints.slot_duration, exp.max_time) == (20.0, 40.0)
+
+    def test_no_override_keeps_the_loaded_scenario(self, quick_file):
+        scenario = load_scenario(quick_file)
+        args = build_parser().parse_args(["trajopt", str(quick_file)])
+        assert _apply_trajectory_overrides(scenario, args) is scenario
 
     def test_internal_value_error_is_not_a_usage_error(self, quick_file, tmp_path, capsys):
         with mock.patch(

@@ -20,7 +20,6 @@ from uavirs.deployment import (
     DeploymentStrategy,
     allocation_sweep,
     evaluate_strategy,
-    exhaustive_allocate,
     user_rate,
 )
 from uavirs.errors import ConfigurationError
@@ -281,7 +280,7 @@ class TestExhaustiveAllocate:
             bs=(0.0, 0.0, 0.0),
             n_budget=40,
         )
-        res = exhaustive_allocate(scn)
+        res = evaluate_strategy(scn, DeploymentStrategy.HYBRID)
         assert res.plan.aerial_elements == 40
         assert res.plan.terrestrial_elements == 0
         sweep = allocation_sweep(scn)
@@ -315,12 +314,12 @@ class TestExhaustiveAllocate:
             bs=(0.0, 0.0, 0.0),
             n_budget=10,
         )
-        res = exhaustive_allocate(scn)
+        res = evaluate_strategy(scn, DeploymentStrategy.HYBRID)
         assert res.plan.aerial_elements == 5
         assert res.plan.terrestrial_elements == 5
 
     def test_argmax_soundness_by_reenumeration(self, fig5):
-        best = exhaustive_allocate(fig5)
+        best = evaluate_strategy(fig5, DeploymentStrategy.HYBRID)
         sweep = allocation_sweep(fig5)
         assert len(sweep) == 601
         assert best.min_rate == max(r.min_rate for r in sweep)
@@ -357,7 +356,7 @@ class TestExhaustiveAllocate:
 
     def test_hybrid_dominates_endpoint_strategies(self, fig5):
         sweep = allocation_sweep(fig5)
-        hybrid = exhaustive_allocate(fig5)
+        hybrid = evaluate_strategy(fig5, DeploymentStrategy.HYBRID)
         assert hybrid.min_rate >= sweep[0].min_rate  # user-side candidate
         assert hybrid.min_rate >= sweep[-1].min_rate  # bs-side candidate
 
@@ -446,7 +445,7 @@ class TestHybridSweep:
         mins = [min(rates) for _, _, rates in splits]
         best = mins.index(max(mins))  # first maximum: fewest aerial elements
         altitude, serving, rates = splits[best]
-        res = exhaustive_allocate(scn)
+        res = evaluate_strategy(scn, DeploymentStrategy.HYBRID)
         assert (res.plan.aerial_elements, res.plan.terrestrial_elements) == (
             best,
             n_budget - best,
@@ -513,7 +512,7 @@ class TestHybridSweep:
         (res,) = allocation_sweep(empty)
         assert res.plan == DeploymentPlan(0, 0, 0.0, (("user1", None), ("user2", "tirs")))
         assert res.per_user_rates == (0.0, 0.0)  # both direct links are blocked
-        best = exhaustive_allocate(empty)
+        best = evaluate_strategy(empty, DeploymentStrategy.HYBRID)
         assert best.plan == res.plan
         assert best.min_rate == 0.0
 
@@ -542,23 +541,42 @@ class TestHybridSweep:
         for res in allocation_sweep(scn):
             assert res.plan.assignment == (("u1", "tirs"), ("u2", "tirs"))
             assert res.plan.uirs_altitude == 0.0
-        best = exhaustive_allocate(scn)
+        best = evaluate_strategy(scn, DeploymentStrategy.HYBRID)
         user_side = evaluate_strategy(scn, DeploymentStrategy.USER_SIDE)
         assert best.plan == DeploymentPlan(0, 20, 0.0, user_side.plan.assignment)
         assert best.per_user_rates == user_side.per_user_rates
 
-    @pytest.mark.parametrize("search", [allocation_sweep, exhaustive_allocate])
+    @pytest.mark.parametrize(
+        "search",
+        [
+            allocation_sweep,
+            # the exhaustive split search that the hybrid strategy runs
+            pytest.param(
+                lambda scn: evaluate_strategy(scn, DeploymentStrategy.HYBRID),
+                id="exhaustive_allocate",
+            ),
+        ],
+    )
     def test_negative_budget_rejected(self, fig5, search):
         # the budget is checked where the experiment is built, so no search
         # ever runs on a negative one
         with pytest.raises(ValueError, match="n_budget must be an integer >= 0"):
             search(with_budget(fig5, -1))
 
-    @pytest.mark.parametrize("n_budget", [-1, 2.5, math.nan, 600.0])
+    @pytest.mark.parametrize("n_budget", [-1, 2.5, math.nan, 600.0, True])
     def test_bad_budget_rejected(self, n_budget):
         # the same check DeploymentPlan makes of its element counts: an int >= 0
         with pytest.raises(ValueError, match="n_budget must be an integer >= 0"):
             DeploymentExperiment(n_budget)
+
+    @pytest.mark.parametrize(
+        "strategies",
+        [(), (DeploymentStrategy.HYBRID, DeploymentStrategy.HYBRID), ("hybrid",)],
+        ids=["empty", "repeated", "not-a-strategy"],
+    )
+    def test_bad_strategies_rejected(self, strategies):
+        with pytest.raises(ValueError, match="strategies must be"):
+            DeploymentExperiment(600, strategies)
 
 
 class TestPlanValidation:
@@ -572,8 +590,9 @@ class TestPlanValidation:
             (2.5, 0.5, (("user1", "uirs"), ("user2", "tirs"))),
             (math.nan, 0, ()),
             (10, 10.0, ()),
+            (True, False, ()),
         ],
-        ids=["fractional", "nan", "integral-float"],
+        ids=["fractional", "nan", "integral-float", "bool"],
     )
     def test_non_integer_elements_rejected(self, aerial, terrestrial, assignment):
         # the same check IrsSurface.num_elements makes: an int >= 0

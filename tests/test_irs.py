@@ -192,7 +192,7 @@ class TestSurface:
         with pytest.raises(ValueError):
             aerial(num_elements=-1)
 
-    @pytest.mark.parametrize("count", [2.5, 3.0, math.nan, "300"])
+    @pytest.mark.parametrize("count", [2.5, 3.0, math.nan, "300", True])
     def test_non_integer_elements_rejected(self, count):
         with pytest.raises(ValueError, match="num_elements"):
             aerial(num_elements=count)
@@ -227,3 +227,8 @@ class TestSurface:
 
     def test_with_elements(self):
         assert aerial().with_elements(42).num_elements == 42
+
+    def test_with_fractional_elements_rejected(self):
+        # the count is checked as given, not truncated to 2 first
+        with pytest.raises(ValueError, match="num_elements"):
+            aerial().with_elements(2.5)

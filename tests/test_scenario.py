@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import pytest
 import yaml
 
-from uavirs.channel import LinkState, NodeRole
+from uavirs.channel import LinkState, Node, NodeRole
+from uavirs.deployment import DeploymentStrategy, evaluate_strategy
 from uavirs.errors import ScenarioError
 from uavirs.irs import SurfaceKind
 from uavirs.scenario import (
@@ -183,6 +185,13 @@ experiment: {kind: deployment, n_budget: -1}
             loads_scenario(text)
         assert info.value.field == "experiment.max_time"
 
+    def test_max_time_of_more_slots_than_a_float_holds_rejected(self):
+        # 1e308 s of 0.1 s slots is inf slots; slot_range once raised OverflowError
+        text = scenario_path("fig4").read_text().replace("max_time: 30.0", "max_time: 1.0e+308")
+        with pytest.raises(ScenarioError, match="finite number of slots") as info:
+            loads_scenario(text)
+        assert info.value.field == "experiment.max_time"
+
     def test_max_time_of_exactly_the_straight_flight_accepted(self):
         text = scenario_path("fig4").read_text().replace("max_time: 30.0", "max_time: 3.0")
         assert loads_scenario(text).experiment.max_time == 3.0
@@ -270,6 +279,71 @@ class TestYamlLoaders:
     def test_same_error_position(self, text, where, yaml_loader):
         with pytest.raises(ScenarioError, match=where):
             loads_scenario(text)
+
+
+class TestBuiltScenarioChecksItself:
+    """A Scenario or experiment built in code, copies included, runs the loader's checks."""
+
+    @pytest.fixture(scope="class")
+    def fig4(self):
+        return load_scenario(scenario_path("fig4"))
+
+    @pytest.fixture(scope="class")
+    def fig5(self):
+        return load_scenario(scenario_path("fig5"))
+
+    def test_zero_element_copy_of_a_surface_rejected(self, fig4):
+        # it used to cover sn3-sn6 first and solve silently to 5.1 s, not 3.0 s
+        (irs,) = fig4.surfaces
+        with pytest.raises(ScenarioError, match="surface ids must be unique") as info:
+            replace(fig4, surfaces=(irs.with_elements(0), irs))
+        assert info.value.field == "surfaces"
+        with pytest.raises(ScenarioError, match="covered by multiple surfaces"):
+            replace(fig4, surfaces=(replace(irs, id="irs0", num_elements=0), irs))
+
+    def test_repeated_node_rejected(self, fig4):
+        with pytest.raises(ScenarioError, match="node ids must be unique") as info:
+            replace(fig4, nodes=fig4.nodes + (fig4.node("sn1"),))
+        assert info.value.field == "nodes"
+
+    def test_experiment_of_the_other_kind_rejected(self, fig4, fig5):
+        with pytest.raises(ScenarioError, match="exactly one UAV node"):
+            fig5.with_experiment(fig4.experiment)
+        with pytest.raises(ScenarioError, match="exactly one BS node"):
+            fig4.with_experiment(fig5.experiment)
+
+    @pytest.mark.parametrize("max_time", [math.inf, math.nan, 1.0])
+    def test_max_time_checked_when_built(self, fig4, max_time):
+        # inf used to build and then fail inside min_time_mission with an OverflowError
+        with pytest.raises(ValueError, match="max_time"):
+            replace(fig4.experiment, max_time=max_time)
+
+    def test_infinite_rate_target_rejected(self, fig4):
+        with pytest.raises(ValueError, match="rate_target must be > 0 and finite"):
+            replace(fig4.experiment, rate_target=math.inf)
+
+    def test_colocated_nodes_are_a_file_policy(self, fig5):
+        # the solvers clamp every distance up to 1 m, so a code-built scenario
+        # may put a user on the BS; a scenario file may not
+        bs = fig5.bs_node()
+        user1 = Node("user1", NodeRole.USER, bs.position)
+        scn = replace(fig5, nodes=(bs, user1, fig5.node("user2")))
+        res = evaluate_strategy(scn, DeploymentStrategy.HYBRID)
+        assert all(math.isfinite(r) and r > 0 for r in res.per_user_rates)
+        text = scenario_path("fig5").read_text().replace(
+            "position: [80.0, 0.0, 0.0]", "position: [0.0, 0.0, 25.0]"
+        )
+        with pytest.raises(ScenarioError, match="share a position") as info:
+            loads_scenario(text)
+        assert info.value.field == "nodes"
+
+    def test_repeated_strategy_in_a_file_names_the_field(self):
+        text = scenario_path("fig5").read_text().replace(
+            "strategies: [user, bs, hybrid]", "strategies: [user, bs, user]"
+        )
+        with pytest.raises(ScenarioError, match="strategies must be unique") as info:
+            loads_scenario(text)
+        assert info.value.field == "experiment.strategies"
 
 
 class TestScenarioHelpers:
