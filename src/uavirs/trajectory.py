@@ -8,9 +8,13 @@ min-throughput stalls:
   * schedule block -- one exact max-min TDMA linear program over the per-slot
     rate matrix, handed to the HiGHS core that scipy ships and solved by its
     dual simplex without presolve; HiGHS returns the same optimum for the
-    same input, so the schedule is deterministic without a tie-break, and
-    when every rate is positive it is the one scipy's default linprog
-    returns;
+    same input, so the schedule is deterministic without a tie-break. The
+    first LP of a descent is solved cold, and when every rate is positive
+    its schedule is the one scipy's default linprog returns. Each later LP
+    has the same shape and slightly moved rates, and restarts from the
+    optimal basis of the LP before it: the same vertex in far fewer simplex
+    iterations, with values equal to within rounding. That basis lives in
+    the descent alone, so no solve depends on another;
   * trajectory block -- one projected ascent step on the softmin-smoothed
     objective, using the closed-form gradient of the rates in the horizontal
     waypoint coordinates and the exact Euclidean projection onto the speed
@@ -329,6 +333,20 @@ def per_slot_rates(scenario: Scenario, trajectory: Trajectory) -> np.ndarray:
     return _RateEvaluator(scenario).rates(trajectory.waypoints)
 
 
+class _WarmStart:
+    """The optimal HiGHS basis of the last LP linprog solved with it, and that LP's size.
+
+    _solve_fixed_time makes one per descent, so the basis never outlives the
+    descent and every LP it is offered to has the same K and M.
+    """
+
+    __slots__ = ("basis", "size")
+
+    def __init__(self):
+        self.basis = None
+        self.size = None  # (columns, rows, nonzeros) of the LP basis came from
+
+
 def linprog(
     cost: np.ndarray,
     starts: np.ndarray,
@@ -336,51 +354,69 @@ def linprog(
     data: np.ndarray,
     col_upper: np.ndarray,
     row_upper: np.ndarray,
+    warm: Optional[_WarmStart] = None,
 ) -> np.ndarray:
     """argmin cost @ x s.t. A x <= row_upper, 0 <= x <= col_upper, by HiGHS.
 
     A is given in CSC form: column j holds data[starts[j]:starts[j+1]] in
     rows rows[starts[j]:starts[j+1]], with int32 starts and rows. HiGHS
     gets the LP scipy's linprog(method="highs") would hand it, with the
-    options in _HIGHS_OPTIONS: scipy's defaults with presolve off. On a
-    schedule LP whose rates are all positive it returns the same x as
+    options in _HIGHS_OPTIONS: scipy's defaults with presolve off. Solved
+    cold, a schedule LP whose rates are all positive gets the same x as
     scipy's default linprog. The arrays go through passModel's
     array overload, which reads them in place; building a HighsLp would copy
     them into Python-bound vectors element by element. That overload reads
     num_col integrality entries whenever it is given an array, so it gets
-    zeros (all continuous), never an empty one. Raises ValueError if the
-    array sizes disagree (HiGHS would read past one) and RuntimeError unless
-    HiGHS reports an optimum.
+    zeros (all continuous), never an empty one.
+
+    With warm, the dual simplex starts from warm.basis when that basis is the
+    optimum of an LP with the same column, row and nonzero counts (for a
+    schedule LP they fix K and M), and warm then holds this LP's optimal
+    basis. From a nearby basis it reaches the same vertex in far fewer
+    iterations, with values equal to within rounding; among exactly tied
+    optima it may stop at another. If HiGHS refuses the basis, or the warm
+    run does not end optimal, the LP is solved again cold, in a fresh HiGHS.
+    Raises ValueError if the array sizes disagree (HiGHS would read past
+    one) and RuntimeError unless HiGHS reports an optimum.
     """
     if not (cost.size == col_upper.size == starts.size - 1 and rows.size == data.size):
         raise ValueError("linprog: cost, col_upper, starts, rows and data sizes disagree")
-    solver = highs._Highs()
-    solver.passOptions(_HIGHS_OPTIONS)
-    solver.passModel(
-        cost.size,
-        row_upper.size,
-        data.size,
-        highs.MatrixFormat.kColwise,
-        highs.ObjSense.kMinimize,
-        0.0,
-        cost,
-        np.zeros(cost.size),
-        col_upper,
-        np.full(row_upper.size, -highs.kHighsInf),
-        row_upper,
-        starts,
-        rows,
-        data,
-        np.zeros(cost.size, np.int32),  # all continuous; HiGHS reads num_col entries
-    )
-    run_status = solver.run()
-    status = solver.getModelStatus()
-    if run_status == highs.HighsStatus.kError or status != highs.HighsModelStatus.kOptimal:
-        raise RuntimeError(f"max-min schedule LP failed: {solver.modelStatusToString(status)}")
-    return np.array(solver.getSolution().col_value)
+    size = (cost.size, row_upper.size, data.size)
+    warm_fits = warm is not None and warm.size == size
+    for basis in (warm.basis, None) if warm_fits else (None,):
+        solver = highs._Highs()
+        solver.passOptions(_HIGHS_OPTIONS)
+        solver.passModel(
+            cost.size,
+            row_upper.size,
+            data.size,
+            highs.MatrixFormat.kColwise,
+            highs.ObjSense.kMinimize,
+            0.0,
+            cost,
+            np.zeros(cost.size),
+            col_upper,
+            np.full(row_upper.size, -highs.kHighsInf),
+            row_upper,
+            starts,
+            rows,
+            data,
+            np.zeros(cost.size, np.int32),  # all continuous; HiGHS reads num_col entries
+        )
+        if basis is not None and solver.setBasis(basis) == highs.HighsStatus.kError:
+            continue
+        run_status = solver.run()
+        status = solver.getModelStatus()
+        if run_status != highs.HighsStatus.kError and status == highs.HighsModelStatus.kOptimal:
+            if warm is not None:
+                warm.basis, warm.size = solver.getBasis(), size
+            return np.array(solver.getSolution().col_value)
+    raise RuntimeError(f"max-min schedule LP failed: {solver.modelStatusToString(status)}")
 
 
-def optimal_schedule(R: np.ndarray, slot_duration: float) -> Tuple[Schedule, float]:
+def optimal_schedule(
+    R: np.ndarray, slot_duration: float, *, _warm: Optional[_WarmStart] = None
+) -> Tuple[Schedule, float]:
     """Exact max-min TDMA allocation for a fixed rate matrix.
 
     Solves max m s.t. sum_t tau[k,t] * slot_duration * R[k,t] >= m for all k,
@@ -392,6 +428,11 @@ def optimal_schedule(R: np.ndarray, slot_duration: float) -> Tuple[Schedule, flo
     yields m = 0, not an error. Raises ValueError, before HiGHS runs, unless
     R is finite and >= 0, slot_duration finite and > 0 and slot_duration * R
     finite.
+
+    Called as optimal_schedule(R, slot_duration), the LP is solved cold.
+    _solve_fixed_time passes its descent's _WarmStart as _warm, so that each
+    LP after the first restarts from the optimal basis of the one before
+    (see linprog).
     """
     R = np.asarray(R, dtype=float)
     if R.ndim != 2:
@@ -428,7 +469,7 @@ def optimal_schedule(R: np.ndarray, slot_duration: float) -> Tuple[Schedule, flo
     col_upper = np.ones(n_tau + 1)
     col_upper[-1] = highs.kHighsInf  # m >= 0
     row_upper = np.concatenate([np.zeros(k), np.ones(m_slots)])
-    x = linprog(cost, starts, rows, data, col_upper, row_upper)
+    x = linprog(cost, starts, rows, data, col_upper, row_upper, warm=_warm)
     tau = np.clip(x[:n_tau].reshape(k, m_slots), 0.0, 1.0) + 0.0  # also clears -0.0
     col = tau.sum(axis=0)
     over = col > 1.0
@@ -481,11 +522,11 @@ def _step_to_boundary(slack, b, a, lam, dlam, reach) -> np.ndarray:
     A step alpha lowers a segment's slack u by alpha * b + alpha^2 * a / 2
     (b = s . ds, a = ||ds||^2): the root at reach * u is taken in its
     cancellation-free form for the sign of b. Multipliers move linearly.
-    reach is one number or one per chain. The branch np.where drops may
-    divide by zero or overflow, so the caller turns floating-point warnings off.
+    reach is one float or an array of one per chain. The branch np.where
+    drops may divide by zero or overflow, so the caller turns floating-point
+    warnings off.
     """
-    reach = np.broadcast_to(reach, slack.shape[:1])
-    kept = reach[:, None] * slack
+    kept = reach * slack if isinstance(reach, float) else reach[:, None] * slack
     root = np.sqrt(b * b + 2.0 * a * kept)
     primal = np.where(b >= 0.0, 2.0 * kept / (b + root), (root - b) / a).min(axis=1)
     fall = (-dlam / lam).max(axis=1)
@@ -766,14 +807,15 @@ def _solve_fixed_time(
     """Block-coordinate descent at a fixed mission duration (monotone)."""
     delta = initial.slot_duration
     traj = initial
-    sched, value = optimal_schedule(ev.rates(traj.waypoints), delta)
+    warm = _WarmStart()  # each LP starts from the one before it; the first is cold
+    sched, value = optimal_schedule(ev.rates(traj.waypoints), delta, _warm=warm)
     history = [value]
     for _ in range(_BCD_MAX_ITERATIONS):
         cand = improve_trajectory(scenario, traj, sched, _evaluator=ev)
         if cand is traj:  # no step taken: the LP would return sched and value again
             history.append(value)
             break
-        sched_new, value_new = optimal_schedule(ev.rates(cand.waypoints), delta)
+        sched_new, value_new = optimal_schedule(ev.rates(cand.waypoints), delta, _warm=warm)
         if value_new < value:  # numerical guard; rejected updates end the descent
             break
         stalled = (value_new - value) <= _BCD_REL_TOL * max(1.0, value)

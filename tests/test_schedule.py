@@ -175,7 +175,134 @@ class TestPresolveIsFree:
         assert value == 0.0
 
 
+REAL_HIGHS = trajectory.highs._Highs
+
+
+class SpyHighs:
+    """A real HiGHS instance that records the start basis calls made on it.
+
+    fail_warm makes it act out a failure once it is given a basis: "refuse"
+    has setBasis return kError without passing the basis on, "status" has the
+    run end with an infeasible model status.
+    """
+
+    made = []  # every instance, in order; reset by the spy_highs fixture
+    fail_warm = None
+
+    def __init__(self):
+        self._solver = REAL_HIGHS()
+        self.basis_calls = 0
+        SpyHighs.made.append(self)
+
+    def __getattr__(self, name):
+        return getattr(self._solver, name)
+
+    def setBasis(self, basis):
+        self.basis_calls += 1
+        if self.fail_warm == "refuse":
+            return trajectory.highs.HighsStatus.kError
+        return self._solver.setBasis(basis)
+
+    def getModelStatus(self):
+        if self.fail_warm == "status" and self.basis_calls:
+            return trajectory.highs.HighsModelStatus.kInfeasible
+        return self._solver.getModelStatus()
+
+
+@pytest.fixture
+def spy_highs():
+    SpyHighs.made, SpyHighs.fail_warm = [], None
+    with mock.patch.object(trajectory.highs, "_Highs", SpyHighs):
+        yield SpyHighs
+
+
+def positive_rates(rng, k, m):
+    return rng.uniform(0.01, 6.0, size=(k, m))
+
+
+def nudged(rng, R):
+    """R with every rate moved by up to 1%, as one trajectory step moves them."""
+    return R * rng.uniform(0.99, 1.01, size=R.shape)
+
+
+class TestWarmStart:
+    """A schedule LP restarted from the optimal basis of the LP before it gets
+    the cold optimum; a basis from an LP of another shape is never used."""
+
+    @pytest.mark.parametrize("seed", range(36))
+    def test_warm_value_is_the_cold_value(self, seed, spy_highs):
+        rng = np.random.default_rng(1200 + seed)
+        k, m = 1 + seed % 9, (1, 2, 51, 300)[seed // 9]
+        R = positive_rates(rng, k, m)
+        warm = trajectory._WarmStart()
+        optimal_schedule(R, 0.1, _warm=warm)
+        R2 = nudged(rng, R)
+        sched, value = optimal_schedule(R2, 0.1, _warm=warm)
+        assert [h.basis_calls for h in spy_highs.made] == [0, 1]
+        _, cold = optimal_schedule(R2, 0.1)
+        assert value == pytest.approx(cold, rel=1e-12)
+        tau = sched.fractions
+        assert np.all(tau >= 0.0) and np.all(tau <= 1.0)
+        assert np.all(tau.sum(axis=0) <= 1.0)
+        assert value == (tau * (0.1 * R2)).sum(axis=1).min()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_starved_node_still_gives_exactly_zero(self, seed, spy_highs):
+        rng = np.random.default_rng(1300 + seed)
+        k, m = 2 + seed % 8, (1, 2, 51, 300)[seed % 4]
+        R = positive_rates(rng, k, m)
+        warm = trajectory._WarmStart()
+        optimal_schedule(R, 0.1, _warm=warm)
+        R2 = nudged(rng, R)
+        R2[rng.integers(k)] = 0.0
+        _, value = optimal_schedule(R2, 0.1, _warm=warm)
+        assert spy_highs.made[-1].basis_calls == 1
+        assert value == 0.0
+
+    @pytest.mark.parametrize(
+        "first, second", [((2, 3), (3, 2)), ((4, 51), (4, 52)), ((4, 51), (5, 51)), ((9, 300), (1, 1))]
+    )
+    def test_basis_of_another_shape_is_not_used(self, first, second, spy_highs):
+        rng = np.random.default_rng(1400)
+        warm = trajectory._WarmStart()
+        optimal_schedule(positive_rates(rng, *first), 0.1, _warm=warm)
+        R = positive_rates(rng, *second)
+        sched, value = optimal_schedule(R, 0.1, _warm=warm)
+        assert [h.basis_calls for h in spy_highs.made] == [0, 0]
+        tau_ref, value_ref = linprog_max_min_schedule(R, 0.1)
+        assert sched.fractions.tobytes() == tau_ref.tobytes()
+        assert value == value_ref
+
+
 class TestSolverFailure:
+    @pytest.mark.parametrize("fail_warm", ["refuse", "status"])
+    def test_failed_warm_run_falls_back_to_a_cold_run(self, fail_warm, spy_highs):
+        rng = np.random.default_rng(1500)
+        R = positive_rates(rng, 3, 40)
+        warm = trajectory._WarmStart()
+        optimal_schedule(R, 0.1, _warm=warm)
+        basis = warm.basis
+        R2 = nudged(rng, R)
+        spy_highs.fail_warm = fail_warm
+        sched, value = optimal_schedule(R2, 0.1, _warm=warm)
+        assert [h.basis_calls for h in spy_highs.made[1:]] == [1, 0]  # warm, then cold
+        tau_ref, value_ref = linprog_max_min_schedule(R2, 0.1)
+        assert sched.fractions.tobytes() == tau_ref.tobytes()
+        assert value == value_ref
+        assert warm.basis is not basis  # the cold run's optimal basis, for the next LP
+
+    def test_cold_failure_after_a_failed_warm_run_raises(self, spy_highs):
+        rng = np.random.default_rng(1501)
+        R = positive_rates(rng, 3, 40)
+        warm = trajectory._WarmStart()
+        optimal_schedule(R, 0.1, _warm=warm)
+        with mock.patch.object(
+            spy_highs, "getModelStatus", lambda self: trajectory.highs.HighsModelStatus.kInfeasible
+        ):
+            with pytest.raises(RuntimeError, match="Infeasible"):
+                optimal_schedule(nudged(rng, R), 0.1, _warm=warm)
+        assert [h.basis_calls for h in spy_highs.made[1:]] == [1, 0]
+
     def test_non_optimal_status_raises(self):
         solver_type = trajectory.highs._Highs
 

@@ -46,7 +46,7 @@ from uavirs.trajectory import (
     straight_line_trajectory,
 )
 
-from oracles import dykstra_speed_projection, sequential_line_search
+from oracles import dykstra_speed_projection, linprog_max_min_schedule, sequential_line_search
 
 RADIO = RadioParams(tx_power=0.1, noise_power=1e-11, ref_path_gain_db=-30.0)
 
@@ -635,6 +635,25 @@ def fig4_surface_solve():
     return solve_recorded("fig4", rate_target=1.1)
 
 
+@pytest.fixture(scope="module")
+def fig4_noirs_lps():
+    """A second fig4_noirs solve in this process, and (inputs, warm, x) of its every LP.
+
+    warm tells whether the LP was offered the optimal basis of an earlier LP.
+    """
+    lps = []
+
+    def record(*args, warm=None):
+        offered = warm is not None and warm.basis is not None
+        x = linprog(*args, warm=warm)
+        lps.append((args, offered, x))
+        return x
+
+    with mock.patch("uavirs.trajectory.linprog", side_effect=record):
+        res = min_time_mission(load_scenario(scenario_path("fig4_noirs")))
+    return res, lps
+
+
 def accepted_and_rejected(steps):
     rejected = sum(out is traj for traj, _, _, out in steps)
     return len(steps) - rejected, rejected
@@ -661,6 +680,21 @@ class TestKnownAnswers:
         *_, steps = fig4_noirs_solve
         assert accepted_and_rejected(steps) == (11, 10)
 
+    def test_fig4_noirs_first_lp_of_each_descent_is_cold(self, fig4_noirs_lps):
+        res, lps = fig4_noirs_lps
+        warm = [offered for _, offered, _ in lps]
+        assert (warm.count(False), warm.count(True)) == (10, 11)
+        assert warm.count(False) == sum(p.note != "speed" for p in res.probes)
+
+    def test_fig4_noirs_warm_lps_reach_the_cold_value(self, fig4_noirs_lps):
+        _, lps = fig4_noirs_lps
+        for args, offered, x in lps:
+            cold = linprog(*args)
+            if offered:
+                assert x[-1] == pytest.approx(cold[-1], rel=1e-12)
+            else:
+                assert x.tobytes() == cold.tobytes()
+
     def test_fig4_surface_mission(self, fig4_surface_solve):
         res, lp_calls, _, steps = fig4_surface_solve
         assert res.converged
@@ -668,6 +702,24 @@ class TestKnownAnswers:
         assert res.achieved_min_rate >= 1.1
         assert (lp_calls, res.iterations) == (20, 19)
         assert accepted_and_rejected(steps) == (10, 9)
+
+
+class TestNoSolverStateAcrossSolves:
+    """Each descent keeps its LP start basis to itself."""
+
+    def test_second_solve_gives_the_same_bytes(self, fig4_noirs_solve, fig4_noirs_lps):
+        first, second = fig4_noirs_solve[0], fig4_noirs_lps[0]
+        assert first.trajectory.waypoints.tobytes() == second.trajectory.waypoints.tobytes()
+        assert first.schedule.fractions.tobytes() == second.schedule.fractions.tobytes()
+        assert first.per_node_rates.tobytes() == second.per_node_rates.tobytes()
+
+    def test_standalone_schedule_after_a_solve_is_linprogs(self, fig4_noirs_solve):
+        res = fig4_noirs_solve[0]
+        R = per_slot_rates(load_scenario(scenario_path("fig4_noirs")), res.trajectory)
+        sched, value = optimal_schedule(R, res.trajectory.slot_duration)
+        tau_ref, value_ref = linprog_max_min_schedule(R, res.trajectory.slot_duration)
+        assert sched.fractions.tobytes() == tau_ref.tobytes()
+        assert value == value_ref
 
 
 class TestStackedLineSearch:
