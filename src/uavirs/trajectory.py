@@ -8,13 +8,11 @@ min-throughput stalls:
   * schedule block -- one exact max-min TDMA linear program over the per-slot
     rate matrix, handed to the HiGHS core that scipy ships and solved by its
     dual simplex without presolve; HiGHS returns the same optimum for the
-    same input, so the schedule is deterministic without a tie-break. The
-    first LP of a descent is solved cold, and when every rate is positive
-    its schedule is the one scipy's default linprog returns. Each later LP
-    has the same shape and slightly moved rates, and restarts from the
-    optimal basis of the LP before it: the same vertex in far fewer simplex
-    iterations, with values equal to within rounding. That basis lives in
-    the descent alone, so no solve depends on another;
+    same input, so the schedule is deterministic without a tie-break. Only
+    a mission's first LP is solved cold. Each later LP restarts from the
+    optimal basis of the LP before it, mapped to its slot count when it
+    opens a probe: an optimum in far fewer simplex iterations, with values
+    equal to within rounding. The basis lives in one mission alone;
   * trajectory block -- one projected ascent step on the softmin-smoothed
     objective, using the closed-form gradient of the rates in the horizontal
     waypoint coordinates and the exact Euclidean projection onto the speed
@@ -334,17 +332,39 @@ def per_slot_rates(scenario: Scenario, trajectory: Trajectory) -> np.ndarray:
 
 
 class _WarmStart:
-    """The optimal HiGHS basis of the last LP linprog solved with it, and that LP's size.
+    """A HiGHS start basis for the next schedule LP, and the size of the LP it fits.
 
-    _solve_fixed_time makes one per descent, so the basis never outlives the
-    descent and every LP it is offered to has the same K and M.
+    _solve_fixed_time offers one to each LP of its descent; the next probe
+    maps the last basis to its own slot count with for_slots.
     """
 
     __slots__ = ("basis", "size")
 
     def __init__(self):
         self.basis = None
-        self.size = None  # (columns, rows, nonzeros) of the LP basis came from
+        self.size = None  # (columns, rows, nonzeros) of the LP basis is for
+
+    def for_slots(self, k: int, slots: int) -> "_WarmStart":
+        """This basis of a k-node schedule LP, mapped to the LP with `slots` slots.
+
+        New slot t takes the statuses of tau[:, s] and of slot row s, old slot
+        s = min(((2t + 1) * M_old) // (2 * slots), M_old - 1) at the same
+        share of the mission; node rows and m keep theirs. The result is
+        alien, for HiGHS to complete; with slots = M_old it is this basis.
+        """
+        old = self.size[1] - k
+        start = _WarmStart()
+        if old == slots:
+            start.basis, start.size = self.basis, self.size
+            return start
+        src = np.minimum((2 * np.arange(slots) + 1) * old // (2 * slots), old - 1)
+        cols, rows = self.basis.col_status, self.basis.row_status
+        basis = highs.HighsBasis()  # alien by default
+        col_index = (old * np.arange(k)[:, None] + src).ravel().tolist()
+        basis.col_status = [cols[i] for i in col_index] + cols[-1:]
+        basis.row_status = rows[:k] + [rows[k + s] for s in src.tolist()]
+        start.basis, start.size = basis, (k * slots + 1, k + slots, 2 * k * slots + k)
+        return start
 
 
 def linprog(
@@ -369,13 +389,13 @@ def linprog(
     num_col integrality entries whenever it is given an array, so it gets
     zeros (all continuous), never an empty one.
 
-    With warm, the dual simplex starts from warm.basis when that basis is the
-    optimum of an LP with the same column, row and nonzero counts (for a
-    schedule LP they fix K and M), and warm then holds this LP's optimal
-    basis. From a nearby basis it reaches the same vertex in far fewer
-    iterations, with values equal to within rounding; among exactly tied
-    optima it may stop at another. If HiGHS refuses the basis, or the warm
-    run does not end optimal, the LP is solved again cold, in a fresh HiGHS.
+    With warm, the dual simplex starts from warm.basis, an optimal basis or
+    an alien one HiGHS completes, when it fits an LP with the same column,
+    row and nonzero counts (for a schedule LP they fix K and M); warm then
+    holds this LP's optimal basis. From a nearby basis it reaches an optimum
+    in far fewer iterations, with values equal to within rounding. If HiGHS
+    refuses the basis, or the warm run does not end optimal, the LP is
+    solved again cold, in a fresh HiGHS.
     Raises ValueError if the array sizes disagree (HiGHS would read past
     one) and RuntimeError unless HiGHS reports an optimum.
     """
@@ -431,8 +451,8 @@ def optimal_schedule(
 
     Called as optimal_schedule(R, slot_duration), the LP is solved cold.
     _solve_fixed_time passes its descent's _WarmStart as _warm, so that each
-    LP after the first restarts from the optimal basis of the one before
-    (see linprog).
+    LP after the mission's first restarts from the basis of the one before
+    (see linprog and _WarmStart.for_slots).
     """
     R = np.asarray(R, dtype=float)
     if R.ndim != 2:
@@ -543,7 +563,9 @@ def _interior_point_chain(xy: np.ndarray, line: np.ndarray, max_step: float) -> 
     endpoints fixed. Every chain starts from line, the straight path, which
     must be strictly feasible, and every iterate stays so: a step goes at
     most max(_IPM_REACH, 1 - mu / L^2) of the way to any bound and is halved
-    while rounding puts a segment outside the ball.
+    while rounding puts a segment outside the ball. Its multipliers start at
+    max(1, d / L), d its largest distance from line, the size stationarity,
+    w - xy = -D^T(lam s), gives the optimal lam on an active segment.
 
     Eliminating the multipliers lam leaves H dw = -(w - xy) - D^T(s q / u),
     H = I + sum_t D_t^T (lam_t I + (lam_t / u_t) s_t s_t^T) D_t, SPD with three
@@ -551,10 +573,8 @@ def _interior_point_chain(xy: np.ndarray, line: np.ndarray, max_step: float) -> 
     x + iy viewed as floats. dpbtrf factors H in place in LAPACK's lower band
     layout, low[d, i] = H[i + d, i], in a Fortran-ordered buffer: in the
     upper layout OpenBLAS's rank-1 update walks a vector with stride 3 and
-    takes more than twice as long. Both layouts form the same products in
-    the same order, so the factor has the same bits. It is copied into the
-    upper layout for dpbtrs, whose lower-layout solve rounds differently.
-    The predictor has q = 0; the corrector aims at sigma *
+    takes more than twice as long. dpbtrs solves with that factor as it
+    stands. The predictor has q = 0; the corrector aims at sigma *
     mu (mu = lam . u / M, sigma = (mu_aff / mu)^3), at no slack below
     _IPM_SLACK_FLOOR * L^2, plus the second-order term. A chain stops once
     its stationarity residual is below _IPM_TOL * L and each of its segments
@@ -578,7 +598,9 @@ def _interior_point_chain(xy: np.ndarray, line: np.ndarray, max_step: float) -> 
     path = np.repeat((line[:, 0] + 1j * line[:, 1])[None, :], xy.shape[0], axis=0)
     seg = path[:, 1:] - path[:, :-1]
     slack = _slack(seg, max_step)
-    lam = np.ones(seg.shape)
+    lam = np.maximum(1.0, np.abs(target - path[:, 1:-1]).max(axis=1) / max_step)
+    lam = np.repeat(lam[:, None], m, axis=1)
+    step = np.zeros_like(path)  # the Newton step; endpoints stay zero
     live = np.arange(xy.shape[0])  # input index of each chain still in the stack
     out = np.empty(target.shape, dtype=complex)
     area = max_step * max_step
@@ -607,23 +629,18 @@ def _interior_point_chain(xy: np.ndarray, line: np.ndarray, max_step: float) -> 
                 fac, info = lapack.dpbtrf(low, lower=1, overwrite_ab=1)
                 if info:  # H is SPD; only rounding at a degenerate optimum gets here
                     gone = np.arange(live.size) == (info - 1) // width
-                else:
-                    chol = np.zeros((n, 4)).T  # the same factor in upper layout
-                    for d in range(min(n, 4)):  # a lone 2-slot chain has n = 2
-                        chol[3 - d, d:] = fac[d, : n - d]
             if gone.any():
                 out[live[gone]] = path[gone, 1:-1]
                 keep = ~gone
-                live, target, path, seg, slack, lam = (
-                    v[keep] for v in (live, target, path, seg, slack, lam)
+                live, target, path, seg, slack, lam, step = (
+                    v[keep] for v in (live, target, path, seg, slack, lam, step)
                 )
                 continue
             conj_seg = seg.conj()
-            step = np.zeros_like(path)  # endpoints stay zero
 
             def direction(rhs, q):
                 """b = s . ds (the linearized slack falls by b), dlam, a = ||ds||^2."""
-                solved = lapack.dpbtrs(chol, rhs.view(float).ravel())[0]
+                solved = lapack.dpbtrs(fac, rhs.view(float).ravel(), lower=1, overwrite_b=1)[0]
                 step[:, 1:-1] = solved.view(complex).reshape(rhs.shape)
                 dseg = step[:, 1:] - step[:, :-1]
                 b = (conj_seg * dseg).real
@@ -797,17 +814,19 @@ class _InnerSolution:
     schedule: Schedule
     throughput: float  # scheduled min throughput, bps/Hz * s
     history: List[float]
+    warm: _WarmStart  # the optimal basis of the descent's last LP
 
 
 def _solve_fixed_time(
     scenario: Scenario,
     ev: _RateEvaluator,
     initial: Trajectory,
+    start: Optional[_WarmStart] = None,
 ) -> _InnerSolution:
-    """Block-coordinate descent at a fixed mission duration (monotone)."""
+    """Block-coordinate descent at one duration (monotone); its first LP starts from start."""
     delta = initial.slot_duration
     traj = initial
-    warm = _WarmStart()  # each LP starts from the one before it; the first is cold
+    warm = _WarmStart() if start is None else start.for_slots(len(ev.nodes), traj.num_slots)
     sched, value = optimal_schedule(ev.rates(traj.waypoints), delta, _warm=warm)
     history = [value]
     for _ in range(_BCD_MAX_ITERATIONS):
@@ -823,7 +842,7 @@ def _solve_fixed_time(
         history.append(value)
         if stalled:
             break
-    return _InnerSolution(traj, sched, value, history)
+    return _InnerSolution(traj, sched, value, history, warm)
 
 
 def min_time_mission(scenario: Scenario) -> MissionResult:
@@ -832,8 +851,9 @@ def min_time_mission(scenario: Scenario) -> MissionResult:
     Everything comes from scenario.experiment (constraints, rate_target,
     max_time); solve another variant with scenario.with_experiment(replace(...)).
     Bisects the mission duration over multiples of the slot length, scoring
-    each candidate with the inner block-coordinate descent (warm-started from
-    the previously evaluated duration). The descent at one duration stops
+    each candidate with the inner block-coordinate descent, started from the
+    previously evaluated duration's path and last LP basis, both mapped to
+    the new slot count. The descent at one duration stops
     after _BCD_MAX_ITERATIONS steps, or at the first step that lowers the
     scheduled value or raises it by at most _BCD_REL_TOL * max(1, value).
     A duration is feasible iff its achieved min rate reaches rate_target. If
@@ -850,17 +870,17 @@ def min_time_mission(scenario: Scenario) -> MissionResult:
     probes: List[CandidateProbe] = []
     solutions = {}
     iterations = 0
-    last: Optional[Trajectory] = None
+    last: Optional[_InnerSolution] = None
 
     def evaluate(m: int) -> bool:
         nonlocal iterations, last
         if last is None:
-            initial = straight_line_trajectory(constraints, m)
+            sol = _solve_fixed_time(scenario, ev, straight_line_trajectory(constraints, m))
         else:
-            initial = Trajectory(_project_speed(_resample(last, m), constraints.max_step), delta)
-        sol = _solve_fixed_time(scenario, ev, initial)
+            path = _project_speed(_resample(last.trajectory, m), constraints.max_step)
+            sol = _solve_fixed_time(scenario, ev, Trajectory(path, delta), last.warm)
         solutions[m] = sol
-        last = sol.trajectory
+        last = sol
         iterations += len(sol.history) - 1
         rate = sol.throughput / (m * delta)
         feasible = rate >= rate_target - 1e-9

@@ -338,6 +338,100 @@ class TestSolverFailure:
                     linprog(row_upper=row_upper, **args)
 
 
+def mapped_slot(t, m_old, m_new):
+    """The old slot at the same share of the mission as new slot t."""
+    return min((2 * t + 1) * m_old // (2 * m_new), m_old - 1)
+
+
+def probe_rates(rng, k, m_old, m_new, kind):
+    """Rates of an m_old-slot LP and of the next probe's m_new-slot LP.
+
+    The new rates are the old ones at the mapped slots, nudged as a
+    trajectory step moves them. kind "starved" zeroes one node's rates and
+    "tied" makes every node's rates equal, in both LPs.
+    """
+    R = positive_rates(rng, k, m_old)
+    if kind == "starved":
+        R[rng.integers(k)] = 0.0
+    elif kind == "tied":
+        R[:] = R[0]
+    R2 = nudged(rng, R[:, [mapped_slot(t, m_old, m_new) for t in range(m_new)]])
+    if kind == "tied":
+        R2[:] = R2[0]
+    return R, R2
+
+
+MAPPINGS = [
+    (m_old, m_new)
+    for m_old in (1, 2, 30, 300)
+    for m_new in sorted({1, 2, m_old - 1, m_old + 1, 10 * m_old} - {0})
+]
+
+
+class TestMappedStart:
+    """The optimal basis of one probe's last LP, mapped to the next probe's
+    slot count, starts that probe's first LP at the cold optimum."""
+
+    @pytest.mark.parametrize("kind", ["positive", "starved", "tied"])
+    @pytest.mark.parametrize("m_old, m_new", MAPPINGS)
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_mapped_value_is_the_cold_value(self, k, m_old, m_new, kind, spy_highs):
+        rng = np.random.default_rng(1600 + 1000 * k + m_old + 7 * m_new)
+        R, R2 = probe_rates(rng, k, m_old, m_new, kind)
+        warm = trajectory._WarmStart()
+        optimal_schedule(R, 0.1, _warm=warm)
+        start = warm.for_slots(k, m_new)
+        sched, value = optimal_schedule(R2, 0.1, _warm=start)
+        assert [h.basis_calls for h in spy_highs.made] == [0, 1]
+        if kind == "starved":
+            assert value == 0.0
+        elif kind == "tied":  # every slot shared equally: the cold optimum in closed form
+            assert value == pytest.approx(0.1 * R2[0].sum() / k, rel=1e-12)
+        else:
+            _, cold = optimal_schedule(R2, 0.1)
+            assert value == pytest.approx(cold, rel=1e-12)
+        tau = sched.fractions
+        assert np.all(tau >= 0.0) and np.all(tau <= 1.0)
+        assert np.all(tau.sum(axis=0) <= 1.0 + 1e-9)  # a renormalized column may round up
+        assert value == (tau * (0.1 * R2)).sum(axis=1).min()
+
+    @pytest.mark.parametrize("m_old, m_new", MAPPINGS)
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_statuses_follow_the_mission_share(self, k, m_old, m_new):
+        rng = np.random.default_rng(1700 + m_old)
+        warm = trajectory._WarmStart()
+        optimal_schedule(positive_rates(rng, k, m_old), 0.1, _warm=warm)
+        start = warm.for_slots(k, m_new)
+        assert start.size == (k * m_new + 1, k + m_new, 2 * k * m_new + k)
+        if m_new == m_old:
+            assert start.basis is warm.basis
+            return
+        cols, rows = warm.basis.col_status, warm.basis.row_status
+        assert start.basis.alien
+        assert start.basis.col_status == [
+            cols[node * m_old + mapped_slot(t, m_old, m_new)]
+            for node in range(k)
+            for t in range(m_new)
+        ] + [cols[-1]]
+        assert start.basis.row_status == rows[:k] + [
+            rows[k + mapped_slot(t, m_old, m_new)] for t in range(m_new)
+        ]
+
+    @pytest.mark.parametrize("fail_warm", ["refuse", "status"])
+    def test_failed_mapped_start_falls_back_to_a_cold_run(self, fail_warm, spy_highs):
+        rng = np.random.default_rng(1800)
+        R, R2 = probe_rates(rng, 3, 30, 45, "positive")
+        warm = trajectory._WarmStart()
+        optimal_schedule(R, 0.1, _warm=warm)
+        start = warm.for_slots(3, 45)
+        spy_highs.fail_warm = fail_warm
+        sched, value = optimal_schedule(R2, 0.1, _warm=start)
+        assert [h.basis_calls for h in spy_highs.made[1:]] == [1, 0]  # mapped, then cold
+        tau_ref, value_ref = linprog_max_min_schedule(R2, 0.1)
+        assert sched.fractions.tobytes() == tau_ref.tobytes()
+        assert value == value_ref
+
+
 class TestScheduleInvariants:
     @pytest.mark.parametrize("seed", range(8))
     def test_feasible_and_consistent(self, seed):

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -23,6 +24,7 @@ from uavirs.channel import (
     leg_amplitude,
     link_rate,
 )
+from uavirs import trajectory
 from uavirs.irs import IrsSurface, SurfaceKind
 from uavirs.scenario import (
     _MAX_STEP_LIMIT,
@@ -48,6 +50,7 @@ from uavirs.trajectory import (
 
 from oracles import dykstra_speed_projection, linprog_max_min_schedule, sequential_line_search
 
+REAL_HIGHS = trajectory.highs._Highs
 RADIO = RadioParams(tx_power=0.1, noise_power=1e-11, ref_path_gain_db=-30.0)
 
 
@@ -635,23 +638,65 @@ def fig4_surface_solve():
     return solve_recorded("fig4", rate_target=1.1)
 
 
+class CountingHighs:
+    """A real HiGHS instance that appends its simplex iteration count to runs after each run."""
+
+    runs = []
+
+    def __init__(self):
+        self._solver = REAL_HIGHS()
+
+    def __getattr__(self, name):
+        return getattr(self._solver, name)
+
+    def run(self):
+        status = self._solver.run()
+        CountingHighs.runs.append(self._solver.getInfo().simplex_iteration_count)
+        return status
+
+
 @pytest.fixture(scope="module")
 def fig4_noirs_lps():
-    """A second fig4_noirs solve in this process, and (inputs, warm, x) of its every LP.
+    """A second fig4_noirs solve in this process, and a record of its every LP.
 
-    warm tells whether the LP was offered the optimal basis of an earlier LP.
+    A record holds the LP's inputs (args), the start basis it was offered
+    (offered: None, or the basis's alien flag and its column and row
+    statuses), its solution x, the optimal basis it left (left: column and
+    row statuses) and the simplex iterations HiGHS took for it.
     """
     lps = []
 
     def record(*args, warm=None):
-        offered = warm is not None and warm.basis is not None
+        offered = None
+        if warm is not None and warm.basis is not None:
+            offered = (warm.basis.alien, warm.basis.col_status, warm.basis.row_status)
+        before = len(CountingHighs.runs)
         x = linprog(*args, warm=warm)
-        lps.append((args, offered, x))
+        left = (warm.basis.col_status, warm.basis.row_status)
+        iterations = sum(CountingHighs.runs[before:])
+        lps.append(
+            SimpleNamespace(args=args, offered=offered, x=x, left=left, iterations=iterations)
+        )
         return x
 
-    with mock.patch("uavirs.trajectory.linprog", side_effect=record):
+    CountingHighs.runs = []
+    with mock.patch("uavirs.trajectory.linprog", side_effect=record), mock.patch.object(
+        trajectory.highs, "_Highs", CountingHighs
+    ):
         res = min_time_mission(load_scenario(scenario_path("fig4_noirs")))
     return res, lps
+
+
+def nodes_and_slots(lp):
+    """K and M of a schedule LP: node rows have upper bound 0, slot rows 1."""
+    row_upper = lp.args[-1]
+    k = int(np.count_nonzero(row_upper == 0.0))
+    return k, row_upper.size - k
+
+
+def probe_first_lps(lps):
+    """The first LP of every probe after the first: each probe has its own slot count."""
+    return [lp for old, lp in zip(lps, lps[1:]) if nodes_and_slots(lp) != nodes_and_slots(old)]
 
 
 def accepted_and_rejected(steps):
@@ -680,20 +725,46 @@ class TestKnownAnswers:
         *_, steps = fig4_noirs_solve
         assert accepted_and_rejected(steps) == (11, 10)
 
-    def test_fig4_noirs_first_lp_of_each_descent_is_cold(self, fig4_noirs_lps):
+    def test_fig4_noirs_only_the_first_lp_is_cold(self, fig4_noirs_lps):
+        # Each probe's first LP starts from the last basis of the probe
+        # before it, mapped to its slot count; every other LP from the
+        # optimal basis of the LP just before it.
         res, lps = fig4_noirs_lps
-        warm = [offered for _, offered, _ in lps]
-        assert (warm.count(False), warm.count(True)) == (10, 11)
-        assert warm.count(False) == sum(p.note != "speed" for p in res.probes)
+        assert [lp.offered is None for lp in lps] == [True] + [False] * 20
+        firsts = probe_first_lps(lps)
+        assert len(firsts) == sum(p.note != "speed" for p in res.probes) - 1
+        for before, lp in zip(lps, lps[1:]):
+            alien, cols, rows = lp.offered
+            (k, m_old), (_, m_new) = nodes_and_slots(before), nodes_and_slots(lp)
+            if m_new == m_old:
+                assert not alien and (cols, rows) == before.left
+                continue
+            src = [min((2 * t + 1) * m_old // (2 * m_new), m_old - 1) for t in range(m_new)]
+            old_cols, old_rows = before.left
+            assert alien
+            assert cols == [old_cols[node * m_old + s] for node in range(k) for s in src] + [
+                old_cols[-1]
+            ]
+            assert rows == old_rows[:k] + [old_rows[k + s] for s in src]
+
+    def test_fig4_noirs_mapped_starts_halve_the_simplex_iterations(self, fig4_noirs_lps):
+        _, lps = fig4_noirs_lps
+        firsts = probe_first_lps(lps)
+        CountingHighs.runs = []
+        with mock.patch.object(trajectory.highs, "_Highs", CountingHighs):
+            for lp in firsts:
+                linprog(*lp.args)
+        assert len(CountingHighs.runs) == len(firsts)
+        assert sum(lp.iterations for lp in firsts) < 0.5 * sum(CountingHighs.runs)
 
     def test_fig4_noirs_warm_lps_reach_the_cold_value(self, fig4_noirs_lps):
         _, lps = fig4_noirs_lps
-        for args, offered, x in lps:
-            cold = linprog(*args)
-            if offered:
-                assert x[-1] == pytest.approx(cold[-1], rel=1e-12)
+        for lp in lps:
+            cold = linprog(*lp.args)
+            if lp.offered is not None:
+                assert lp.x[-1] == pytest.approx(cold[-1], rel=1e-12)
             else:
-                assert x.tobytes() == cold.tobytes()
+                assert lp.x.tobytes() == cold.tobytes()
 
     def test_fig4_surface_mission(self, fig4_surface_solve):
         res, lp_calls, _, steps = fig4_surface_solve
@@ -705,7 +776,7 @@ class TestKnownAnswers:
 
 
 class TestNoSolverStateAcrossSolves:
-    """Each descent keeps its LP start basis to itself."""
+    """Each mission keeps its LP start bases to itself."""
 
     def test_second_solve_gives_the_same_bytes(self, fig4_noirs_solve, fig4_noirs_lps):
         first, second = fig4_noirs_solve[0], fig4_noirs_lps[0]
