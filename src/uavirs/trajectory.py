@@ -17,8 +17,10 @@ min-throughput stalls:
     objective, using the closed-form gradient of the rates in the horizontal
     waypoint coordinates and the exact Euclidean projection onto the speed
     constraints (a primal-dual interior-point solve with banded Newton
-    systems, which projects a line search's candidates as one stack). Any
-    step that lowers the true (hard-min) objective is rejected.
+    systems, which projects a line search's candidates as one stack and
+    starts each from the candidate pulled back inside the bound along the
+    line to the straight path, so a small overshoot takes few Newton
+    steps). Any step that lowers the true (hard-min) objective is rejected.
 
 The inner objective is non-decreasing across accepted iterations by
 construction, and every trajectory ever returned is speed-feasible.
@@ -536,21 +538,29 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
+def _reach_to_bound(kept, b, a) -> np.ndarray:
+    """Per chain, the smallest alpha > 0 at which some segment's slack has fallen by kept.
+
+    A step alpha lowers a segment's slack by alpha * b + alpha^2 * a / 2
+    (b = s . ds, a = ||ds||^2): the root is taken in its cancellation-free
+    form for the sign of b. A segment the step leaves as it is (a = b = 0)
+    gives inf. The branch np.where drops may divide by zero or overflow, so
+    the caller turns floating-point warnings off.
+    """
+    root = np.sqrt(b * b + 2.0 * a * kept)
+    return np.where(b >= 0.0, 2.0 * kept / (b + root), (root - b) / a).min(axis=1)
+
+
 def _step_to_boundary(slack, b, a, lam, dlam, reach) -> np.ndarray:
     """Per chain, the largest step <= 1 going at most reach of the way to any bound.
 
-    A step alpha lowers a segment's slack u by alpha * b + alpha^2 * a / 2
-    (b = s . ds, a = ||ds||^2): the root at reach * u is taken in its
-    cancellation-free form for the sign of b. Multipliers move linearly.
-    reach is one float or an array of one per chain. The branch np.where
-    drops may divide by zero or overflow, so the caller turns floating-point
-    warnings off.
+    The slack may fall by reach * slack (_reach_to_bound); multipliers move
+    linearly. reach is one float or an array of one per chain.
     """
     kept = reach * slack if isinstance(reach, float) else reach[:, None] * slack
-    root = np.sqrt(b * b + 2.0 * a * kept)
-    primal = np.where(b >= 0.0, 2.0 * kept / (b + root), (root - b) / a).min(axis=1)
+    primal = np.minimum(1.0, _reach_to_bound(kept, b, a))
     fall = (-dlam / lam).max(axis=1)
-    return np.minimum(np.minimum(1.0, primal), np.where(fall > 0.0, reach / fall, 1.0))
+    return np.minimum(primal, np.where(fall > 0.0, reach / fall, 1.0))
 
 
 def _interior_point_chain(xy: np.ndarray, line: np.ndarray, max_step: float) -> np.ndarray:
@@ -560,12 +570,19 @@ def _interior_point_chain(xy: np.ndarray, line: np.ndarray, max_step: float) -> 
     (B, M + 1, 2); the result has shape (B, M - 1, 2). Primal-dual
     interior-point method, Mehrotra's predictor-corrector (Mehrotra 1992),
     on u_t = (L^2 - ||s_t||^2) / 2 >= 0, s_t = w[t+1] - w[t], L = max_step,
-    endpoints fixed. Every chain starts from line, the straight path, which
-    must be strictly feasible, and every iterate stays so: a step goes at
-    most max(_IPM_REACH, 1 - mu / L^2) of the way to any bound and is halved
-    while rounding puts a segment outside the ball. Its multipliers start at
-    max(1, d / L), d its largest distance from line, the size stationarity,
-    w - xy = -D^T(lam s), gives the optimal lam on an active segment.
+    endpoints fixed. line, the straight path, must be strictly feasible.
+    Each chain starts at line + _IPM_REACH * theta * (xy[i] - line), theta
+    the largest value in [0, 1] that keeps every segment inside the ball
+    (the smallest positive root of one quadratic per segment; a segment
+    where xy[i] - line does not change is skipped), or at line itself if
+    theta is not finite or rounding leaves a start segment outside the ball.
+    A candidate that overshoots the bound a little thus starts next to its
+    answer. Every iterate stays strictly feasible: a step goes at most
+    max(_IPM_REACH, 1 - mu / L^2) of the way to any bound and is halved
+    while rounding puts a segment outside the ball. The multipliers start
+    at max(_IPM_TOL, (l - L) / L), l the longest segment of xy[i]: the
+    candidate's own overshoot, about the size of the optimal multipliers,
+    which can fall only a few times per Newton step.
 
     Eliminating the multipliers lam leaves H dw = -(w - xy) - D^T(s q / u),
     H = I + sum_t D_t^T (lam_t I + (lam_t / u_t) s_t s_t^T) D_t, SPD with three
@@ -594,18 +611,29 @@ def _interior_point_chain(xy: np.ndarray, line: np.ndarray, max_step: float) -> 
     lapack = sys.modules[__name__]  # dpbtrf and dpbtrs bind on first read
     m = xy.shape[1] - 1
     width = 2 * (m - 1)  # unknowns per chain in the band
-    target = xy[:, 1:-1, 0] + 1j * xy[:, 1:-1, 1]
-    path = np.repeat((line[:, 0] + 1j * line[:, 1])[None, :], xy.shape[0], axis=0)
-    seg = path[:, 1:] - path[:, :-1]
-    slack = _slack(seg, max_step)
-    lam = np.maximum(1.0, np.abs(target - path[:, 1:-1]).max(axis=1) / max_step)
-    lam = np.repeat(lam[:, None], m, axis=1)
-    step = np.zeros_like(path)  # the Newton step; endpoints stay zero
+    cand = xy[..., 0] + 1j * xy[..., 1]
+    target = cand[:, 1:-1]
+    straight = (line[:, 0] + 1j * line[:, 1])[None, :]
+    shift = cand - straight  # zero at the shared endpoints
+    line_seg, shift_seg = (v[:, 1:] - v[:, :-1] for v in (straight, shift))
+    step = np.zeros_like(cand)  # the Newton step; endpoints stay zero
     live = np.arange(xy.shape[0])  # input index of each chain still in the stack
     out = np.empty(target.shape, dtype=complex)
     area = max_step * max_step
     steps = 0
-    with np.errstate(all="ignore"):  # for _step_to_boundary
+    with np.errstate(all="ignore"):  # for _reach_to_bound and _step_to_boundary
+        theta = np.minimum(1.0, _reach_to_bound(
+            _slack(line_seg, max_step),
+            (line_seg.conj() * shift_seg).real,
+            (shift_seg * shift_seg.conj()).real,
+        ))
+        path = straight + (_IPM_REACH * theta)[:, None] * shift
+        inside = _slack(path[:, 1:] - path[:, :-1], max_step).min(axis=1) > 0.0
+        path = np.where((np.isfinite(theta) & inside)[:, None], path, straight)
+        seg = path[:, 1:] - path[:, :-1]
+        slack = _slack(seg, max_step)
+        overshoot = np.abs(cand[:, 1:] - cand[:, :-1]).max(axis=1) - max_step
+        lam = np.repeat(np.maximum(_IPM_TOL, overshoot / max_step)[:, None], m, axis=1)
         while live.size and steps < _IPM_MAX_STEPS:
             fit = path[:, 1:-1] - target
             force = lam * seg
@@ -696,9 +724,10 @@ def _project_speed(wp: np.ndarray, max_step: float) -> np.ndarray:
     the start-end distance, or a straight line that rounding leaves on the
     boundary) the straight line, the only candidate left, is returned
     without iterating. Otherwise the infeasible paths go through one
-    interior-point solve, which starts each from the straight line, keeps
-    every iterate strictly inside the speed bound and gives each path the
-    bits of its solve alone, so the output is speed-feasible as it stands.
+    interior-point solve, which starts each on the segment from the straight
+    line to the path, keeps every iterate strictly inside the speed bound
+    and gives each path the bits of its solve alone, so the output is
+    speed-feasible as it stands.
     """
     out = wp.copy()
     paths = out.reshape(-1, *wp.shape[-2:])  # a view: writes land in out

@@ -6,7 +6,9 @@ evaluator recomputes rates from raw float math, the hybrid split rule is
 restated one split at a time from its description, the schedule LP's matrix
 is assembled from blocks and solved through scipy's public linprog, and the
 trajectory line search is restated one candidate at a time around the
-projection and rates its caller passes in.
+projection and rates its caller passes in, the speed projection is checked
+against its optimality conditions, and the hybrid deployment against a
+brute force over every split and every assignment.
 """
 
 import itertools
@@ -206,6 +208,74 @@ def dykstra_speed_projection(path, max_step, tol=1e-14, max_sweeps=200_000):
         if np.abs(x - before).max() <= tol * max(max_step, np.abs(x).max()):
             return x
     raise RuntimeError("Dykstra projection did not settle")
+
+
+def speed_projection_kkt_violation(path, projected, max_step, active_tol=1e-6):
+    """How far projected is from satisfying the speed projection's optimality conditions.
+
+    projected (2-D, endpoints those of path) is the Euclidean projection of
+    path onto ||p[t+1] - p[t]|| <= max_step iff it is feasible and there are
+    multipliers lam >= 0, zero on segments below the bound, with
+    p_t - x_t + lam_{t-1} s_{t-1} - lam_t s_t = 0 at every interior point
+    (s_t = p[t+1] - p[t]); the problem is convex, so these conditions
+    suffice. The multipliers of the segments within active_tol * max_step of
+    the bound are fitted by least squares, the others are 0. Returns the
+    largest of: the stationarity residual and the longest segment's excess,
+    both per unit of max_step, and the most negative multiplier's size.
+    """
+    x = np.asarray(path, dtype=float)
+    p = np.asarray(projected, dtype=float)
+    seg = np.diff(p, axis=0)
+    length = np.hypot(seg[:, 0], seg[:, 1])
+    active = np.flatnonzero(length >= max_step * (1.0 - active_tol))
+    m = seg.shape[0]
+    # Column j is lam_j's share of the residual at the interior points 1..m-1.
+    basis = np.zeros((m - 1, 2, active.size))
+    for j, t in enumerate(active):
+        if t >= 1:
+            basis[t - 1, :, j] -= seg[t]
+        if t + 1 <= m - 1:
+            basis[t, :, j] += seg[t]
+    basis = basis.reshape(2 * (m - 1), active.size)
+    fit = (p - x)[1:-1].reshape(-1)
+    lam = np.linalg.lstsq(basis, -fit, rcond=None)[0]
+    residual = fit + basis @ lam
+    worst_lam = -min(0.0, float(lam.min())) if lam.size else 0.0
+    return max(
+        float(np.abs(residual).max()) / max_step,
+        float(length.max()) / max_step - 1.0,
+        worst_lam,
+    )
+
+
+def brute_force_deployment(users, n_budget, rate):
+    """Highest min user rate over every element split and every user-to-surface assignment.
+
+    users: (user id, covered by the terrestrial surface, aerial LoS
+    threshold) in scenario order; rate(uid, surface, elements, altitude) as
+    for hybrid_split. Each user may go to no surface (None), to the
+    terrestrial surface if it covers the user, or to the aerial one if its
+    threshold is finite; the aerial altitude is the module's rule, the
+    lowest giving LoS to every aerial user: the highest of their thresholds,
+    or 0. Every n_aerial = 0..n_budget is tried with n_budget - n_aerial
+    terrestrial elements.
+    """
+    options = [
+        [None] + ["terrestrial"] * covered + ["aerial"] * math.isfinite(threshold)
+        for _, covered, threshold in users
+    ]
+    best = -math.inf
+    for n_aerial in range(n_budget + 1):
+        elements = {"aerial": n_aerial, "terrestrial": n_budget - n_aerial, None: 0}
+        for choice in itertools.product(*options):
+            altitude = max(
+                [0.0] + [t for (_, _, t), s in zip(users, choice) if s == "aerial"]
+            )
+            worst = min(
+                rate(uid, s, elements[s], altitude) for (uid, _, _), s in zip(users, choice)
+            )
+            best = max(best, worst)
+    return best
 
 
 def sequential_line_search(

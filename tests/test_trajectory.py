@@ -48,7 +48,12 @@ from uavirs.trajectory import (
     straight_line_trajectory,
 )
 
-from oracles import dykstra_speed_projection, linprog_max_min_schedule, sequential_line_search
+from oracles import (
+    dykstra_speed_projection,
+    linprog_max_min_schedule,
+    sequential_line_search,
+    speed_projection_kkt_violation,
+)
 
 REAL_HIGHS = trajectory.highs._Highs
 RADIO = RadioParams(tx_power=0.1, noise_power=1e-11, ref_path_gain_db=-30.0)
@@ -271,6 +276,43 @@ def newton_matrix(rng, m):
     return h[2:-2, 2:-2]  # the endpoints are fixed
 
 
+def pulled_back_start(path, line, max_step):
+    """line + _IPM_REACH * theta * (path - line), theta the largest value in [0, 1]
+    that keeps every segment within max_step, solved segment by segment."""
+    shift = path[:, :2] - line[:, :2]
+    theta = 1.0
+    for c, e in zip(np.diff(line[:, :2], axis=0), np.diff(shift, axis=0)):
+        a, b, room = e @ e, c @ e, max_step * max_step - c @ c
+        if a > 0.0:  # ||c + theta e|| = max_step at the positive root
+            root = math.sqrt(b * b + a * room)
+            theta = min(theta, room / (b + root) if b >= 0.0 else (root - b) / a)
+    start = line.copy()
+    start[:, :2] += trajectory._IPM_REACH * theta * shift
+    return start
+
+
+def start_of(path, max_step):
+    """The interior-point start of one infeasible path: a first factorization
+    that fails stops the chain where it stands."""
+    with mock.patch("uavirs.trajectory.dpbtrf", return_value=(None, 1)):
+        return _project_speed(path, max_step)
+
+
+def boundary_path(rng, m, max_step):
+    """A bent path from a random start whose every segment is max_step long."""
+    heading = np.cumsum(rng.uniform(-0.6, 0.6, m))
+    steps = max_step * np.stack([np.cos(heading), np.sin(heading)], axis=1)
+    wp = np.full((m + 1, 3), ALTITUDE)
+    wp[0, :2] = rng.uniform(-100.0, 100.0, 2)
+    wp[1:, :2] = wp[0, :2] + np.cumsum(steps, axis=0)
+    return wp
+
+
+def longest_segment(wp):
+    seg = np.diff(wp[:, :2], axis=0)
+    return float(np.hypot(seg[:, 0], seg[:, 1]).max())
+
+
 class TestProjectSpeed:
     @settings(max_examples=60)
     @given(stack=speed_stacks())
@@ -283,8 +325,8 @@ class TestProjectSpeed:
 
     def test_failed_factorization_stops_only_its_chain(self):
         # A factorization that fails in the middle chain's block stops that
-        # chain where it stands (the straight line); the others go on as
-        # they would alone.
+        # chain where it stands, at its start strictly inside the bound; the
+        # others go on as they would alone.
         rng = np.random.default_rng(4)
         m, max_step = 12, 5.0
         constraints = TrajectoryConstraints(
@@ -309,9 +351,121 @@ class TestProjectSpeed:
         with mock.patch("uavirs.trajectory.dpbtrf", side_effect=fail_once):
             out = _project_speed(paths, max_step)
         assert calls[1][1] == 2 * calls[0][1] // 3  # the stack shrank to two chains
-        np.testing.assert_array_equal(out[1], line)
+        start = pulled_back_start(paths[1], line, max_step)
+        np.testing.assert_allclose(out[1], start, rtol=0.0, atol=1e-12 * max_step)
+        np.testing.assert_array_equal(out[1][[0, -1]], line[[0, -1]])
+        np.testing.assert_array_equal(out[1][:, 2], line[:, 2])
+        assert longest_segment(out[1]) < max_step
         assert out[0].tobytes() == alone[0].tobytes()
         assert out[2].tobytes() == alone[2].tobytes()
+
+    def test_newton_steps_do_not_grow_as_the_overshoot_shrinks(self):
+        # A line search's short steps overshoot the bound by little: here a
+        # bent path strictly inside it plus alpha * g, alpha = 2^-5 ... 2^-29.
+        # A start at the straight line, with multipliers the size of the
+        # path's bend, took more Newton steps the smaller the overshoot (10
+        # at 2^-5, 24 at 2^-29); a start next to the candidate does not.
+        m, max_step = 40, 5.0
+        heading = 1.1 * np.sin(np.linspace(0.0, 2.0 * math.pi, m))
+        wp = np.full((m + 1, 3), ALTITUDE)
+        wp[0, :2] = 0.0
+        steps = (1.0 - 1e-12) * max_step * np.stack([np.cos(heading), np.sin(heading)], axis=1)
+        wp[1:, :2] = np.cumsum(steps, axis=0)
+        assert longest_segment(wp) < max_step
+        g = np.zeros_like(wp)
+        g[1:-1, :2] = np.random.default_rng(0).normal(size=(m - 1, 2)) * max_step
+        counts = []
+        for k in range(5, 30):
+            with mock.patch("uavirs.trajectory.dpbtrf", wraps=dpbtrf) as factor:
+                out = _project_speed(wp + 2.0**-k * g, max_step)
+            counts.append(factor.call_count)
+            assert longest_segment(out) <= max_step
+        assert min(counts) > 0  # every candidate overshoots
+        assert counts[-1] <= counts[0] + 2
+
+    def test_start_keeps_the_line_where_the_candidate_does(self):
+        # Segments where the candidate moves no waypoint off the straight
+        # line have no root and are skipped; the start leaves those
+        # waypoints on the line, bit for bit.
+        m, max_step = 16, 5.0
+        line = np.full((m + 1, 3), ALTITUDE)
+        start_xy = np.array([3.0, -7.0])
+        end_xy = start_xy + 0.6 * m * max_step * np.array([0.6, 0.8])
+        line[:, :2] = trajectory._straight_line(start_xy, end_xy, m)
+        path = line.copy()
+        path[6:11, :2] += np.random.default_rng(1).uniform(-2.0, 2.0, (5, 2)) * max_step
+        start = start_of(path, max_step)
+        np.testing.assert_array_equal(start[:6], line[:6])
+        np.testing.assert_array_equal(start[11:], line[11:])
+        expected = pulled_back_start(path, line, max_step)
+        np.testing.assert_allclose(start, expected, atol=1e-12 * max_step)
+        assert longest_segment(start) < max_step
+        out = _project_speed(path, max_step)
+        ref = dykstra_speed_projection(path[:, :2], max_step)
+        assert np.abs(out[:, :2] - ref).max() <= 1e-6 * max_step
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_huge_overshoot_starts_next_to_the_line(self, seed):
+        # 300 slots' flight off the line: theta is about 1e-3, the start
+        # strictly inside the bound, and the answer still optimal.
+        rng = np.random.default_rng(seed)
+        m, max_step = 12, 5.0
+        line = np.full((m + 1, 3), ALTITUDE)
+        line[:, :2] = trajectory._straight_line(np.zeros(2), np.array([0.5 * m * max_step, 0.0]), m)
+        path = line.copy()
+        path[1:-1, :2] += 300.0 * max_step * rng.uniform(-1.0, 1.0, (m - 1, 2))
+        start = start_of(path, max_step)
+        assert longest_segment(start) < max_step
+        expected = pulled_back_start(path, line, max_step)
+        np.testing.assert_allclose(start, expected, atol=1e-12 * max_step)
+        assert np.abs(start - line).max() < 0.01 * np.abs(path - line).max()
+        out = _project_speed(path, max_step)
+        np.testing.assert_array_equal(out[[0, -1]], path[[0, -1]])
+        assert speed_projection_kkt_violation(path[:, :2], out[:, :2], max_step) <= 1e-6
+
+    def test_start_on_a_budget_with_ulps_of_slack_stays_inside(self):
+        # When the straight step is a few ulps below max_step, rounding can
+        # leave a pulled-back start segment outside the ball; that chain
+        # starts at the straight line instead, and the output stays inside.
+        # (A line that rounding leaves on the bound is returned as it is.)
+        rng = np.random.default_rng(0)
+        solved = 0
+        for _ in range(100):
+            m, max_step = int(rng.integers(2, 6)), float(rng.uniform(1.0, 10.0))
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            start = rng.uniform(-100.0, 100.0, 2)
+            reach = m * max_step * (1.0 - int(rng.integers(1, 60)) * 2.0**-52)
+            end = start + reach * np.array([math.cos(angle), math.sin(angle)])
+            wp = np.full((m + 1, 3), ALTITUDE)
+            wp[:, :2] = trajectory._straight_line(start, end, m)
+            if trajectory._no_slack(wp[:, :2], max_step):
+                continue
+            wp[1:-1, :2] += rng.uniform(-3.0, 3.0, (m - 1, 2)) * max_step
+            out = _project_speed(wp, max_step)
+            assert longest_segment(out) < max_step
+            np.testing.assert_array_equal(out[[0, -1]], wp[[0, -1]])
+            solved += 1
+        assert solved > 30
+
+    def test_huge_overshoot_two_slot_path(self):
+        # One interior waypoint 6e5 m off the line: its projection is the
+        # corner of the lens the two discs around the endpoints share.
+        wp = np.array([[0.0, 0.0, 30.0], [50.0, 1e4 * 60.0, 30.0], [100.0, 0.0, 30.0]])
+        out = _project_speed(wp, 60.0)
+        np.testing.assert_allclose(out[1], [50.0, math.sqrt(60.0**2 - 50.0**2), 30.0], rtol=1e-9)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_near_feasible_candidate_matches_dykstra(self, seed):
+        # A path on the bound, bent, plus a 1e-6 * max_step perturbation: the
+        # short-step candidates of a line search.
+        rng = np.random.default_rng(seed)
+        m, max_step = int(rng.integers(3, 40)), float(rng.uniform(0.5, 20.0))
+        wp = boundary_path(rng, m, max_step)
+        wp[1:-1, :2] += 1e-6 * max_step * rng.uniform(-1.0, 1.0, (m - 1, 2))
+        out = _project_speed(wp, max_step)
+        ref = dykstra_speed_projection(wp[:, :2], max_step)
+        assert np.abs(out[:, :2] - ref).max() <= 1e-6 * max_step
+        assert longest_segment(out) <= max_step
 
     @settings(max_examples=40)
     @given(stack=speed_stacks())
@@ -773,6 +927,32 @@ class TestKnownAnswers:
         assert res.achieved_min_rate >= 1.1
         assert (lp_calls, res.iterations) == (20, 19)
         assert accepted_and_rejected(steps) == (10, 9)
+
+
+class TestSearchSnapshot:
+    """Mission time, accepted BCD iterations and probe count of today's search.
+
+    The bisection's answer depends on max_time (ROADMAP item 1), so these
+    pin the search itself: a change meant only to make it faster must keep
+    every value. ROADMAP items 1 and 2, which replace the trajectory step
+    and the bisection, will re-pin them.
+    """
+
+    @pytest.mark.parametrize(
+        "name, overrides, expected",
+        [
+            ("fig4_noirs", {"max_time": 15.0}, (9.1, 18, 8)),
+            ("fig4_noirs", {"max_time": 30.0}, (5.1, 21, 10)),
+            ("fig4_noirs", {"max_time": 40.0}, (4.7, 27, 11)),
+            ("fig4", {"rate_target": 1.1, "max_time": 10.0}, (6.8, 11, 8)),
+            ("fig4", {"rate_target": 1.1, "max_time": 30.0}, (4.8, 19, 10)),
+        ],
+    )
+    def test_same_search(self, name, overrides, expected):
+        scn = load_scenario(scenario_path(name))
+        res = min_time_mission(scn.with_experiment(replace(scn.experiment, **overrides)))
+        assert res.converged
+        assert (round(res.mission_time, 9), res.iterations, len(res.probes)) == expected
 
 
 class TestNoSolverStateAcrossSolves:
