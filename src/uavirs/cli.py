@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_dep.add_argument(
         "--strategies",
-        choices=["user", "bs", "hybrid", "all"],
+        choices=[s.value for s in DeploymentStrategy] + ["all"],
         default="all",
         help="which deployment strategies to evaluate",
     )

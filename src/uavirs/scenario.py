@@ -2,15 +2,17 @@
 
 A scenario is a single YAML document holding the nodes, surfaces, radio
 constants, per-link-class path-loss exponents, link-state rules, and exactly
-one experiment block (trajectory or deployment). Unknown keys are rejected;
-every validation error names the offending field. All defaults from the
-design ledger are applied at load time and echoed into the loaded object.
+one experiment block (trajectory or deployment). Unknown keys and keys given
+twice in one mapping are rejected; every validation error names the offending
+field. Defaults live in the types: an optional key left out of a file takes
+the default of the field it fills.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 from importlib import resources
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
@@ -47,8 +49,29 @@ except ImportError:
 # parse errors differently and marks the end of the text on the line after it.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-DEFAULT_SLOT_DURATION = 0.1
-DEFAULT_MAX_TIME = 60.0
+
+@cache  # one subclass per PyYAML loader class
+def _unique_keys(loader):
+    """A subclass of a PyYAML loader that rejects a key given twice in one mapping."""
+
+    class UniqueKeyLoader(loader):
+        def construct_mapping(self, node, deep=False):
+            pairs = list(node.value)  # flattening the `<<` merge keys rewrites node.value
+            mapping = super().construct_mapping(node, deep)
+            if len(mapping) < len(node.value):  # a key repeated, or merged and overridden
+                seen = set()
+                for key_node, _ in pairs:
+                    if key_node.tag == "tag:yaml.org,2002:merge":
+                        continue
+                    key = self.construct_object(key_node)  # built above, so cached
+                    if key in seen:
+                        raise yaml.constructor.ConstructorError(
+                            None, None, f"repeated key {key!r}", key_node.start_mark
+                        )
+                    seen.add(key)
+            return mapping
+
+    return UniqueKeyLoader
 
 
 # Largest accepted v_max * slot_duration (m). The speed projection forms
@@ -75,7 +98,7 @@ class TrajectoryConstraints:
     end: Position3D
     fixed_altitude: float
     v_max: float
-    slot_duration: float
+    slot_duration: float = 0.1
 
     def __post_init__(self):
         if not (self.v_max > 0):
@@ -119,7 +142,7 @@ class TrajectoryConstraints:
 class TrajectoryExperiment:
     constraints: TrajectoryConstraints
     rate_target: float
-    max_time: float = DEFAULT_MAX_TIME
+    max_time: float = 60.0
 
     def __post_init__(self):
         if not (0 < self.rate_target < math.inf):  # also rejects NaN
@@ -289,29 +312,58 @@ def scenario_path(name: str) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Parsing helpers: every reader names the field it is validating.
+# Reading files. A reader takes (value, field) and names field in its errors;
+# a table maps each key of one mapping to (type field, required, reader).
 
 
-def _fail(field: str, message: str):
+def _fail(field: Optional[str], message: str):
     raise ScenarioError(message, field=field)
 
 
-def _check_keys(mapping: dict, allowed: set, where: str) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        name = sorted(unknown, key=str)[0]  # YAML keys need not all be strings
-        _fail(f"{where}{name}", "unknown key")
+def _build(make, field: str, args: tuple = (), kwargs: Optional[dict] = None):
+    """make(*args, **kwargs), the errors of its own checks reported against field."""
+    try:
+        return make(*args, **(kwargs or {}))
+    except _StepOutOfRange as exc:  # slot_duration has a default; v_max does not
+        _fail(f"{field}.v_max", str(exc))
+    except (ValueError, ConfigurationError) as exc:
+        _fail(field, str(exc))
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        _fail(f"{where}{key}", "missing required key")
-    return mapping[key]
+def _section(entry, where: str, what: str, table: dict) -> dict:
+    """The keyword arguments that one mapping gives its type, read by table.
+
+    what is the message when entry is no mapping. An optional key that is
+    absent is left out, so the type's own default applies.
+    """
+    if not isinstance(entry, dict):
+        _fail(where or None, what)
+    prefix = f"{where}." if where else ""
+    if not entry.keys() <= table.keys():
+        name = sorted(entry.keys() - table.keys(), key=str)[0]  # keys need not all be strings
+        _fail(f"{prefix}{name}", "unknown key")
+    fields = {}
+    for key, (name, required, read) in table.items():
+        if key in entry:
+            fields[name] = read(entry[key], prefix + key)
+        elif required:
+            _fail(prefix + key, "missing required key")
+    return fields
+
+
+def _items(values: list, field: str, read) -> tuple:
+    return tuple([read(v, f"{field}[{i}]") for i, v in enumerate(values)])
 
 
 def _as_str(value, field: str) -> str:
     if not isinstance(value, str) or not value:
         _fail(field, f"expected a non-empty string, got {value!r}")
+    return value
+
+
+def _as_text(value, field: str) -> str:
+    if not isinstance(value, str):
+        _fail(field, "expected a string")
     return value
 
 
@@ -344,224 +396,215 @@ def _as_float(value, field: str, allow_inf: bool = False) -> float:
     return out
 
 
-def _as_int(value, field: str) -> int:
+def _as_positive(value, field: str) -> float:
+    out = _as_float(value, field)
+    if out <= 0:
+        _fail(field, "must be > 0")
+    return out
+
+
+def _as_radius(value, field: str) -> Optional[float]:
+    return None if value is None else _as_positive(value, field)
+
+
+def _as_threshold(value, field: str) -> float:
+    out = _as_float(value, field, allow_inf=True)
+    if out < 0:
+        _fail(field, "must be >= 0")
+    return out
+
+
+def _as_count(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(field, f"expected an integer, got {value!r}")
+    if value < 0:
+        _fail(field, "must be >= 0")
     return value
 
 
-def _as_choice(value, choices: dict, field: str):
-    if not (isinstance(value, str) and value in choices):  # a list is no dict key
-        _fail(field, f"expected one of {sorted(choices)}, got {value!r}")
-    return choices[value]
+def _one_of(members):
+    """Reader of an enum member, written as its value."""
+    choices = {m.value: m for m in members}
+
+    def read(value, field: str):
+        if not (isinstance(value, str) and value in choices):  # a list is no dict key
+            _fail(field, f"expected one of {sorted(choices)}, got {value!r}")
+        return choices[value]
+
+    return read
+
+
+def _as_triple(value, field: str, expected: str) -> Tuple[float, float, float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        _fail(field, f"expected {expected}, got {value!r}")
+    return _items(value, field, _as_float)
 
 
 def _as_position(value, field: str) -> Position3D:
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        _fail(field, f"expected [x, y, z], got {value!r}")
-    coords = [_as_float(v, f"{field}[{i}]") for i, v in enumerate(value)]
-    try:
-        return Position3D(*coords)
-    except ValueError as exc:
-        _fail(field, str(exc))
+    return _build(Position3D, field, _as_triple(value, field, "[x, y, z]"))
 
 
-def _as_vector(value, field: str) -> Tuple[float, float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        _fail(field, f"expected a 3-vector, got {value!r}")
-    return tuple(_as_float(v, f"{field}[{i}]") for i, v in enumerate(value))
+def _as_normal(value, field: str) -> Tuple[float, float, float]:
+    normal = _as_triple(value, field, "a 3-vector")
+    if not any(normal):
+        _fail(field, "must not be the zero vector")
+    return normal
 
 
-_ROLES = {r.value: r for r in NodeRole}
-_KINDS = {k.value: k for k in SurfaceKind}
-_FALLBACKS = {"nlos": LinkState.NLOS, "blocked": LinkState.BLOCKED}
-_STRATEGIES = {s.value: s for s in DeploymentStrategy}
+def _as_pair(value, field: str) -> Tuple[str, str]:
+    if not isinstance(value, list) or len(value) != 2:
+        _fail(field, f"expected a pair of ids, got {value!r}")
+    return _as_str(value[0], f"{field}[0]"), _as_str(value[1], f"{field}[1]")
 
 
-def _parse_node(entry, where: str) -> Node:
+def _as_ids(value, field: str) -> Optional[frozenset]:
+    if value is None:
+        return None
+    if not isinstance(value, list):
+        _fail(field, "expected a list of node ids")
+    return frozenset(_items(value, field, _as_str))
+
+
+_as_strategy = _one_of(DeploymentStrategy)
+
+
+def _as_strategies(value, field: str) -> Tuple[DeploymentStrategy, ...]:
+    if value == "all":
+        return tuple(DeploymentStrategy)
+    if not isinstance(value, list) or not value:
+        _fail(field, f"expected a non-empty list, got {value!r}")
+    return _items(value, field, _as_strategy)
+
+
+def _list_of(read, non_empty: bool = False):
+    """Reader of a list, each entry read by read; null is the empty list unless non_empty."""
+
+    def read_list(value, field: str) -> tuple:
+        if value is None and not non_empty:
+            value = []
+        if not isinstance(value, list) or (non_empty and not value):
+            _fail(field, "expected a non-empty list" if non_empty else "expected a list")
+        return _items(value, field, read)
+
+    return read_list
+
+
+def _record(make, what: str, table: dict):
+    """Reader of one mapping, read by table and built by make."""
+    return lambda value, field: _build(make, field, kwargs=_section(value, field, what, table))
+
+
+_NODE = {
+    "id": ("id", True, _as_str),
+    "role": ("role", True, _one_of(NodeRole)),
+    "position": ("position", True, _as_position),
+}
+_SURFACE = {
+    "id": ("id", True, _as_str),
+    "kind": ("kind", True, _one_of(SurfaceKind)),
+    "position": ("position", True, _as_position),
+    "num_elements": ("num_elements", False, _as_count),
+    "facing_normal": ("facing_normal", False, _as_normal),
+    "coverage_radius": ("coverage_radius", False, _as_radius),
+    "covered_node_ids": ("covered_node_ids", False, _as_ids),
+}
+_RULE = {
+    "endpoints": ("endpoints", True, _as_pair),
+    "min_altitude_for_los": ("min_altitude_for_los", False, _as_threshold),
+    "fallback": ("fallback_state", False, _one_of((LinkState.NLOS, LinkState.BLOCKED))),
+}
+_RADIO = {
+    "tx_power_w": ("tx_power", False, _as_float),
+    "noise_power_w": ("noise_power", False, _as_float),
+    "ref_path_gain_db": ("ref_path_gain_db", False, _as_float),
+}
+_TRAJECTORY = {
+    "start": ("start", True, _as_position),
+    "end": ("end", True, _as_position),
+    "fixed_altitude": ("fixed_altitude", True, _as_float),
+    "v_max": ("v_max", True, _as_float),
+    "slot_duration": ("slot_duration", False, _as_float),
+    "rate_target": ("rate_target", True, _as_positive),
+    "max_time": ("max_time", False, _as_float),
+}
+_DEPLOYMENT = {
+    "n_budget": ("n_budget", True, _as_count),
+    "strategies": ("strategies", False, _as_strategies),
+}
+
+
+def _as_surface(value, field: str) -> IrsSurface:
+    fields = _section(value, field, "surface entries must be mappings", _SURFACE)
+    if "facing_normal" not in fields and fields["kind"] is SurfaceKind.TERRESTRIAL:
+        _fail(f"{field}.facing_normal", "terrestrial surfaces require a facing_normal")
+    return _build(IrsSurface, field, kwargs=fields)
+
+
+def _as_radio(value, field: str) -> RadioParams:
+    fields = _section({} if value is None else value, field, "radio must be a mapping", _RADIO)
+    return _build(RadioParams, field, kwargs=fields)
+
+
+def _as_path_loss_classes(value, field: str) -> Dict[str, PathLossModel]:
+    if not isinstance(value, dict) or not value:
+        _fail(field, "expected a non-empty mapping")
+    classes = {}
+    for key, exponent in value.items():
+        where = f"{field}.{_as_str(key, field)}"
+        classes[key] = _build(PathLossModel, where, (_as_float(exponent, where),))
+    return classes
+
+
+_as_rule_list = _list_of(_record(LinkStateRule, "link-state rules must be mappings", _RULE))
+
+
+def _as_rules(value, field: str) -> LinkRuleSet:
+    return _build(LinkRuleSet, field, (_as_rule_list(value, field),))
+
+
+def _as_trajectory(entry: dict, where: str) -> TrajectoryExperiment:
+    fields = _section(entry, where, "", _TRAJECTORY)  # _as_experiment saw a mapping
+    experiment = {key: fields.pop(key) for key in ("rate_target", "max_time") if key in fields}
+    constraints = _build(TrajectoryConstraints, where, kwargs=fields)
+    return _build(TrajectoryExperiment, f"{where}.max_time", (constraints,), experiment)
+
+
+def _as_deployment(entry: dict, where: str) -> DeploymentExperiment:
+    fields = _section(entry, where, "", _DEPLOYMENT)  # _as_experiment saw a mapping
+    return _build(DeploymentExperiment, f"{where}.strategies", kwargs=fields)
+
+
+_EXPERIMENTS = {"trajectory": _as_trajectory, "deployment": _as_deployment}
+
+
+def _as_experiment(entry, field: str) -> Experiment:
     if not isinstance(entry, dict):
-        _fail(where, "node entries must be mappings")
-    _check_keys(entry, {"id", "role", "position"}, f"{where}.")
-    node_id = _as_str(_require(entry, "id", f"{where}."), f"{where}.id")
-    role = _as_choice(_require(entry, "role", f"{where}."), _ROLES, f"{where}.role")
-    position = _as_position(_require(entry, "position", f"{where}."), f"{where}.position")
-    return Node(node_id, role, position)
+        _fail(field, "experiment must be a mapping")
+    if "kind" not in entry:
+        _fail(f"{field}.kind", "missing required key")
+    kind = _as_str(entry["kind"], f"{field}.kind")
+    if kind not in _EXPERIMENTS:
+        _fail(f"{field}.kind", f"expected 'trajectory' or 'deployment', got {kind!r}")
+    return _EXPERIMENTS[kind]({k: v for k, v in entry.items() if k != "kind"}, field)
 
 
-def _parse_surface(entry, where: str) -> IrsSurface:
-    if not isinstance(entry, dict):
-        _fail(where, "surface entries must be mappings")
-    allowed = {
-        "id",
-        "kind",
-        "position",
-        "num_elements",
-        "facing_normal",
-        "coverage_radius",
-        "covered_node_ids",
-    }
-    _check_keys(entry, allowed, f"{where}.")
-    surf_id = _as_str(_require(entry, "id", f"{where}."), f"{where}.id")
-    kind = _as_choice(_require(entry, "kind", f"{where}."), _KINDS, f"{where}.kind")
-    position = _as_position(_require(entry, "position", f"{where}."), f"{where}.position")
-    num_elements = _as_int(entry.get("num_elements", 0), f"{where}.num_elements")
-    if num_elements < 0:
-        _fail(f"{where}.num_elements", "must be >= 0")
-    normal = None
-    if "facing_normal" in entry:
-        normal = _as_vector(entry["facing_normal"], f"{where}.facing_normal")
-        if all(c == 0 for c in normal):
-            _fail(f"{where}.facing_normal", "must not be the zero vector")
-    elif kind is SurfaceKind.TERRESTRIAL:
-        _fail(f"{where}.facing_normal", "terrestrial surfaces require a facing_normal")
-    radius = None
-    if "coverage_radius" in entry and entry["coverage_radius"] is not None:
-        radius = _as_float(entry["coverage_radius"], f"{where}.coverage_radius")
-        if radius <= 0:
-            _fail(f"{where}.coverage_radius", "must be > 0")
-    covered = None
-    if "covered_node_ids" in entry and entry["covered_node_ids"] is not None:
-        raw = entry["covered_node_ids"]
-        if not isinstance(raw, list):
-            _fail(f"{where}.covered_node_ids", "expected a list of node ids")
-        covered = frozenset(
-            _as_str(v, f"{where}.covered_node_ids[{i}]") for i, v in enumerate(raw)
-        )
-    return IrsSurface(
-        id=surf_id,
-        kind=kind,
-        position=position,
-        num_elements=num_elements,
-        facing_normal=normal,
-        coverage_radius=radius,
-        covered_node_ids=covered,
-    )
-
-
-def _parse_rule(entry, where: str) -> LinkStateRule:
-    if not isinstance(entry, dict):
-        _fail(where, "link-state rules must be mappings")
-    _check_keys(entry, {"endpoints", "min_altitude_for_los", "fallback"}, f"{where}.")
-    raw = _require(entry, "endpoints", f"{where}.")
-    if not isinstance(raw, list) or len(raw) != 2:
-        _fail(f"{where}.endpoints", f"expected a pair of ids, got {raw!r}")
-    endpoints = (
-        _as_str(raw[0], f"{where}.endpoints[0]"),
-        _as_str(raw[1], f"{where}.endpoints[1]"),
-    )
-    threshold = _as_float(
-        entry.get("min_altitude_for_los", 0.0),
-        f"{where}.min_altitude_for_los",
-        allow_inf=True,
-    )
-    if threshold < 0:
-        _fail(f"{where}.min_altitude_for_los", "must be >= 0")
-    fallback = _as_choice(entry.get("fallback", "nlos"), _FALLBACKS, f"{where}.fallback")
-    try:
-        return LinkStateRule(endpoints, threshold, fallback)
-    except ValueError as exc:
-        _fail(where, str(exc))
-
-
-def _parse_radio(entry, where: str) -> RadioParams:
-    if entry is None:
-        return RadioParams()
-    if not isinstance(entry, dict):
-        _fail(where, "radio must be a mapping")
-    _check_keys(
-        entry, {"tx_power_w", "noise_power_w", "ref_path_gain_db"}, f"{where}."
-    )
-    try:
-        return RadioParams(
-            tx_power=_as_float(entry.get("tx_power_w", 0.1), f"{where}.tx_power_w"),
-            noise_power=_as_float(
-                entry.get("noise_power_w", 1e-11), f"{where}.noise_power_w"
-            ),
-            ref_path_gain_db=_as_float(
-                entry.get("ref_path_gain_db", -30.0), f"{where}.ref_path_gain_db"
-            ),
-        )
-    except ValueError as exc:
-        _fail(where, str(exc))
-
-
-def _parse_experiment(entry, where: str) -> Experiment:
-    if not isinstance(entry, dict):
-        _fail(where, "experiment must be a mapping")
-    kind = _as_str(_require(entry, "kind", f"{where}."), f"{where}.kind")
-    if kind == "trajectory":
-        allowed = {
-            "kind",
-            "start",
-            "end",
-            "fixed_altitude",
-            "v_max",
-            "slot_duration",
-            "rate_target",
-            "max_time",
-        }
-        _check_keys(entry, allowed, f"{where}.")
-        start = _as_position(_require(entry, "start", f"{where}."), f"{where}.start")
-        end = _as_position(_require(entry, "end", f"{where}."), f"{where}.end")
-        altitude = _as_float(
-            _require(entry, "fixed_altitude", f"{where}."), f"{where}.fixed_altitude"
-        )
-        v_max = _as_float(_require(entry, "v_max", f"{where}."), f"{where}.v_max")
-        slot = _as_float(
-            entry.get("slot_duration", DEFAULT_SLOT_DURATION), f"{where}.slot_duration"
-        )
-        target = _as_float(
-            _require(entry, "rate_target", f"{where}."), f"{where}.rate_target"
-        )
-        max_time = _as_float(entry.get("max_time", DEFAULT_MAX_TIME), f"{where}.max_time")
-        if target <= 0:
-            _fail(f"{where}.rate_target", "must be > 0")
-        try:
-            constraints = TrajectoryConstraints(start, end, altitude, v_max, slot)
-        except _StepOutOfRange as exc:  # slot_duration has a default; v_max does not
-            _fail(f"{where}.v_max", str(exc))
-        except ValueError as exc:
-            _fail(where, str(exc))
-        try:  # the fields are checked one by one above; what is left is slot_range
-            return TrajectoryExperiment(constraints, target, max_time)
-        except ValueError as exc:
-            _fail(f"{where}.max_time", str(exc))
-    if kind == "deployment":
-        _check_keys(entry, {"kind", "n_budget", "strategies"}, f"{where}.")
-        n_budget = _as_int(_require(entry, "n_budget", f"{where}."), f"{where}.n_budget")
-        if n_budget < 0:
-            _fail(f"{where}.n_budget", "must be >= 0")
-        raw = entry.get("strategies", ["user", "bs", "hybrid"])
-        if raw == "all":
-            raw = ["user", "bs", "hybrid"]
-        if not isinstance(raw, list) or not raw:
-            _fail(f"{where}.strategies", f"expected a non-empty list, got {raw!r}")
-        strategies = tuple(
-            _as_choice(s, _STRATEGIES, f"{where}.strategies[{i}]") for i, s in enumerate(raw)
-        )
-        try:
-            return DeploymentExperiment(n_budget, strategies)
-        except ValueError as exc:
-            _fail(f"{where}.strategies", str(exc))
-    _fail(f"{where}.kind", f"expected 'trajectory' or 'deployment', got {kind!r}")
-
-
-_TOP_KEYS = {
-    "name",
-    "description",
-    "nodes",
-    "surfaces",
-    "radio",
-    "path_loss_classes",
-    "link_state_rules",
-    "experiment",
+_as_nodes = _list_of(_record(Node, "node entries must be mappings", _NODE), non_empty=True)
+_SCENARIO = {
+    "name": ("name", False, _as_str),
+    "description": ("description", False, _as_text),
+    "nodes": ("nodes", True, _as_nodes),
+    "surfaces": ("surfaces", False, _list_of(_as_surface)),
+    "radio": ("radio", False, _as_radio),
+    "path_loss_classes": ("path_loss_classes", True, _as_path_loss_classes),
+    "link_state_rules": ("link_rules", False, _as_rules),
+    "experiment": ("experiment", True, _as_experiment),
 }
 
 
 def loads_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document from YAML text."""
     try:
-        doc = yaml.load(text, Loader=_YAML_LOADER)
+        doc = yaml.load(text, Loader=_unique_keys(_YAML_LOADER))
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
@@ -570,72 +613,15 @@ def loads_scenario(text: str) -> Scenario:
                 f"{getattr(exc, 'problem', exc)}"
             )
         raise ScenarioError(f"parse error: {exc}")
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario document must be a mapping")
-    _check_keys(doc, _TOP_KEYS, "")
-
-    name = _as_str(doc.get("name", "unnamed"), "name")
-    description = doc.get("description", "")
-    if not isinstance(description, str):
-        _fail("description", "expected a string")
-
-    raw_nodes = _require(doc, "nodes", "")
-    if not isinstance(raw_nodes, list) or not raw_nodes:
-        _fail("nodes", "expected a non-empty list")
-    nodes = tuple(_parse_node(n, f"nodes[{i}]") for i, n in enumerate(raw_nodes))
-
-    raw_surfaces = doc.get("surfaces", [])
-    if raw_surfaces is None:
-        raw_surfaces = []
-    if not isinstance(raw_surfaces, list):
-        _fail("surfaces", "expected a list")
-    surfaces = tuple(
-        _parse_surface(s, f"surfaces[{i}]") for i, s in enumerate(raw_surfaces)
-    )
-
-    radio = _parse_radio(doc.get("radio"), "radio")
-
-    raw_classes = _require(doc, "path_loss_classes", "")
-    if not isinstance(raw_classes, dict) or not raw_classes:
-        _fail("path_loss_classes", "expected a non-empty mapping")
-    classes = {}
-    for key, value in raw_classes.items():
-        key = _as_str(key, "path_loss_classes")
-        exponent = _as_float(value, f"path_loss_classes.{key}")
-        try:
-            classes[key] = PathLossModel(exponent)
-        except ValueError as exc:
-            _fail(f"path_loss_classes.{key}", str(exc))
-
-    raw_rules = doc.get("link_state_rules", [])
-    if raw_rules is None:
-        raw_rules = []
-    if not isinstance(raw_rules, list):
-        _fail("link_state_rules", "expected a list")
-    rules = [
-        _parse_rule(r, f"link_state_rules[{i}]") for i, r in enumerate(raw_rules)
-    ]
-    try:
-        rule_set = LinkRuleSet(rules)
-    except ConfigurationError as exc:
-        _fail("link_state_rules", str(exc))
-
-    experiment = _parse_experiment(_require(doc, "experiment", ""), "experiment")
-
-    scenario = Scenario(
-        name=name,
-        nodes=nodes,
-        surfaces=surfaces,
-        radio=radio,
-        path_loss_classes=classes,
-        link_rules=rule_set,
-        experiment=experiment,
-        description=description,
-    )
-    for i, a in enumerate(nodes):  # a file policy: the solvers clamp colocated nodes
-        for b in nodes[i + 1 :]:
-            if a.position == b.position:
-                _fail("nodes", f"nodes {a.id!r} and {b.id!r} share a position")
+    fields = dict(name="unnamed", surfaces=(), radio=RadioParams(), link_rules=LinkRuleSet())
+    fields.update(_section(doc, "", "scenario document must be a mapping", _SCENARIO))
+    scenario = Scenario(**fields)
+    nodes = scenario.nodes  # a file policy: the solvers clamp colocated nodes
+    if len({n.position for n in nodes}) < len(nodes):
+        for i, a in enumerate(nodes):  # name the first pair
+            for b in nodes[i + 1 :]:
+                if a.position == b.position:
+                    _fail("nodes", f"nodes {a.id!r} and {b.id!r} share a position")
     return scenario
 
 

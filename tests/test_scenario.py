@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -232,6 +233,157 @@ experiment: {kind: deployment, n_budget: -1}
         assert load_scenario(path) == load_scenario(scenario_path("fig5"))
 
 
+DELETE = object()
+
+
+def single_fault(name, path, value):
+    """A shipped scenario with the entry at path deleted (value DELETE) or replaced."""
+    doc = yaml.safe_load(scenario_path(name).read_text(encoding="utf-8"))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return yaml.safe_dump(doc, sort_keys=False)
+
+
+# (scenario, path, new value, field, message): one case per distinct loader message.
+SINGLE_FAULTS = [
+    ("fig4", ("nodes", 0), ["a"], "nodes[0]", "node entries must be mappings"),
+    ("fig4", ("surfaces", 0), "x", "surfaces[0]", "surface entries must be mappings"),
+    ("fig5", ("link_state_rules", 0), 0,
+     "link_state_rules[0]", "link-state rules must be mappings"),
+    ("fig4", ("radio",), [], "radio", "radio must be a mapping"),
+    ("fig4", ("experiment",), "x", "experiment", "experiment must be a mapping"),
+    ("fig5", ("link_state_rules", 0, "endpoints"), ["a"],
+     "link_state_rules[0].endpoints", "expected a pair of ids, got ['a']"),
+    ("fig5", ("link_state_rules", 0, "endpoints", 0), 0,
+     "link_state_rules[0].endpoints[0]", "expected a non-empty string, got 0"),
+    ("fig5", ("link_state_rules", 0, "endpoints"), ["user1", "user1"],
+     "link_state_rules[0]", "link endpoints must differ, got ('user1', 'user1')"),
+    ("fig5", ("link_state_rules", 1, "endpoints"), ["user1", "uirs"],
+     "link_state_rules", "duplicate link-state rule for pair ('uirs', 'user1')"),
+    ("fig5", ("link_state_rules", 0, "min_altitude_for_los"), -1.5,
+     "link_state_rules[0].min_altitude_for_los", "must be >= 0"),
+    ("fig5", ("link_state_rules", 0, "min_altitude_for_los"), math.nan,
+     "link_state_rules[0].min_altitude_for_los", "expected a finite number, got nan"),
+    ("fig5", ("link_state_rules", 0, "fallback"), "x",
+     "link_state_rules[0].fallback", "expected one of ['blocked', 'nlos'], got 'x'"),
+    ("fig4", ("surfaces", 0, "facing_normal"), [0.0, 0.0, 0.0],
+     "surfaces[0].facing_normal", "must not be the zero vector"),
+    ("fig4", ("surfaces", 0, "facing_normal"), DELETE,
+     "surfaces[0].facing_normal", "terrestrial surfaces require a facing_normal"),
+    ("fig4", ("surfaces", 0, "facing_normal"), "x",
+     "surfaces[0].facing_normal", "expected a 3-vector, got 'x'"),
+    ("fig4", ("surfaces", 0, "facing_normal", 1), "x",
+     "surfaces[0].facing_normal[1]", "expected a number, got 'x'"),
+    ("fig4", ("surfaces", 0, "covered_node_ids"), "x",
+     "surfaces[0].covered_node_ids", "expected a list of node ids"),
+    ("fig4", ("surfaces", 0, "covered_node_ids", 0), "",
+     "surfaces[0].covered_node_ids[0]", "expected a non-empty string, got ''"),
+    ("fig4", ("surfaces", 0, "num_elements"), -1, "surfaces[0].num_elements", "must be >= 0"),
+    ("fig4", ("surfaces", 0, "num_elements"), 2.5,
+     "surfaces[0].num_elements", "expected an integer, got 2.5"),
+    ("fig4", ("surfaces", 0, "kind"), "x",
+     "surfaces[0].kind", "expected one of ['aerial', 'terrestrial'], got 'x'"),
+    ("fig5", ("surfaces", 1, "coverage_radius"), 0, "surfaces[1].coverage_radius", "must be > 0"),
+    ("fig5", ("surfaces", 1, "coverage_radius"), math.inf,
+     "surfaces[1].coverage_radius", "expected a finite number, got inf"),
+    ("fig4", ("radio", "tx_power_w"), -1, "radio", "tx_power must be finite and > 0, got -1.0"),
+    ("fig4", ("radio", "noise_power_w"), 0,
+     "radio", "noise_power must be finite and > 0, got 0.0"),
+    ("fig4", ("radio", "ref_path_gain_db"), 2.5,
+     "radio", "ref_path_gain_db must be finite and <= 0 (attenuation), got 2.5"),
+    ("fig4", ("radio", "tx_power_w"), "1e4",
+     "radio.tx_power_w", "expected a number, got '1e4' (YAML reads it as text; write 1.0e+4)"),
+    ("fig4", ("path_loss_classes", "uav_sn"), 0,
+     "path_loss_classes.uav_sn", "path-loss exponent must be >= 1, got 0.0"),
+    ("fig4", ("path_loss_classes",), {}, "path_loss_classes", "expected a non-empty mapping"),
+    ("fig4", ("path_loss_classes", "irs_sn"), DELETE,
+     "path_loss_classes", "missing required link class 'irs_sn'"),
+    ("fig4", ("nodes",), DELETE, "nodes", "missing required key"),
+    ("fig4", ("nodes",), [], "nodes", "expected a non-empty list"),
+    ("fig4", ("nodes", 0, "id"), DELETE, "nodes[0].id", "missing required key"),
+    ("fig4", ("nodes", 0, "role"), "x",
+     "nodes[0].role", "expected one of ['bs', 'sensor', 'uav', 'user'], got 'x'"),
+    ("fig4", ("nodes", 1, "position"), [1], "nodes[1].position", "expected [x, y, z], got [1]"),
+    ("fig4", ("nodes", 1, "position"), [1.0, 2.0, -3.0],
+     "nodes[1].position", "altitude must be >= 0, got z=-3.0"),
+    ("fig4", ("nodes", 0, "a"), 1, "nodes[0].a", "unknown key"),
+    ("fig4", ("surfaces",), "x", "surfaces", "expected a list"),
+    ("fig5", ("link_state_rules",), {}, "link_state_rules", "expected a list"),
+    ("fig4", ("description",), [], "description", "expected a string"),
+    ("fig4", ("name",), "", "name", "expected a non-empty string, got ''"),
+    ("fig4", ("experiment", "kind"), "x",
+     "experiment.kind", "expected 'trajectory' or 'deployment', got 'x'"),
+    ("fig4", ("experiment", "kind"), DELETE, "experiment.kind", "missing required key"),
+    ("fig4", ("experiment", "kind"), [], "experiment.kind", "expected a non-empty string, got []"),
+    ("fig4", ("experiment", "start"), [0.0, 0.0, 0.0],
+     "experiment", "start and end must lie at the fixed altitude"),
+    ("fig4", ("experiment", "v_max"), 0, "experiment", "v_max must be > 0"),
+    ("fig4", ("experiment", "slot_duration"), -1, "experiment", "slot_duration must be > 0"),
+    ("fig4", ("experiment", "v_max"), 1e+308,
+     "experiment.v_max",
+     "v_max * slot_duration = 1.0000000000000001e+307 m is out of range: "
+     "it must be at most 1e+70 m and its square a float > 0"),
+    ("fig4", ("experiment", "rate_target"), 0, "experiment.rate_target", "must be > 0"),
+    ("fig4", ("experiment", "rate_target"), math.inf,
+     "experiment.rate_target", "expected a finite number, got inf"),
+    ("fig4", ("experiment", "max_time"), 2.5,
+     "experiment.max_time", "max_time 2.5 s cannot cover the straight 150.0 m flight"),
+    ("fig4", ("experiment", "max_time"), 1e+308,
+     "experiment.max_time", "max_time must be a finite number of slots, got 1e+308 s"),
+    ("fig5", ("experiment", "n_budget"), -1, "experiment.n_budget", "must be >= 0"),
+    ("fig5", ("experiment", "n_budget"), True,
+     "experiment.n_budget", "expected an integer, got True"),
+    ("fig5", ("experiment", "n_budget"), DELETE, "experiment.n_budget", "missing required key"),
+    ("fig5", ("experiment", "strategies"), [],
+     "experiment.strategies", "expected a non-empty list, got []"),
+    ("fig5", ("experiment", "strategies"), ["user", "user"],
+     "experiment.strategies", "strategies must be unique"),
+    ("fig5", ("experiment", "strategies"), ["a"],
+     "experiment.strategies[0]", "expected one of ['bs', 'hybrid', 'user'], got 'a'"),
+    ("fig4", ("nodes", 0), DELETE, "nodes", "trajectory scenarios need exactly one UAV node"),
+    ("fig5", ("surfaces", 1), DELETE,
+     "surfaces", "deployment scenarios need exactly one aerial and one terrestrial surface"),
+    ("fig4", ("nodes", 3), DELETE, "surfaces", "surface 'irs' covers unknown node 'sn3'"),
+    ("fig5", ("nodes", 1), DELETE, "link_state_rules", "unknown endpoint 'user1'"),
+]
+
+
+class TestSingleFaultErrors:
+    """Every loader message, with the field it names, on one fault in a shipped file."""
+
+    @pytest.mark.parametrize(
+        "name, path, value, field, message",
+        SINGLE_FAULTS,
+        ids=[f"{i:02d}-{case[3]}" for i, case in enumerate(SINGLE_FAULTS)],
+    )
+    def test_field_and_message(self, name, path, value, field, message):
+        with pytest.raises(ScenarioError) as info:
+            loads_scenario(single_fault(name, path, value))
+        assert info.value.field == field
+        assert str(info.value) == f"{field}: {message}"
+
+    def test_document_that_is_no_mapping(self):
+        with pytest.raises(ScenarioError) as info:
+            loads_scenario("- 1\n")
+        assert info.value.field is None
+        assert str(info.value) == "scenario document must be a mapping"
+
+    def test_readme_example_loads(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+        scn = loads_scenario(example)
+        assert scn.name == "example"
+        assert [n.id for n in scn.nodes] == ["uav", "sn1"]
+        assert scn.covering_surface("sn1") is scn.surfaces[0]
+        assert isinstance(scn.experiment, TrajectoryExperiment)
+
+
 YAML_LOADERS = [
     pytest.param(yaml.SafeLoader, id="python"),
     pytest.param(
@@ -279,6 +431,34 @@ class TestYamlLoaders:
     def test_same_error_position(self, text, where, yaml_loader):
         with pytest.raises(ScenarioError, match=where):
             loads_scenario(text)
+
+    @pytest.mark.parametrize(
+        "name, old, new, where",
+        [
+            ("fig4", "rate_target: 1.0\n", "rate_target: 1.0\n  rate_target: 2.0\n",
+             "line 42, column 3: repeated key 'rate_target'"),
+            ("fig5", "n_budget: 600\n", "n_budget: 600\n  n_budget: 6\n",
+             "line 39, column 3: repeated key 'n_budget'"),
+            ("fig5", "{id: bs, role: bs,", "{id: bs, role: bs, id: bs2,",
+             "line 10, column 24: repeated key 'id'"),
+            ("fig5", "name: fig5", "name: x\nname: fig5", "line 8, column 1: repeated key 'name'"),
+        ],
+        ids=["rate_target", "n_budget", "node_id", "name"],
+    )
+    def test_repeated_key_rejected(self, name, old, new, where, yaml_loader):
+        # PyYAML keeps the last value: fig4 would load rate_target 2.0
+        text = scenario_path(name).read_text(encoding="utf-8").replace(old, new, 1)
+        with pytest.raises(ScenarioError) as info:
+            loads_scenario(text)
+        assert info.value.field is None
+        assert str(info.value) == f"parse error at {where}"
+
+    def test_merged_key_may_be_overridden(self, yaml_loader):
+        text = MINIMAL_TRAJECTORY.replace(
+            "- {id: uav, role: uav, position: [0.0, 0.0, 30.0]}",
+            "- &uav {id: uav, role: uav, position: [0.0, 0.0, 30.0]}",
+        ).replace("- {id: sn1,", "- {<<: *uav, id: sn1,")
+        assert loads_scenario(text) == loads_scenario(MINIMAL_TRAJECTORY)
 
 
 class TestBuiltScenarioChecksItself:
