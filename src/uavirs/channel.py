@@ -246,7 +246,7 @@ def link_rate(amplitude: ArrayLike, radio: RadioParams) -> ArrayLike:
     array np.log2.
     """
     snr = radio.tx_power * amplitude**2 / radio.noise_power
-    if isinstance(snr, float):  # one type, not a tuple: this runs once per rate in the sweep
+    if isinstance(snr, float):  # one type, not a tuple: every deployment rate passes here
         return math.log2(1.0 + snr)
     import numpy as np
 

@@ -7,17 +7,19 @@ each user's rate is carried entirely by its serving surface's cascaded path
 with per-leg binary LoS/NLoS exponents. The element split, the aerial
 altitude (the lowest altitude giving LoS to its assigned users) and the
 user-to-surface assignment are chosen to maximize the minimum user rate; the
-split is found by exhaustive enumeration.
+split is found by binary search at the rule's breakpoints, in a number of
+rate evaluations logarithmic in the budget.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
-from .channel import LinkState, Node, leg_amplitude, link_rate, resolve_link_state
+from .channel import LinkState, Node, RadioParams, leg_amplitude, link_rate, resolve_link_state
 from .errors import ConfigurationError
 from .irs import IrsSurface, SurfaceKind, covers, min_serving_altitude
 
@@ -180,32 +182,11 @@ def _aerial_threshold(scenario: "Scenario", aerial: IrsSurface, user_id: str) ->
     return scenario.link_rules.rule_for(aerial.id, user_id).min_altitude_for_los
 
 
-class _HybridSweep(NamedTuple):
-    """The hybrid rule at every split n_aerial = 0..n_budget, one column per split."""
-
-    n_budget: int
-    user_ids: Tuple[str, ...]
-    aerial_id: str
-    ground_ids: Tuple[Optional[str], ...]  # the terrestrial id if covered, else None
-    on_air: List[List[bool]]  # [user][split]: served by the aerial surface
-    altitudes: List[float]  # [split]
-    rates: List[List[float]]  # [user][split], bps/Hz
-
-    def plan(self, n_aerial: int) -> DeploymentPlan:
-        on_air = [row[n_aerial] for row in self.on_air]
-        return DeploymentPlan(
-            aerial_elements=n_aerial,
-            terrestrial_elements=self.n_budget - n_aerial,
-            uirs_altitude=self.altitudes[n_aerial],
-            assignment=tuple(
-                (uid, self.aerial_id if air else ground)
-                for uid, air, ground in zip(self.user_ids, on_air, self.ground_ids)
-            ),
-        )
+_Legs = Tuple[float, float, float]  # direct, BS -> surface and surface -> user amplitudes
 
 
-def _hybrid_sweep(scenario: "Scenario") -> _HybridSweep:
-    """Altitude, assignment and rates of every element split at once.
+class _HybridRule(NamedTuple):
+    """The hybrid rule on one scenario, with every leg it prices computed once.
 
     Users without terrestrial coverage go to the aerial surface when LoS is
     attainable. Each terrestrially covered user then takes whichever surface
@@ -213,63 +194,155 @@ def _hybrid_sweep(scenario: "Scenario") -> _HybridSweep:
     needed if that user joins -- with ties to the terrestrial surface. The
     final altitude is the lowest giving LoS to all aerially assigned users.
 
-    Leg amplitudes come from the scalar code once per user and candidate
-    altitude ({0} and the finite LoS thresholds, for the aerial surface only
-    those at or above the user's own); the rule then runs split by split on
-    lists. Every rate goes through the scalar branch of `link_rate`, so it is
-    bit-identical to `user_rate` on the same plan; numpy's array logarithm and
-    `**` need not round as the scalar ones do.
+    The candidate altitudes are the levels {0} and the finite LoS thresholds;
+    a user's aerial legs exist only at the levels at or above its own. Every
+    rate goes through the scalar branch of `link_rate` as
+    `direct + elements * up * down`, the order `user_rate` uses, so it is
+    bit-identical to `user_rate` on the same plan.
     """
-    n_budget = scenario.experiment.n_budget
-    aerial, terrestrial = _deployment_surfaces(scenario)
-    users = scenario.user_nodes()
-    num_users = len(users)
-    radio = scenario.radio
-    splits = range(n_budget + 1)  # n_aerial, also the index of each split
-    thresholds = [_aerial_threshold(scenario, aerial, u.id) for u in users]
-    altitudes = sorted({0.0, *(t for t in thresholds if math.isfinite(t))})
-    covered = [covers(terrestrial, u.position, node_id=u.id) for u in users]
 
-    def rates(surface, altitude, user, elements):
-        up, down = _surface_legs(scenario, surface, altitude, user)
-        direct = _direct_amplitude(scenario, user)
-        return [link_rate(direct + n * up * down, radio) / num_users for n in elements]
+    n_budget: int
+    radio: RadioParams
+    user_ids: Tuple[str, ...]
+    aerial_id: str
+    ground_ids: Tuple[Optional[str], ...]  # the terrestrial id if covered, else None
+    altitudes: Tuple[float, ...]  # the levels, ascending
+    order: Tuple[int, ...]  # the users who can reach LoS, uncovered first
+    needed: Tuple[int, ...]  # [user]: the level of its LoS threshold (if it has one)
+    ground: Tuple[_Legs, ...]  # [user]: through the terrestrial surface
+    air: Tuple[Tuple[Optional[_Legs], ...], ...]  # [level][user]: through the aerial one
 
-    # Rate without the aerial surface: through the terrestrial one if it
-    # covers the user, else over the direct link alone (zero elements).
-    ground = [
-        rates(terrestrial, 0.0, u, [(n_budget - n) * c for n in splits])
-        for u, c in zip(users, covered)
-    ]
-    # Below its LoS threshold a user can never be served by the aerial surface.
-    air = [
-        [rates(aerial, alt, u, splits) if alt >= t else None for u, t in zip(users, thresholds)]
-        for alt in altitudes
-    ]
+    @classmethod
+    def of(cls, scenario: "Scenario") -> "_HybridRule":
+        aerial, terrestrial = _deployment_surfaces(scenario)
+        users = scenario.user_nodes()
+        thresholds = [_aerial_threshold(scenario, aerial, u.id) for u in users]
+        reachable = [math.isfinite(t) for t in thresholds]
+        altitudes = sorted({0.0, *(t for t, r in zip(thresholds, reachable) if r)})
+        covered = [covers(terrestrial, u.position, node_id=u.id) for u in users]
+        direct = [_direct_amplitude(scenario, u) for u in users]
 
-    level = [0] * len(splits)  # index into altitudes, per split
-    on_air = [[False] * len(splits) for _ in users]
-    for i in sorted(range(num_users), key=lambda i: covered[i]):  # uncovered first
-        if not math.isfinite(thresholds[i]):
-            continue
-        needed = altitudes.index(thresholds[i])
-        for n in splits[1:]:  # no aerial elements, no aerial service
-            level_if = level[n] if level[n] > needed else needed
-            if not covered[i] or air[level_if][i][n] > ground[i][n]:
-                on_air[i][n] = True
-                level[n] = level_if
-    return _HybridSweep(
-        n_budget=n_budget,
-        user_ids=tuple(u.id for u in users),
-        aerial_id=aerial.id,
-        ground_ids=tuple(terrestrial.id if c else None for c in covered),
-        on_air=on_air,
-        altitudes=[altitudes[k] for k in level],
-        rates=[
-            [air[level[n]][i][n] if on_air[i][n] else ground[i][n] for n in splits]
-            for i in range(num_users)
-        ],
-    )
+        def legs(surface, altitude, i):
+            return (direct[i], *_surface_legs(scenario, surface, altitude, users[i]))
+
+        indices = range(len(users))
+        return cls(
+            n_budget=scenario.experiment.n_budget,
+            radio=scenario.radio,
+            user_ids=tuple(u.id for u in users),
+            aerial_id=aerial.id,
+            ground_ids=tuple(terrestrial.id if c else None for c in covered),
+            altitudes=tuple(altitudes),
+            order=tuple(sorted((i for i in indices if reachable[i]), key=covered.__getitem__)),
+            needed=tuple(altitudes.index(t) if r else -1 for t, r in zip(thresholds, reachable)),
+            ground=tuple(legs(terrestrial, 0.0, i) for i in indices),
+            # Below its LoS threshold a user can never be served by the aerial surface.
+            air=tuple(
+                tuple(legs(aerial, alt, i) if alt >= t else None for i, t in enumerate(thresholds))
+                for alt in altitudes
+            ),
+        )
+
+    def _rate(self, legs: _Legs, elements: int) -> float:
+        direct, up, down = legs
+        return link_rate(direct + elements * up * down, self.radio) / len(self.user_ids)
+
+    def ground_rate(self, i: int, n_aerial: int) -> float:
+        """Without the aerial surface: through the terrestrial one if it covers
+        the user, else over the direct link alone (zero elements)."""
+        covered = self.ground_ids[i] is not None
+        return self._rate(self.ground[i], (self.n_budget - n_aerial) * covered)
+
+    def air_rate(self, i: int, level: int, n_aerial: int) -> float:
+        return self._rate(self.air[level][i], n_aerial)
+
+    def flies(self, i: int, level: int, n_aerial: int) -> bool:
+        """Whether user i joins the aerial surface if that puts it at level."""
+        if self.ground_ids[i] is None:
+            return True
+        return self.air_rate(i, level, n_aerial) > self.ground_rate(i, n_aerial)
+
+    def split(self, n_aerial: int) -> Tuple[int, Tuple[bool, ...]]:
+        """The rule at one split: the aerial level and which users fly."""
+        level, on_air = 0, [False] * len(self.user_ids)
+        if n_aerial > 0:  # no aerial elements, no aerial service
+            for i in self.order:
+                level_if = max(level, self.needed[i])
+                if self.flies(i, level_if, n_aerial):
+                    on_air[i], level = True, level_if
+        return level, tuple(on_air)
+
+    def rates(self, n_aerial: int, level: int, on_air: Tuple[bool, ...]) -> Tuple[float, ...]:
+        return tuple(
+            self.air_rate(i, level, n_aerial) if air else self.ground_rate(i, n_aerial)
+            for i, air in enumerate(on_air)
+        )
+
+    def plan(self, n_aerial: int, level: int, on_air: Tuple[bool, ...]) -> DeploymentPlan:
+        return DeploymentPlan(
+            aerial_elements=n_aerial,
+            terrestrial_elements=self.n_budget - n_aerial,
+            uirs_altitude=self.altitudes[level],
+            assignment=tuple(
+                (uid, self.aerial_id if air else ground)
+                for uid, air, ground in zip(self.user_ids, on_air, self.ground_ids)
+            ),
+        )
+
+
+def _first_true(test, lo: int, hi: int) -> int:
+    """The first n in [lo, hi] with test(n), else hi + 1; test is false, then true."""
+    return lo + bisect_left(range(lo, hi + 1), True, key=test)
+
+
+def _best_split(rule: _HybridRule) -> int:
+    """The first n_aerial with the highest min rate, found by search.
+
+    For fixed (user, level) the aerial rate does not fall and the ground rate
+    does not rise in n_aerial, so each of the rule's comparisons flips at most
+    once; the flips cut [1, n_budget] into pieces of constant assignment and
+    altitude (split 0 is a piece of its own). On a piece the min rate is
+    min(lowest aerial rate, lowest ground rate), the first non-decreasing and
+    the second non-increasing, so its first maximum lies where they meet.
+    """
+    n_budget = rule.n_budget
+    cuts = {1, n_budget + 1}
+    for i in rule.order:
+        if rule.ground_ids[i] is None:
+            continue  # an uncovered user always flies
+        for level in range(rule.needed[i], len(rule.altitudes)):
+            cuts.add(_first_true(lambda n: rule.flies(i, level, n), 1, n_budget))
+    best_n, best = 0, min(rule.rates(0, *rule.split(0)))
+    bounds = sorted(cuts)
+    for lo, end in zip(bounds, bounds[1:]):
+        hi = end - 1
+        level, on_air = rule.split(lo)
+        fliers = [i for i, air in enumerate(on_air) if air]
+        grounded = [i for i, air in enumerate(on_air) if not air]
+
+        def air_min(n):
+            return min(rule.air_rate(i, level, n) for i in fliers)
+
+        def ground_min(n):
+            return min(rule.ground_rate(i, n) for i in grounded)
+
+        # meet: the first split of the piece where the min rate is a ground rate
+        if not fliers:
+            meet = lo
+        elif not grounded:
+            meet = end
+        else:
+            meet = _first_true(lambda n: air_min(n) >= ground_min(n), lo, hi)
+        value, n = -math.inf, meet
+        if meet <= hi:  # the falling part peaks at its first split
+            value = ground_min(meet)
+        if meet > lo:  # the rising part peaks at its end, first reached by search
+            top = air_min(meet - 1)
+            if top >= value:
+                value, n = top, _first_true(lambda n: air_min(n) >= top, lo, meet - 1)
+        if value > best:
+            best_n, best = n, value
+    return best_n
 
 
 def _evaluate_plan(
@@ -291,19 +364,25 @@ def evaluate_strategy(scenario: "Scenario", strategy: DeploymentStrategy) -> Dep
 
     USER_SIDE puts the whole budget on the terrestrial surface (uncovered
     users stay unserved); BS_SIDE puts it on the aerial surface at the lowest
-    altitude with LoS to every user that can ever reach LoS; HYBRID enumerates
-    every (n_aerial, n_terrestrial) split, applies the hybrid altitude and
-    assignment rule to each, and keeps the highest min rate, ties to the
-    fewest aerial elements. Its winner is re-evaluated and checked through
-    `user_rate`.
+    altitude with LoS to every user that can ever reach LoS; HYBRID applies
+    the hybrid altitude and assignment rule to the (n_aerial, n_terrestrial)
+    splits and keeps the highest min rate, ties to the fewest aerial
+    elements: the first maximum of `allocation_sweep`. Its winner is
+    re-evaluated and checked through `user_rate`.
+
+    HYBRID finds that split by binary search, not by pricing every split. It
+    rests on the rates being monotone in n_aerial as computed in floating
+    point: an aerial rate never falls and a ground rate never rises, because
+    every step of `direct + n * up * down`, the squaring, the scaling and
+    `math.log2` rounds monotonically (tests/test_deployment.py checks this on
+    fig5).
     """
     if not isinstance(strategy, DeploymentStrategy):
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy is DeploymentStrategy.HYBRID:
-        sweep = _hybrid_sweep(scenario)
-        minima = [min(rates) for rates in zip(*sweep.rates)]
-        best = minima.index(max(minima))  # first maximum
-        return _evaluate_plan(scenario, sweep.plan(best), strategy)
+        rule = _HybridRule.of(scenario)
+        n_aerial = _best_split(rule)
+        return _evaluate_plan(scenario, rule.plan(n_aerial, *rule.split(n_aerial)), strategy)
 
     n_budget = scenario.experiment.n_budget
     aerial, terrestrial = _deployment_surfaces(scenario)
@@ -332,17 +411,23 @@ def evaluate_strategy(scenario: "Scenario", strategy: DeploymentStrategy) -> Dep
 def allocation_sweep(scenario: "Scenario"):
     """All element splits in order: hybrid rule applied at each n_aerial.
 
-    Returns one DeploymentResult per n_aerial in 0..experiment.n_budget;
-    useful for plotting rate-vs-allocation curves.
+    Returns one DeploymentResult per n_aerial in 0..experiment.n_budget, so
+    its time and memory are linear in n_budget by contract; useful for
+    plotting rate-vs-allocation curves. It applies the same rule, split by
+    split, that the HYBRID strategy searches.
     """
-    sweep = _hybrid_sweep(scenario)
-    return [
-        DeploymentResult(
-            plan=sweep.plan(n_aerial),
-            user_ids=sweep.user_ids,
-            per_user_rates=tuple(rates),
-            min_rate=min(rates),
-            strategy=DeploymentStrategy.HYBRID,
+    rule = _HybridRule.of(scenario)
+    results = []
+    for n_aerial in range(rule.n_budget + 1):
+        level, on_air = rule.split(n_aerial)
+        rates = rule.rates(n_aerial, level, on_air)
+        results.append(
+            DeploymentResult(
+                plan=rule.plan(n_aerial, level, on_air),
+                user_ids=rule.user_ids,
+                per_user_rates=rates,
+                min_rate=min(rates),
+                strategy=DeploymentStrategy.HYBRID,
+            )
         )
-        for n_aerial, rates in enumerate(zip(*sweep.rates))
-    ]
+    return results

@@ -52,7 +52,8 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 @cache  # one subclass per PyYAML loader class
 def _unique_keys(loader):
-    """A subclass of a PyYAML loader that rejects a key given twice in one mapping."""
+    """A subclass of a PyYAML loader that rejects a key given twice in one mapping
+    and reports an integer too long for int() as a parse error."""
 
     class UniqueKeyLoader(loader):
         def construct_mapping(self, node, deep=False):
@@ -71,6 +72,15 @@ def _unique_keys(loader):
                     seen.add(key)
             return mapping
 
+    def construct_int(self, node):
+        try:
+            return loader.construct_yaml_int(self, node)
+        except ValueError:  # int() converts at most sys.get_int_max_str_digits() digits
+            raise yaml.constructor.ConstructorError(
+                None, None, "integer with too many digits", node.start_mark
+            )
+
+    UniqueKeyLoader.add_constructor("tag:yaml.org,2002:int", construct_int)
     return UniqueKeyLoader
 
 
@@ -150,6 +160,10 @@ class TrajectoryExperiment:
         self.constraints.slot_range(self.max_time)
 
 
+# Element counts stay exact in the float rate math up to 2**53.
+_MAX_BUDGET = 2**53
+
+
 @dataclass(frozen=True)
 class DeploymentExperiment:
     n_budget: int
@@ -162,6 +176,8 @@ class DeploymentExperiment:
     def __post_init__(self):
         if not (type(self.n_budget) is int and self.n_budget >= 0):  # bool is no count
             raise ValueError(f"n_budget must be an integer >= 0, got {self.n_budget!r}")
+        if self.n_budget > _MAX_BUDGET:
+            raise ValueError("n_budget must be <= 2**53")
         strategies = self.strategies
         if not (strategies and all(isinstance(s, DeploymentStrategy) for s in strategies)):
             raise ValueError(
@@ -390,7 +406,10 @@ def _yaml_float_hint(value) -> str:
 def _as_float(value, field: str, allow_inf: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(field, f"expected a number, got {value!r}{_yaml_float_hint(value)}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer, too large for repr to be a useful message
+        _fail(field, "expected a finite number, got an integer beyond the float range")
     if math.isnan(out) or (not allow_inf and math.isinf(out)):
         _fail(field, f"expected a finite number, got {value!r}")
     return out
@@ -420,6 +439,13 @@ def _as_count(value, field: str) -> int:
     if value < 0:
         _fail(field, "must be >= 0")
     return value
+
+
+def _as_budget(value, field: str) -> int:
+    out = _as_count(value, field)
+    if out > _MAX_BUDGET:
+        _fail(field, "must be <= 2**53, where element counts stop being exact in the rate math")
+    return out
 
 
 def _one_of(members):
@@ -528,7 +554,7 @@ _TRAJECTORY = {
     "max_time": ("max_time", False, _as_float),
 }
 _DEPLOYMENT = {
-    "n_budget": ("n_budget", True, _as_count),
+    "n_budget": ("n_budget", True, _as_budget),
     "strategies": ("strategies", False, _as_strategies),
 }
 

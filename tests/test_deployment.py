@@ -16,9 +16,11 @@ from uavirs.channel import (
     RadioParams,
 )
 from uavirs import channel
+from uavirs.cli import EXIT_OK, main
 from uavirs.deployment import (
     DeploymentPlan,
     DeploymentStrategy,
+    _HybridRule,
     allocation_sweep,
     evaluate_strategy,
     user_rate,
@@ -259,6 +261,32 @@ class TestEvaluateStrategy:
             evaluate_strategy(fig5, "sideways")
 
 
+def symmetric_scenario(n_budget):
+    """User 1 reachable only by the aerial surface, user 2 only by the
+    terrestrial one, with mirrored leg lengths: the best split is N/2."""
+    tirs = IrsSurface(
+        id="tirs",
+        kind=SurfaceKind.TERRESTRIAL,
+        position=Position3D(-10.0, 0.0, 20.0),
+        facing_normal=(-1.0, 0.0, 0.0),
+        coverage_radius=35.0,
+    )
+    return make_deploy_scenario(
+        [("u1", (30.0, 0.0, 0.0)), ("u2", (-30.0, 0.0, 0.0))],
+        uirs_xy=(10.0, 0.0),
+        uirs_alt=20.0,
+        tirs=tirs,
+        rules=[
+            LinkStateRule(("uirs", "u1"), 20.0),
+            LinkStateRule(("uirs", "u2"), math.inf, LinkState.NLOS),
+            blocked("bs", "u1"),
+            blocked("bs", "u2"),
+        ],
+        bs=(0.0, 0.0, 0.0),
+        n_budget=n_budget,
+    )
+
+
 class TestExhaustiveAllocate:
     def test_terrestrial_useless_when_covering_nobody(self):
         tirs = IrsSurface(
@@ -292,30 +320,7 @@ class TestExhaustiveAllocate:
             assert res.plan.uirs_altitude == 20.0
 
     def test_symmetric_geometry_splits_evenly(self):
-        # user 1 reachable only by the aerial surface, user 2 only by the
-        # terrestrial one, with mirrored leg lengths: the best split is N/2
-        tirs = IrsSurface(
-            id="tirs",
-            kind=SurfaceKind.TERRESTRIAL,
-            position=Position3D(-10.0, 0.0, 20.0),
-            facing_normal=(-1.0, 0.0, 0.0),
-            coverage_radius=35.0,
-        )
-        scn = make_deploy_scenario(
-            [("u1", (30.0, 0.0, 0.0)), ("u2", (-30.0, 0.0, 0.0))],
-            uirs_xy=(10.0, 0.0),
-            uirs_alt=20.0,
-            tirs=tirs,
-            rules=[
-                LinkStateRule(("uirs", "u1"), 20.0),
-                LinkStateRule(("uirs", "u2"), math.inf, LinkState.NLOS),
-                blocked("bs", "u1"),
-                blocked("bs", "u2"),
-            ],
-            bs=(0.0, 0.0, 0.0),
-            n_budget=10,
-        )
-        res = evaluate_strategy(scn, DeploymentStrategy.HYBRID)
+        res = evaluate_strategy(symmetric_scenario(10), DeploymentStrategy.HYBRID)
         assert res.plan.aerial_elements == 5
         assert res.plan.terrestrial_elements == 5
 
@@ -599,7 +604,7 @@ class TestHybridSweep:
         "search",
         [
             allocation_sweep,
-            # the exhaustive split search that the hybrid strategy runs
+            # the split search that the hybrid strategy runs
             pytest.param(
                 lambda scn: evaluate_strategy(scn, DeploymentStrategy.HYBRID),
                 id="exhaustive_allocate",
@@ -618,6 +623,11 @@ class TestHybridSweep:
         with pytest.raises(ValueError, match="n_budget must be an integer >= 0"):
             DeploymentExperiment(n_budget)
 
+    def test_budget_above_2_53_rejected(self):
+        DeploymentExperiment(2**53)
+        with pytest.raises(ValueError, match=r"n_budget must be <= 2\*\*53"):
+            DeploymentExperiment(2**53 + 1)
+
     @pytest.mark.parametrize(
         "strategies",
         [(), (DeploymentStrategy.HYBRID, DeploymentStrategy.HYBRID), ("hybrid",)],
@@ -626,6 +636,144 @@ class TestHybridSweep:
     def test_bad_strategies_rejected(self, strategies):
         with pytest.raises(ValueError, match="strategies must be"):
             DeploymentExperiment(600, strategies)
+
+
+def first_maximum(scenario):
+    """allocation_sweep's first split with the highest min rate."""
+    sweep = allocation_sweep(scenario)
+    minima = [res.min_rate for res in sweep]
+    return sweep[minima.index(max(minima))]
+
+
+class TestSplitSearch:
+    """The HYBRID strategy searches for the split the sweep's first maximum gives.
+
+    The search rests on each aerial rate being non-decreasing and each ground
+    rate non-increasing in n_aerial, as computed in floating point.
+    """
+
+    @staticmethod
+    def assert_search_equals_sweep(scn):
+        expected = first_maximum(scn)
+        res = evaluate_strategy(scn, DeploymentStrategy.HYBRID)
+        assert res.plan == expected.plan
+        assert res.per_user_rates == expected.per_user_rates
+        assert res.min_rate == expected.min_rate
+        return res
+
+    def test_fig5(self, fig5):
+        for n_budget in [*range(81), 150, 600, 1200]:
+            self.assert_search_equals_sweep(with_budget(fig5, n_budget))
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_seeded_relay_cases(self, seed):
+        scn, _, _ = seeded_relay_case(seed)
+        self.assert_search_equals_sweep(scn)
+
+    @staticmethod
+    def two_users(covered, u2_threshold, u2_fallback, u2_direct):
+        tirs = IrsSurface(
+            id="tirs",
+            kind=SurfaceKind.TERRESTRIAL,
+            position=Position3D(0.0, -40.0, 5.0),
+            facing_normal=(0.0, 1.0, 0.0),
+            covered_node_ids=frozenset(covered),
+        )
+        return make_deploy_scenario(
+            [("u1", (30.0, 0.0, 0.0)), ("u2", (-30.0, 0.0, 0.0))],
+            uirs_xy=(0.0, 0.0),
+            tirs=tirs,
+            rules=[
+                LinkStateRule(("uirs", "u1"), 20.0),
+                LinkStateRule(("uirs", "u2"), u2_threshold, u2_fallback),
+                blocked("bs", "u1"),
+                u2_direct,
+            ],
+            n_budget=50,
+        )
+
+    def test_blocked_uncovered_user_keeps_every_split_at_zero(self):
+        # u2 can reach neither surface and its direct link is blocked: the
+        # min rate is 0 at every split, so the first maximum is split 0
+        scn = self.two_users({"u1"}, math.inf, LinkState.BLOCKED, blocked("bs", "u2"))
+        assert {res.min_rate for res in allocation_sweep(scn)} == {0.0}
+        res = self.assert_search_equals_sweep(scn)
+        assert res.plan.aerial_elements == 0
+
+    def test_all_users_uncovered(self):
+        # everyone flies from split 1 on and no rate falls: the whole budget
+        scn = self.two_users((), 45.0, LinkState.NLOS, blocked("bs", "u2"))
+        res = self.assert_search_equals_sweep(scn)
+        assert res.plan.aerial_elements == 50
+        assert res.plan.uirs_altitude == 45.0
+
+    def test_tie_across_the_meet_goes_to_fewer_aerial_elements(self):
+        # an odd budget on mirrored users: splits 5 and 6 have the same min
+        # rate, the aerial user's at 5 and the terrestrial user's at 6
+        res = self.assert_search_equals_sweep(symmetric_scenario(11))
+        assert res.plan.aerial_elements == 5
+        assert res.min_rate == res.per_user_rates[0]  # the aerial user's
+
+    def test_first_of_a_rounding_plateau(self):
+        # near 2**53 elements one more aerial element moves no rate by an
+        # ulp, so the rates flatten before the budget ends; the first of the
+        # top value wins (allocation_sweep cannot run here; user_rate can)
+        scn = with_budget(
+            self.two_users((), 45.0, LinkState.NLOS, blocked("bs", "u2")), 2**53
+        )
+        res = evaluate_strategy(scn, DeploymentStrategy.HYBRID)
+
+        def min_rate(n_aerial):
+            plan = replace(
+                res.plan, aerial_elements=n_aerial, terrestrial_elements=2**53 - n_aerial
+            )
+            return min(user_rate(scn, plan, uid) for uid in res.user_ids)
+
+        n_aerial = res.plan.aerial_elements
+        assert n_aerial < 2**53
+        assert min_rate(n_aerial - 1) < res.min_rate == min_rate(n_aerial) == min_rate(2**53)
+
+    def test_flat_ground_rate_caps_the_min(self):
+        # u2 stays on its NLoS direct link, a constant rate: once u1's aerial
+        # rate passes it the min rate is flat, and the first of it wins
+        nlos = LinkStateRule(("bs", "u2"), math.inf, LinkState.NLOS)
+        scn = self.two_users((), math.inf, LinkState.BLOCKED, nlos)
+        minima = [res.min_rate for res in allocation_sweep(scn)]
+        assert minima.count(max(minima)) > 1
+        res = self.assert_search_equals_sweep(scn)
+        assert 0 < res.plan.aerial_elements < 50
+
+    def test_rates_are_monotone_in_the_split(self, fig5):
+        rule = _HybridRule.of(with_budget(fig5, 1200))
+        splits = range(1201)
+        sequences = 0
+        for i in range(len(rule.user_ids)):
+            ground = [rule.ground_rate(i, n) for n in splits]
+            assert all(a >= b for a, b in zip(ground, ground[1:]))
+            for level, legs in enumerate(rule.air):
+                if legs[i] is not None:  # the level is at or above the user's threshold
+                    air = [rule.air_rate(i, level, n) for n in splits]
+                    assert all(a <= b for a, b in zip(air, air[1:]))
+                    sequences += 1
+        assert rule.altitudes == (0.0, 30.0, 50.0)
+        assert sequences == 3  # user1 at 30 and 50 m, user2 at 50 m
+
+    @pytest.mark.parametrize("n_budget", [10**8, 2**53])
+    def test_deploy_cost_does_not_grow_with_the_budget(self, n_budget, tmp_path, monkeypatch):
+        # allocation_sweep at these budgets would not finish; the search
+        # prices a few hundred rates
+        text = scenario_path("fig5").read_text(encoding="utf-8")
+        path = tmp_path / "fig5.scenario"
+        path.write_text(text.replace("n_budget: 600\n", f"n_budget: {n_budget}\n", 1))
+        calls = []
+
+        def counted(amplitude, radio):
+            calls.append(amplitude)
+            return channel.link_rate(amplitude, radio)
+
+        monkeypatch.setattr("uavirs.deployment.link_rate", counted)
+        assert main(["deploy", str(path), "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+        assert 0 < len(calls) <= 400
 
 
 class TestBruteForce:

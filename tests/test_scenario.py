@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 from uavirs.channel import LinkState, Node, NodeRole
+from uavirs.cli import EXIT_USAGE, main
 from uavirs.deployment import DeploymentStrategy, evaluate_strategy
 from uavirs.errors import ScenarioError
 from uavirs.irs import SurfaceKind
@@ -459,6 +460,43 @@ class TestYamlLoaders:
             "- &uav {id: uav, role: uav, position: [0.0, 0.0, 30.0]}",
         ).replace("- {id: sn1,", "- {<<: *uav, id: sn1,")
         assert loads_scenario(text) == loads_scenario(MINIMAL_TRAJECTORY)
+
+    @pytest.mark.parametrize(
+        "name, old, new, field, message",
+        [
+            # float() of this integer raises OverflowError
+            ("fig4", "v_max: 50.0\n", f"v_max: 1{'0' * 400}\n", "experiment.v_max",
+             "expected a finite number, got an integer beyond the float range"),
+            ("fig5", "n_budget: 600\n", f"n_budget: {2**53 + 1}\n", "experiment.n_budget",
+             "must be <= 2**53, where element counts stop being exact in the rate math"),
+            ("fig5", "n_budget: 600\n", f"n_budget: 1{'0' * 400}\n", "experiment.n_budget",
+             "must be <= 2**53, where element counts stop being exact in the rate math"),
+        ],
+        ids=["v_max-1e400", "n_budget-2**53+1", "n_budget-1e400"],
+    )
+    def test_integer_out_of_range(self, name, old, new, field, message, yaml_loader, tmp_path):
+        text = scenario_path(name).read_text(encoding="utf-8").replace(old, new, 1)
+        with pytest.raises(ScenarioError) as info:
+            loads_scenario(text)
+        assert info.value.field == field
+        assert str(info.value) == f"{field}: {message}"
+        path = tmp_path / f"{name}.scenario"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", str(path), "--quiet"]) == EXIT_USAGE
+
+    def test_largest_budget_loads(self, yaml_loader):
+        text = scenario_path("fig5").read_text(encoding="utf-8")
+        text = text.replace("n_budget: 600\n", f"n_budget: {2**53}\n", 1)
+        assert loads_scenario(text).experiment.n_budget == 2**53
+
+    def test_integer_too_long_for_int_is_a_parse_error(self, yaml_loader):
+        # int() converts at most sys.get_int_max_str_digits() digits (4300 by default)
+        text = scenario_path("fig5").read_text(encoding="utf-8")
+        text = text.replace("n_budget: 600\n", f"n_budget: 1{'0' * 5000}\n", 1)
+        with pytest.raises(ScenarioError) as info:
+            loads_scenario(text)
+        assert info.value.field is None
+        assert str(info.value) == "parse error at line 38, column 13: integer with too many digits"
 
 
 class TestBuiltScenarioChecksItself:
