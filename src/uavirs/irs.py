@@ -24,6 +24,10 @@ from .channel import LinkRuleSet, LinkState, Position3D
 from .errors import ConfigurationError
 
 
+# Element counts stay exact in the float rate math up to 2**53.
+_MAX_ELEMENTS = 2**53
+
+
 class SurfaceKind(Enum):
     TERRESTRIAL = "terrestrial"
     AERIAL_MOUNTED = "aerial"
@@ -44,6 +48,8 @@ class IrsSurface:
     def __post_init__(self):
         if not (type(self.num_elements) is int and self.num_elements >= 0):  # bool is no count
             raise ValueError(f"num_elements must be an integer >= 0, got {self.num_elements!r}")
+        if self.num_elements > _MAX_ELEMENTS:
+            raise ValueError("num_elements must be <= 2**53")
         if self.facing_normal is not None:
             normal = tuple(float(c) for c in self.facing_normal)
             if len(normal) != 3 or not all(map(math.isfinite, normal)) or not any(normal):

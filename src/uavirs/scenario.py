@@ -32,7 +32,7 @@ from .channel import (
 )
 from .deployment import DeploymentStrategy
 from .errors import ConfigurationError, ScenarioError
-from .irs import IrsSurface, SurfaceKind, covers
+from .irs import _MAX_ELEMENTS, IrsSurface, SurfaceKind, covers
 
 # CPython's built-in SHA-256: hashlib's would map OpenSSL's libcrypto for one
 # digest per run. hashlib only for builds without the built-in module.
@@ -160,10 +160,6 @@ class TrajectoryExperiment:
         self.constraints.slot_range(self.max_time)
 
 
-# Element counts stay exact in the float rate math up to 2**53.
-_MAX_BUDGET = 2**53
-
-
 @dataclass(frozen=True)
 class DeploymentExperiment:
     n_budget: int
@@ -176,7 +172,7 @@ class DeploymentExperiment:
     def __post_init__(self):
         if not (type(self.n_budget) is int and self.n_budget >= 0):  # bool is no count
             raise ValueError(f"n_budget must be an integer >= 0, got {self.n_budget!r}")
-        if self.n_budget > _MAX_BUDGET:
+        if self.n_budget > _MAX_ELEMENTS:
             raise ValueError("n_budget must be <= 2**53")
         strategies = self.strategies
         if not (strategies and all(isinstance(s, DeploymentStrategy) for s in strategies)):
@@ -433,19 +429,14 @@ def _as_threshold(value, field: str) -> float:
     return out
 
 
-def _as_count(value, field: str) -> int:
+def _as_elements(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(field, f"expected an integer, got {value!r}")
     if value < 0:
         _fail(field, "must be >= 0")
-    return value
-
-
-def _as_budget(value, field: str) -> int:
-    out = _as_count(value, field)
-    if out > _MAX_BUDGET:
+    if value > _MAX_ELEMENTS:
         _fail(field, "must be <= 2**53, where element counts stop being exact in the rate math")
-    return out
+    return value
 
 
 def _one_of(members):
@@ -529,7 +520,7 @@ _SURFACE = {
     "id": ("id", True, _as_str),
     "kind": ("kind", True, _one_of(SurfaceKind)),
     "position": ("position", True, _as_position),
-    "num_elements": ("num_elements", False, _as_count),
+    "num_elements": ("num_elements", False, _as_elements),
     "facing_normal": ("facing_normal", False, _as_normal),
     "coverage_radius": ("coverage_radius", False, _as_radius),
     "covered_node_ids": ("covered_node_ids", False, _as_ids),
@@ -554,7 +545,7 @@ _TRAJECTORY = {
     "max_time": ("max_time", False, _as_float),
 }
 _DEPLOYMENT = {
-    "n_budget": ("n_budget", True, _as_budget),
+    "n_budget": ("n_budget", True, _as_elements),
     "strategies": ("strategies", False, _as_strategies),
 }
 

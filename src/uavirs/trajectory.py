@@ -20,19 +20,19 @@ min-throughput stalls:
     systems, which projects a line search's candidates as one stack and
     starts each from the candidate pulled back inside the bound along the
     line to the straight path, so a small overshoot takes few Newton
-    steps). Any step that lowers the true (hard-min) objective is rejected.
+    steps). With the schedule fixed, rates and slopes are priced only where
+    it gives airtime, about one node per slot. Any step that lowers the true
+    (hard-min) objective is rejected.
 
 The inner objective is non-decreasing across accepted iterations by
 construction, and every trajectory ever returned is speed-feasible.
 
-Of scipy, the solver loads only the HiGHS core and LAPACK's _flapack, from
-their files: importing scipy.optimize and scipy.linalg (sparse, special, fft
-and more) costs a short mission more time and memory than its solve. They are
-the module objects scipy's own imports give, whichever loads first. The HiGHS
-core loads with this module. _flapack, which maps scipy's own OpenBLAS, loads
-on the first interior-point solve of the speed projection, when dpbtrf or
-dpbtrs is first read from this module (__getattr__): a mission whose speed
-budget has no slack never makes one.
+Of scipy, the solver loads only the HiGHS core, with this module, and
+LAPACK's _flapack, from their files: importing scipy.optimize and scipy.linalg
+costs a short mission more time and memory than its solve. They are the module
+objects scipy's own imports give, whichever loads first. _flapack loads when
+dpbtrf or dpbtrs is first read from this module (__getattr__), on the first
+interior-point solve, which a mission with no speed slack never makes.
 """
 
 from __future__ import annotations
@@ -141,11 +141,8 @@ class Trajectory:
     def mission_time(self) -> float:
         return self.num_slots * self.slot_duration
 
-    def segment_lengths(self) -> np.ndarray:
-        return np.linalg.norm(np.diff(self.waypoints, axis=0), axis=1)
-
     def max_segment_length(self) -> float:
-        return float(self.segment_lengths().max())
+        return float(np.linalg.norm(np.diff(self.waypoints, axis=0), axis=1).max())
 
     def is_speed_feasible(self, constraints: TrajectoryConstraints) -> bool:
         return self.max_segment_length() <= constraints.max_step + SPEED_SLACK
@@ -229,10 +226,10 @@ class _RateEvaluator:
         k = len(self.nodes)
         self._direct_blocked = np.zeros(k, dtype=bool)
         self._direct_model = scenario.path_loss("uav_sn")
-        # Per node: serving surface index into self._surfaces, or -1.
+        # Per node: serving surface index into self._surf_pos, or -1.
         self._serving = np.full(k, -1, dtype=int)
         self._dst_amplitude = np.zeros(k)  # static surface->node per-element amplitude
-        self._surfaces = []
+        self._surf_pos = []  # positions of the serving surfaces
         surf_index = {}
 
         for i, node in enumerate(self.nodes):
@@ -247,20 +244,16 @@ class _RateEvaluator:
             if leg_up is LinkState.BLOCKED or leg_down is LinkState.BLOCKED:
                 continue
             if surface.id not in surf_index:
-                surf_index[surface.id] = len(self._surfaces)
-                self._surfaces.append(surface)
+                surf_index[surface.id] = len(self._surf_pos)
+                self._surf_pos.append(surface.position.as_array())
             self._serving[i] = surf_index[surface.id]
             d_down = surface.position.distance_to(node.position)
             self._dst_amplitude[i] = surface.num_elements * leg_amplitude(
                 d_down, scenario.path_loss("irs_sn"), self.radio
             )
 
-        self._surf_pos = (
-            np.array([s.position.as_array() for s in self._surfaces])
-            if self._surfaces
-            else np.zeros((0, 3))
-        )
-        self._uav_irs_model = scenario.path_loss("uav_irs") if self._surfaces else None
+        self._uav_irs_model = scenario.path_loss("uav_irs") if self._surf_pos else None
+        self._every = (np.arange(k)[:, None], slice(-1))  # every node at slots 0..M-1
 
     def _amp_gain(
         self, offset: np.ndarray, model: PathLossModel, with_slope: bool
@@ -282,38 +275,42 @@ class _RateEvaluator:
         return gain, coeff[..., None] * offset[..., :2]
 
     def _amplitude(
-        self, wp: np.ndarray, with_slope: bool
+        self, wp: np.ndarray, ks: np.ndarray, ts: np.ndarray, with_slope: bool
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Direct plus reflected amplitude A[k, t] at UAV positions wp[t].
+        """Direct plus reflected amplitude of node ks[i] at UAV position wp[ts[i]].
 
-        With with_slope, also dA[k, t] / d(horizontal wp[t]), shape (K, M, 2).
+        ks and ts broadcast together: a column of every node and the slots
+        0..M-1 give the K x M matrix, two index arrays a list of pairs, with
+        the same bits per entry. With with_slope, also its gradient in the
+        horizontal coordinates of wp[ts], on a last axis of 2.
         """
-        amp, slope = self._amp_gain(
-            wp[None, :, :] - self.node_pos[:, None, :], self._direct_model, with_slope
-        )
-        amp[self._direct_blocked] = 0.0
+        at = wp[ts]
+        amp, slope = self._amp_gain(at - self.node_pos[ks], self._direct_model, with_slope)
+        blocked, dst = self._direct_blocked[ks], self._dst_amplitude[ks]
+        np.copyto(amp, 0.0, where=blocked)
         if with_slope:
-            slope[self._direct_blocked] = 0.0
-        for j in range(len(self._surfaces)):
-            a_up, s_up = self._amp_gain(wp - self._surf_pos[j], self._uav_irs_model, with_slope)
-            served = self._serving == j
-            amp[served] += self._dst_amplitude[served, None] * a_up[None, :]
+            np.copyto(slope, 0.0, where=blocked[..., None])
+        for j, position in enumerate(self._surf_pos):
+            a_up, s_up = self._amp_gain(at - position, self._uav_irs_model, with_slope)
+            served = self._serving[ks] == j
+            np.add(amp, dst * a_up, out=amp, where=served)
             if with_slope:
-                slope[served] += self._dst_amplitude[served, None, None] * s_up[None, :, :]
+                np.add(slope, dst[..., None] * s_up, out=slope, where=served[..., None])
         return amp, slope
 
-    def rates(self, waypoints: np.ndarray) -> np.ndarray:
-        """Rate matrix R[k, t] = link_rate of the amplitude at waypoints[t], t = 0..M-1."""
-        amp, _ = self._amplitude(waypoints[:-1], False)
+    def rates(self, waypoints: np.ndarray, pairs=None) -> np.ndarray:
+        """Rate matrix R[k, t] = link_rate of the amplitude at waypoints[t], t = 0..M-1;
+        given pairs = (ks, ts), two index arrays, only R[ks, ts]."""
+        amp, _ = self._amplitude(waypoints, *(pairs or self._every), False)
         return link_rate(amp, self.radio)
 
-    def rate_gradient(self, waypoints: np.ndarray) -> np.ndarray:
-        """dR[k, t] / d(horizontal waypoints[t]), shape (K, M, 2); R as in rates."""
-        amp, slope = self._amplitude(waypoints[:-1], True)
+    def rate_gradient(self, waypoints: np.ndarray, pairs=None) -> np.ndarray:
+        """dR[k, t] / d(horizontal waypoints[t]), shape (K, M, 2), or at pairs; R as in rates."""
+        amp, slope = self._amplitude(waypoints, *(pairs or self._every), True)
         gamma = self.radio.tx_power / self.radio.noise_power
         # R = ln(1 + gamma A^2) / ln 2, so dR = 2 gamma A / ((1 + gamma A^2) ln 2) dA.
         factor = 2.0 * gamma * amp / ((1.0 + gamma * amp**2) * math.log(2.0))
-        return factor[:, :, None] * slope
+        return factor[..., None] * slope
 
 
 def per_slot_rates(scenario: Scenario, trajectory: Trajectory) -> np.ndarray:
@@ -385,11 +382,9 @@ def linprog(
     gets the LP scipy's linprog(method="highs") would hand it, with the
     options in _HIGHS_OPTIONS: scipy's defaults with presolve off. Solved
     cold, a schedule LP whose rates are all positive gets the same x as
-    scipy's default linprog. The arrays go through passModel's
-    array overload, which reads them in place; building a HighsLp would copy
-    them into Python-bound vectors element by element. That overload reads
-    num_col integrality entries whenever it is given an array, so it gets
-    zeros (all continuous), never an empty one.
+    scipy's default linprog. The arrays go through passModel's array
+    overload, which reads them in place; building a HighsLp would copy them
+    into Python-bound vectors element by element.
 
     With warm, the dual simplex starts from warm.basis, an optimal basis or
     an alien one HiGHS completes, when it fits an LP with the same column,
@@ -451,10 +446,9 @@ def optimal_schedule(
     R is finite and >= 0, slot_duration finite and > 0 and slot_duration * R
     finite.
 
-    Called as optimal_schedule(R, slot_duration), the LP is solved cold.
-    _solve_fixed_time passes its descent's _WarmStart as _warm, so that each
-    LP after the mission's first restarts from the basis of the one before
-    (see linprog and _WarmStart.for_slots).
+    Without _warm the LP is solved cold; _solve_fixed_time passes its
+    descent's _WarmStart, so that each LP after the mission's first restarts
+    from the basis of the one before (see linprog and _WarmStart.for_slots).
     """
     R = np.asarray(R, dtype=float)
     if R.ndim != 2:
@@ -501,14 +495,14 @@ def optimal_schedule(
     return Schedule(tau), value
 
 
-def _softmin(values: np.ndarray, temperature: float) -> float:
-    v = values / temperature
+def _softmin(values: np.ndarray) -> float:
+    v = values / _SOFTMIN_TEMPERATURE
     low = v.min()
-    return -temperature * (math.log(np.exp(-(v - low)).sum()) - low)
+    return -_SOFTMIN_TEMPERATURE * (math.log(np.exp(-(v - low)).sum()) - low)
 
 
-def _softmin_weights(values: np.ndarray, temperature: float) -> np.ndarray:
-    v = values / temperature
+def _softmin_weights(values: np.ndarray) -> np.ndarray:
+    v = values / _SOFTMIN_TEMPERATURE
     w = np.exp(-(v - v.min()))
     return w / w.sum()
 
@@ -521,12 +515,14 @@ def _straight_line(start: np.ndarray, end: np.ndarray, num_slots: int) -> np.nda
     return line
 
 
-def _lengths(segments: np.ndarray) -> np.ndarray:
-    return np.hypot(segments[..., 0], segments[..., 1])
+def _lengths(points: np.ndarray) -> np.ndarray:
+    """Segment lengths of (..., M + 1, 2) float paths: np.abs of complex x + iy, as _slack."""
+    return np.abs(np.diff(points, axis=-2).view(complex)[..., 0])
 
 
 def _slack(seg: np.ndarray, max_step: float) -> np.ndarray:
-    length = np.hypot(seg.real, seg.imag)  # seg holds complex x + iy
+    """(L^2 - l^2) / 2 for complex segments x + iy of length l = np.abs(seg), L = max_step."""
+    length = np.abs(seg)
     return 0.5 * (max_step - length) * (max_step + length)  # no cancellation
 
 
@@ -708,7 +704,7 @@ def _no_slack(line: np.ndarray, max_step: float) -> bool:
     of its segments at least max_step long.
     """
     c = (line[-1] - line[0]) / (line.shape[0] - 1)
-    return max_step * max_step - c @ c <= 0.0 or _lengths(np.diff(line, axis=0)).max() >= max_step
+    return max_step * max_step - c @ c <= 0.0 or _lengths(line).max() >= max_step
 
 
 def _project_speed(wp: np.ndarray, max_step: float) -> np.ndarray:
@@ -719,19 +715,18 @@ def _project_speed(wp: np.ndarray, max_step: float) -> np.ndarray:
     shape. Each path is projected on its own: minimize ||w - wp|| subject to
     ||w[t+1] - w[t]|| <= max_step over the horizontal coordinates of the
     interior waypoints, with the endpoints and the altitude column copied
-    unchanged. A feasible path is returned as is. With no slack (a
-    straight-line step of at least max_step, that is M * max_step at most
-    the start-end distance, or a straight line that rounding leaves on the
-    boundary) the straight line, the only candidate left, is returned
-    without iterating. Otherwise the infeasible paths go through one
+    unchanged. A feasible path is returned as is. With no slack (_no_slack)
+    the straight line, the only candidate left, is returned without
+    iterating. Otherwise the infeasible paths go through one
     interior-point solve, which starts each on the segment from the straight
     line to the path, keeps every iterate strictly inside the speed bound
-    and gives each path the bits of its solve alone, so the output is
-    speed-feasible as it stands.
+    and gives each path the bits of its solve alone. Its slack and the
+    feasibility test take lengths from the same kernel (_slack, _lengths), so
+    the output is speed-feasible as it stands and projects to itself.
     """
     out = wp.copy()
     paths = out.reshape(-1, *wp.shape[-2:])  # a view: writes land in out
-    over = ~(_lengths(np.diff(paths[:, :, :2], axis=1)).max(axis=1) <= max_step)
+    over = ~(_lengths(paths[:, :, :2]).max(axis=1) <= max_step)
     if not over.any():
         return out
     line = _straight_line(paths[0, 0, :2], paths[0, -1, :2], wp.shape[-2] - 1)
@@ -755,8 +750,11 @@ def improve_trajectory(
     gradient in the horizontal waypoint coordinates, backtracks the step
     size by _BACKTRACK_SHRINK up to _MAX_BACKTRACKS times, projects each
     candidate exactly onto the speed-feasible set, and rejects any candidate
-    whose hard-min objective is below the input's. The softmin temperature is
-    _SOFTMIN_TEMPERATURE. Endpoints and altitude stay fixed.
+    whose hard-min objective is below the input's; the softmin of a candidate
+    is computed only once its hard minimum passes. The softmin temperature is
+    _SOFTMIN_TEMPERATURE. Endpoints and altitude stay fixed. Rates and slopes
+    are priced only where tau > 0, into a zero-filled K x M matrix: elsewhere
+    tau * R is +0.0 either way, so every scheduled throughput keeps its bits.
 
     The candidates are projected in two stacked solves: first the long
     steps, which move the fastest waypoint by at least max_step, then, only
@@ -783,15 +781,24 @@ def improve_trajectory(
     # unit); dividing by the fixed mission time rescales but never reorders.
     delta = trajectory.slot_duration
     horizon = m * delta
-    s0 = (tau * ev.rates(wp)).sum(axis=1) * delta / horizon
+    support = np.nonzero(tau)
+    priced = np.zeros(tau.shape)
+
+    def throughputs(path: np.ndarray) -> np.ndarray:
+        priced[support] = ev.rates(path, support)
+        return (tau * priced).sum(axis=1) * delta / horizon
+
+    s0 = throughputs(wp)
     hard0 = float(s0.min())
-    soft0 = _softmin(s0, _SOFTMIN_TEMPERATURE)
-    weights = _softmin_weights(s0, _SOFTMIN_TEMPERATURE)
+    soft0 = _softmin(s0)
+    weights = _softmin_weights(s0)
 
     # d(objective)/d(waypoint t): R[:, t] depends on waypoint t only.
     coeff = weights[:, None] * tau * (delta / horizon)
+    slope = np.zeros((*tau.shape, 2))
+    slope[support] = ev.rate_gradient(wp, support)
     grad = np.zeros_like(wp)
-    grad[1:m, :2] = (coeff[:, 1:, None] * ev.rate_gradient(wp)[:, 1:, :]).sum(axis=0)
+    grad[1:m, :2] = (coeff[:, 1:, None] * slope[:, 1:, :]).sum(axis=0)
 
     largest = float(np.linalg.norm(grad, axis=1).max())
     if largest <= 0.0:
@@ -812,9 +819,8 @@ def improve_trajectory(
     for batch in (scales[long], scales[~long]):
         cands = _project_speed(wp + batch[:, None, None] * grad, constraints.max_step)
         for scale, cand in zip(batch, cands):
-            s_new = (tau * ev.rates(cand)).sum(axis=1) * delta / horizon
-            gain = _softmin(s_new, _SOFTMIN_TEMPERATURE) - soft0
-            if float(s_new.min()) >= hard0 and gain >= armijo * scale * grad_sq:
+            s_new = throughputs(cand)
+            if float(s_new.min()) >= hard0 and _softmin(s_new) - soft0 >= armijo * scale * grad_sq:
                 return Trajectory(cand.copy(), trajectory.slot_duration)  # not a view of the stack
     return trajectory
 
@@ -942,9 +948,7 @@ def min_time_mission(scenario: Scenario) -> MissionResult:
         )
         return result_for(m_min, converged=True)
     if m_max == m_min or not evaluate(m_max):
-        best = max(
-            (m for m in solutions), key=lambda m: solutions[m].throughput / (m * delta)
-        )
+        best = max(solutions, key=lambda m: solutions[m].throughput / (m * delta))
         return result_for(best, converged=False)
 
     lo, hi = m_min, m_max  # invariant: lo infeasible, hi feasible

@@ -228,6 +228,17 @@ class TestSurface:
     def test_with_elements(self):
         assert aerial().with_elements(42).num_elements == 42
 
+    @pytest.mark.parametrize("count", [2**53 + 1, 10**400])
+    def test_more_elements_than_floats_count_exactly_rejected(self, count):
+        # 10**400 elements used to reach int * float in the rate kernel
+        with pytest.raises(ValueError, match=r"num_elements must be <= 2\*\*53"):
+            aerial(num_elements=count)
+        with pytest.raises(ValueError, match=r"num_elements must be <= 2\*\*53"):
+            aerial().with_elements(count)
+
+    def test_largest_element_count_accepted(self):
+        assert aerial(num_elements=2**53).num_elements == 2**53
+
     def test_with_fractional_elements_rejected(self):
         # the count is checked as given, not truncated to 2 first
         with pytest.raises(ValueError, match="num_elements"):

@@ -471,8 +471,16 @@ class TestYamlLoaders:
              "must be <= 2**53, where element counts stop being exact in the rate math"),
             ("fig5", "n_budget: 600\n", f"n_budget: 1{'0' * 400}\n", "experiment.n_budget",
              "must be <= 2**53, where element counts stop being exact in the rate math"),
+            ("fig4", "num_elements: 300\n", f"num_elements: {2**53 + 1}\n",
+             "surfaces[0].num_elements",
+             "must be <= 2**53, where element counts stop being exact in the rate math"),
+            # passed validate, then made trajopt exit 4 ("int too large to convert to float")
+            ("fig4", "num_elements: 300\n", f"num_elements: 1{'0' * 400}\n",
+             "surfaces[0].num_elements",
+             "must be <= 2**53, where element counts stop being exact in the rate math"),
         ],
-        ids=["v_max-1e400", "n_budget-2**53+1", "n_budget-1e400"],
+        ids=["v_max-1e400", "n_budget-2**53+1", "n_budget-1e400", "num_elements-2**53+1",
+             "num_elements-1e400"],
     )
     def test_integer_out_of_range(self, name, old, new, field, message, yaml_loader, tmp_path):
         text = scenario_path(name).read_text(encoding="utf-8").replace(old, new, 1)
@@ -488,6 +496,14 @@ class TestYamlLoaders:
         text = scenario_path("fig5").read_text(encoding="utf-8")
         text = text.replace("n_budget: 600\n", f"n_budget: {2**53}\n", 1)
         assert loads_scenario(text).experiment.n_budget == 2**53
+
+    def test_largest_element_count_loads_and_solves(self, yaml_loader, tmp_path):
+        text = scenario_path("fig4").read_text(encoding="utf-8")
+        text = text.replace("num_elements: 300\n", f"num_elements: {2**53}\n", 1)
+        assert loads_scenario(text).surfaces[0].num_elements == 2**53
+        path = tmp_path / "fig4.scenario"
+        path.write_text(text, encoding="utf-8")
+        assert main(["trajopt", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
 
     def test_integer_too_long_for_int_is_a_parse_error(self, yaml_loader):
         # int() converts at most sys.get_int_max_str_digits() digits (4300 by default)

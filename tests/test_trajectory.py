@@ -1,14 +1,16 @@
+import importlib.util
 import math
 import subprocess
 import sys
 import textwrap
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import block_diag
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
@@ -31,6 +33,7 @@ from uavirs.scenario import (
     Scenario,
     TrajectoryExperiment,
     load_scenario,
+    loads_scenario,
     scenario_path,
 )
 from uavirs.trajectory import (
@@ -426,7 +429,9 @@ class TestProjectSpeed:
     def test_start_on_a_budget_with_ulps_of_slack_stays_inside(self):
         # When the straight step is a few ulps below max_step, rounding can
         # leave a pulled-back start segment outside the ball; that chain
-        # starts at the straight line instead, and the output stays inside.
+        # starts at the straight line instead, and the output stays inside
+        # by the projection's own length kernel (np.abs of x + iy), and
+        # within an ulp of it by the correctly rounded hypot.
         # (A line that rounding leaves on the bound is returned as it is.)
         rng = np.random.default_rng(0)
         solved = 0
@@ -442,7 +447,8 @@ class TestProjectSpeed:
                 continue
             wp[1:-1, :2] += rng.uniform(-3.0, 3.0, (m - 1, 2)) * max_step
             out = _project_speed(wp, max_step)
-            assert longest_segment(out) < max_step
+            assert trajectory._lengths(out[:, :2]).max() < max_step
+            assert longest_segment(out) <= max_step + math.ulp(max_step)
             np.testing.assert_array_equal(out[[0, -1]], wp[[0, -1]])
             solved += 1
         assert solved > 30
@@ -657,6 +663,84 @@ class TestProjectSpeed:
         np.testing.assert_array_equal(out, line)
 
 
+@st.composite
+def ulp_slack_chains(draw):
+    """A perturbed path whose straight step is 1 to 60 ulps of M * max_step short of max_step."""
+    m, max_step = draw(st.integers(2, 8)), draw(st.floats(1.0, 10.0))
+    angle, ulps = draw(st.floats(0.0, 2.0 * math.pi)), draw(st.integers(1, 60))
+    start = np.array([draw(st.floats(-100.0, 100.0)), draw(st.floats(-100.0, 100.0))])
+    reach = m * max_step * (1.0 - ulps * 2.0**-52)
+    end = start + reach * np.array([math.cos(angle), math.sin(angle)])
+    wp = np.full((m + 1, 3), ALTITUDE)
+    wp[:, :2] = trajectory._straight_line(start, end, m)
+    offsets = draw(st.lists(st.floats(-3.0, 3.0), min_size=2 * (m - 1), max_size=2 * (m - 1)))
+    wp[1:-1, :2] += max_step * np.array(offsets).reshape(m - 1, 2)
+    return wp, max_step
+
+
+def no_slack_by_hypot(line, max_step):
+    """_no_slack with segment lengths from the correctly rounded np.hypot."""
+    c = (line[-1] - line[0]) / (line.shape[0] - 1)
+    seg = np.diff(line, axis=0)
+    return max_step * max_step - c @ c <= 0.0 or np.hypot(seg[:, 0], seg[:, 1]).max() >= max_step
+
+
+def bench_trajectory_scenes():
+    """The benchmark's trajectory instances, seeds 0-9: the shipped scenes and rigid motions."""
+    root = Path(__file__).resolve().parents[1]
+    path = root / "bench" / "instances.py"
+    spec = importlib.util.spec_from_file_location("bench_instances", path)
+    instances = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(instances)
+    return [
+        (name, loads_scenario(text))
+        for workload in ("trajopt-noirs", "trajopt-irs")
+        for seed in range(10)
+        for name, text in instances.instance_texts(root, workload, seed)
+    ]
+
+
+class TestLengthKernel:
+    """The projection's slack and its feasibility test measure segments with one kernel."""
+
+    @settings(max_examples=60)
+    @given(stack=speed_stacks())
+    def test_projection_is_idempotent(self, stack):
+        paths, max_step = stack
+        out = _project_speed(paths, max_step)
+        assert _project_speed(out, max_step).tobytes() == out.tobytes()
+
+    @settings(max_examples=60)
+    @given(chain=ulp_slack_chains())
+    def test_projection_with_ulps_of_slack_is_idempotent(self, chain):
+        wp, max_step = chain
+        out = _project_speed(wp, max_step)  # or the straight line, if it has no slack
+        assert _project_speed(out, max_step).tobytes() == out.tobytes()
+
+    def test_no_slack_decision_as_by_hypot(self):
+        # every slot count a bisection may probe, on each benchmark scene
+        scenes = bench_trajectory_scenes()
+        assert len(scenes) == 20
+        for name, scn in scenes:
+            c = scn.experiment.constraints
+            m_min, m_max = c.slot_range(scn.experiment.max_time)
+            for m in range(max(1, m_min - 1), m_max + 1):
+                line = trajectory._straight_line(c.start.as_array()[:2], c.end.as_array()[:2], m)
+                decision = trajectory._no_slack(line, c.max_step)
+                assert decision == no_slack_by_hypot(line, c.max_step), (name, m)
+
+    def test_fig4_rigid_motions_one_lp_no_projection(self):
+        scenes = [(n, scn) for n, scn in bench_trajectory_scenes() if n.split("_s")[0] == "fig4"]
+        assert len(scenes) == 10
+        for name, scn in scenes:
+            with mock.patch("uavirs.trajectory.linprog", wraps=linprog) as lp, mock.patch(
+                "uavirs.trajectory._project_speed", wraps=_project_speed
+            ) as ps:
+                res = min_time_mission(scn)
+            assert res.mission_time == pytest.approx(3.0), name
+            assert (lp.call_count, ps.call_count) == (1, 0), name
+
+
 class TestRateGradient:
     def test_matches_central_differences(self):
         surf = IrsSurface(
@@ -682,6 +766,96 @@ class TestRateGradient:
                 down[t, axis] -= h
                 fd = (ev.rates(up)[:, t] - ev.rates(down)[:, t]) / (2.0 * h)
                 np.testing.assert_allclose(grad[:, t, axis], fd, rtol=1e-6)
+
+
+@st.composite
+def priced_pairs(draw):
+    """A scene, a path and (node, slot) pairs to price, of any order and with repeats.
+
+    Direct links may be blocked, nodes may be served by one of two surfaces,
+    and one node may sit within the 1 m reference-distance clamp of a waypoint.
+    """
+    m = draw(st.integers(1, 12))
+    coord = st.floats(-80.0, 180.0)
+    wp = np.full((m + 1, 3), 30.0)
+    points = draw(st.lists(coord, min_size=2 * (m + 1), max_size=2 * (m + 1)))
+    wp[:, :2] = np.array(points).reshape(m + 1, 2)
+    k = draw(st.integers(1, 5))
+    sensors = [
+        (f"sn{i}", (draw(coord), draw(coord), draw(st.sampled_from([0.0, 10.0]))))
+        for i in range(k)
+    ]
+    if draw(st.booleans()):  # within the clamp: under 1 m from waypoint t, at its altitude
+        t, angle = draw(st.integers(0, m)), draw(st.floats(0.0, 2.0 * math.pi))
+        r = draw(st.floats(0.0, 0.99))
+        near = wp[t, :2] + r * np.array([math.cos(angle), math.sin(angle)])
+        sensors[0] = ("sn0", (float(near[0]), float(near[1]), 30.0))
+    assume(len({pos for _, pos in sensors} | {(0.0, 0.0, 30.0)}) == k + 1)  # no colocated nodes
+    owner = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=k, max_size=k))
+    surfaces = tuple(
+        IrsSurface(
+            id=f"irs{j}",
+            kind=SurfaceKind.TERRESTRIAL,
+            position=Position3D(40.0 + 60.0 * j, 60.0, 10.0),
+            num_elements=draw(st.integers(0, 2000)),
+            facing_normal=(0.0, -1.0, 0.0),
+            covered_node_ids=frozenset(f"sn{i}" for i in range(k) if owner[i] == j),
+        )
+        for j in (0, 1)
+    )
+    blocked = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    rules = [
+        LinkStateRule(("uav", f"sn{i}"), math.inf, LinkState.BLOCKED)
+        for i in range(k)
+        if blocked[i]
+    ]
+    scn = make_scenario(sensors, surfaces=surfaces, rules=rules)
+    pair = st.tuples(st.integers(0, k - 1), st.integers(0, m - 1))
+    pairs = draw(st.lists(pair, max_size=3 * k * m))
+    ks = np.array([p[0] for p in pairs], dtype=np.intp)
+    ts = np.array([p[1] for p in pairs], dtype=np.intp)
+    return _RateEvaluator(scn), wp, ks, ts
+
+
+class TestPairKernel:
+    """Pricing (node, slot) pairs gives the bits of the same entries of the full matrix."""
+
+    @settings(max_examples=150)
+    @given(case=priced_pairs())
+    def test_pairs_match_the_full_matrix(self, case):
+        ev, wp, ks, ts = case
+        rates, slopes = ev.rates(wp, (ks, ts)), ev.rate_gradient(wp, (ks, ts))
+        assert rates.shape == ks.shape and slopes.shape == (*ks.shape, 2)
+        assert rates.tobytes() == ev.rates(wp)[ks, ts].tobytes()
+        assert slopes.tobytes() == ev.rate_gradient(wp)[ks, ts].tobytes()
+
+    def test_full_matrix_matches_per_node_evaluation(self):
+        # sn4 is served by the surface; the all-pairs call is one broadcast
+        ev = _RateEvaluator(load_scenario(scenario_path("fig4")))
+        wp = straight_line_trajectory(ev.scenario.experiment.constraints, 30).waypoints
+        rates, slopes = ev.rates(wp), ev.rate_gradient(wp)
+        assert rates.shape == (len(ev.nodes), 30) and slopes.shape == (len(ev.nodes), 30, 2)
+        for k in range(len(ev.nodes)):
+            row = (np.full(30, k), np.arange(30))
+            assert ev.rates(wp, row).tobytes() == rates[k].tobytes()
+            assert ev.rate_gradient(wp, row).tobytes() == slopes[k].tobytes()
+
+    def test_step_prices_only_the_schedule_support(self):
+        scn = make_scenario([("sn1", (30.0, 50.0, 0.0)), ("sn2", (70.0, -45.0, 0.0))], slot=0.2)
+        traj = straight_line_trajectory(scn.experiment.constraints, 12)
+        sched, _ = optimal_schedule(per_slot_rates(scn, traj), 0.2)
+        ev, priced = _RateEvaluator(scn), []
+
+        def record(waypoints, pairs=None):
+            priced.append(pairs)
+            return _RateEvaluator.rates(ev, waypoints, pairs)
+
+        with mock.patch.object(ev, "rates", side_effect=record):
+            improve_trajectory(scn, traj, sched, _evaluator=ev)
+        support = np.nonzero(sched.fractions)
+        assert priced and len(support[0]) < sched.fractions.size
+        for ks, ts in priced:
+            assert ks.tolist() == support[0].tolist() and ts.tolist() == support[1].tolist()
 
 
 class TestImproveTrajectory:
