@@ -27,12 +27,14 @@ min-throughput stalls:
 The inner objective is non-decreasing across accepted iterations by
 construction, and every trajectory ever returned is speed-feasible.
 
-Of scipy, the solver loads only the HiGHS core, with this module, and
-LAPACK's _flapack, from their files: importing scipy.optimize and scipy.linalg
-costs a short mission more time and memory than its solve. They are the module
-objects scipy's own imports give, whichever loads first. _flapack loads when
-dpbtrf or dpbtrs is first read from this module (__getattr__), on the first
-interior-point solve, which a mission with no speed slack never makes.
+Of scipy, the solver loads only the HiGHS core and LAPACK's _flapack, from
+their files: importing scipy.optimize and scipy.linalg (sparse, special, fft
+and more) costs a short mission more time and memory than its solve. They are
+the module objects scipy's own imports give, whichever loads first. The HiGHS
+core loads with this module. _flapack, which maps scipy's own OpenBLAS, loads
+on the first interior-point solve of the speed projection, when dpbtrf or
+dpbtrs is first read from this module (__getattr__): a mission whose speed
+budget has no slack never makes one.
 """
 
 from __future__ import annotations
@@ -141,8 +143,11 @@ class Trajectory:
     def mission_time(self) -> float:
         return self.num_slots * self.slot_duration
 
+    def segment_lengths(self) -> np.ndarray:
+        return np.linalg.norm(np.diff(self.waypoints, axis=0), axis=1)
+
     def max_segment_length(self) -> float:
-        return float(np.linalg.norm(np.diff(self.waypoints, axis=0), axis=1).max())
+        return float(self.segment_lengths().max())
 
     def is_speed_feasible(self, constraints: TrajectoryConstraints) -> bool:
         return self.max_segment_length() <= constraints.max_step + SPEED_SLACK
@@ -281,10 +286,11 @@ class _RateEvaluator:
 
         ks and ts broadcast together: a column of every node and the slots
         0..M-1 give the K x M matrix, two index arrays a list of pairs, with
-        the same bits per entry. With with_slope, also its gradient in the
-        horizontal coordinates of wp[ts], on a last axis of 2.
+        the same bits per entry. wp may stack paths on leading axes (B, M + 1,
+        3), each priced at the same pairs. With with_slope, also its gradient
+        in the horizontal coordinates of wp[ts], on a last axis of 2.
         """
-        at = wp[ts]
+        at = wp[..., ts, :]
         amp, slope = self._amp_gain(at - self.node_pos[ks], self._direct_model, with_slope)
         blocked, dst = self._direct_blocked[ks], self._dst_amplitude[ks]
         np.copyto(amp, 0.0, where=blocked)
@@ -300,7 +306,7 @@ class _RateEvaluator:
 
     def rates(self, waypoints: np.ndarray, pairs=None) -> np.ndarray:
         """Rate matrix R[k, t] = link_rate of the amplitude at waypoints[t], t = 0..M-1;
-        given pairs = (ks, ts), two index arrays, only R[ks, ts]."""
+        given pairs = (ks, ts), two index arrays, only R[ks, ts], per path of a stack."""
         amp, _ = self._amplitude(waypoints, *(pairs or self._every), False)
         return link_rate(amp, self.radio)
 
@@ -382,9 +388,11 @@ def linprog(
     gets the LP scipy's linprog(method="highs") would hand it, with the
     options in _HIGHS_OPTIONS: scipy's defaults with presolve off. Solved
     cold, a schedule LP whose rates are all positive gets the same x as
-    scipy's default linprog. The arrays go through passModel's array
-    overload, which reads them in place; building a HighsLp would copy them
-    into Python-bound vectors element by element.
+    scipy's default linprog. The arrays go through passModel's
+    array overload, which reads them in place; building a HighsLp would copy
+    them into Python-bound vectors element by element. That overload reads
+    num_col integrality entries whenever it is given an array, so it gets
+    zeros (all continuous), never an empty one.
 
     With warm, the dual simplex starts from warm.basis, an optimal basis or
     an alien one HiGHS completes, when it fits an LP with the same column,
@@ -446,9 +454,10 @@ def optimal_schedule(
     R is finite and >= 0, slot_duration finite and > 0 and slot_duration * R
     finite.
 
-    Without _warm the LP is solved cold; _solve_fixed_time passes its
-    descent's _WarmStart, so that each LP after the mission's first restarts
-    from the basis of the one before (see linprog and _WarmStart.for_slots).
+    Called as optimal_schedule(R, slot_duration), the LP is solved cold.
+    _solve_fixed_time passes its descent's _WarmStart as _warm, so that each
+    LP after the mission's first restarts from the basis of the one before
+    (see linprog and _WarmStart.for_slots).
     """
     R = np.asarray(R, dtype=float)
     if R.ndim != 2:
@@ -495,14 +504,14 @@ def optimal_schedule(
     return Schedule(tau), value
 
 
-def _softmin(values: np.ndarray) -> float:
-    v = values / _SOFTMIN_TEMPERATURE
+def _softmin(values: np.ndarray, temperature: float) -> float:
+    v = values / temperature
     low = v.min()
-    return -_SOFTMIN_TEMPERATURE * (math.log(np.exp(-(v - low)).sum()) - low)
+    return -temperature * (math.log(np.exp(-(v - low)).sum()) - low)
 
 
-def _softmin_weights(values: np.ndarray) -> np.ndarray:
-    v = values / _SOFTMIN_TEMPERATURE
+def _softmin_weights(values: np.ndarray, temperature: float) -> np.ndarray:
+    v = values / temperature
     w = np.exp(-(v - v.min()))
     return w / w.sum()
 
@@ -515,14 +524,12 @@ def _straight_line(start: np.ndarray, end: np.ndarray, num_slots: int) -> np.nda
     return line
 
 
-def _lengths(points: np.ndarray) -> np.ndarray:
-    """Segment lengths of (..., M + 1, 2) float paths: np.abs of complex x + iy, as _slack."""
-    return np.abs(np.diff(points, axis=-2).view(complex)[..., 0])
+def _lengths(segments: np.ndarray) -> np.ndarray:
+    return np.hypot(segments[..., 0], segments[..., 1])
 
 
 def _slack(seg: np.ndarray, max_step: float) -> np.ndarray:
-    """(L^2 - l^2) / 2 for complex segments x + iy of length l = np.abs(seg), L = max_step."""
-    length = np.abs(seg)
+    length = np.hypot(seg.real, seg.imag)  # seg holds complex x + iy
     return 0.5 * (max_step - length) * (max_step + length)  # no cancellation
 
 
@@ -704,7 +711,7 @@ def _no_slack(line: np.ndarray, max_step: float) -> bool:
     of its segments at least max_step long.
     """
     c = (line[-1] - line[0]) / (line.shape[0] - 1)
-    return max_step * max_step - c @ c <= 0.0 or _lengths(line).max() >= max_step
+    return max_step * max_step - c @ c <= 0.0 or _lengths(np.diff(line, axis=0)).max() >= max_step
 
 
 def _project_speed(wp: np.ndarray, max_step: float) -> np.ndarray:
@@ -715,18 +722,19 @@ def _project_speed(wp: np.ndarray, max_step: float) -> np.ndarray:
     shape. Each path is projected on its own: minimize ||w - wp|| subject to
     ||w[t+1] - w[t]|| <= max_step over the horizontal coordinates of the
     interior waypoints, with the endpoints and the altitude column copied
-    unchanged. A feasible path is returned as is. With no slack (_no_slack)
-    the straight line, the only candidate left, is returned without
-    iterating. Otherwise the infeasible paths go through one
+    unchanged. A feasible path is returned as is. With no slack (a
+    straight-line step of at least max_step, that is M * max_step at most
+    the start-end distance, or a straight line that rounding leaves on the
+    boundary) the straight line, the only candidate left, is returned
+    without iterating. Otherwise the infeasible paths go through one
     interior-point solve, which starts each on the segment from the straight
     line to the path, keeps every iterate strictly inside the speed bound
-    and gives each path the bits of its solve alone. Its slack and the
-    feasibility test take lengths from the same kernel (_slack, _lengths), so
-    the output is speed-feasible as it stands and projects to itself.
+    and gives each path the bits of its solve alone, so the output is
+    speed-feasible as it stands.
     """
     out = wp.copy()
     paths = out.reshape(-1, *wp.shape[-2:])  # a view: writes land in out
-    over = ~(_lengths(paths[:, :, :2]).max(axis=1) <= max_step)
+    over = ~(_lengths(np.diff(paths[:, :, :2], axis=1)).max(axis=1) <= max_step)
     if not over.any():
         return out
     line = _straight_line(paths[0, 0, :2], paths[0, -1, :2], wp.shape[-2] - 1)
@@ -758,7 +766,8 @@ def improve_trajectory(
 
     The candidates are projected in two stacked solves: first the long
     steps, which move the fastest waypoint by at least max_step, then, only
-    if none of those passes, the rest. The first candidate in backtracking
+    if none of those passes, the rest. Each stack is priced in one call, with
+    the bits of each path priced alone. The first candidate in backtracking
     order that passes is taken, the same one, bit for bit, that projecting
     and scoring one candidate at a time would take.
 
@@ -782,16 +791,17 @@ def improve_trajectory(
     delta = trajectory.slot_duration
     horizon = m * delta
     support = np.nonzero(tau)
-    priced = np.zeros(tau.shape)
 
-    def throughputs(path: np.ndarray) -> np.ndarray:
-        priced[support] = ev.rates(path, support)
-        return (tau * priced).sum(axis=1) * delta / horizon
+    def throughputs(paths: np.ndarray) -> np.ndarray:
+        """Scheduled throughput per node of a path, or per path of a stack."""
+        priced = np.zeros((*paths.shape[:-2], *tau.shape))
+        priced[(..., *support)] = ev.rates(paths, support)
+        return (tau * priced).sum(axis=-1) * delta / horizon
 
     s0 = throughputs(wp)
     hard0 = float(s0.min())
-    soft0 = _softmin(s0)
-    weights = _softmin_weights(s0)
+    soft0 = _softmin(s0, _SOFTMIN_TEMPERATURE)
+    weights = _softmin_weights(s0, _SOFTMIN_TEMPERATURE)
 
     # d(objective)/d(waypoint t): R[:, t] depends on waypoint t only.
     coeff = weights[:, None] * tau * (delta / horizon)
@@ -818,9 +828,10 @@ def improve_trajectory(
     long = scales >= constraints.max_step / largest
     for batch in (scales[long], scales[~long]):
         cands = _project_speed(wp + batch[:, None, None] * grad, constraints.max_step)
-        for scale, cand in zip(batch, cands):
-            s_new = throughputs(cand)
-            if float(s_new.min()) >= hard0 and _softmin(s_new) - soft0 >= armijo * scale * grad_sq:
+        for scale, cand, s_new in zip(batch, cands, throughputs(cands)):
+            if float(s_new.min()) >= hard0 and (
+                _softmin(s_new, _SOFTMIN_TEMPERATURE) - soft0 >= armijo * scale * grad_sq
+            ):
                 return Trajectory(cand.copy(), trajectory.slot_duration)  # not a view of the stack
     return trajectory
 
@@ -948,7 +959,9 @@ def min_time_mission(scenario: Scenario) -> MissionResult:
         )
         return result_for(m_min, converged=True)
     if m_max == m_min or not evaluate(m_max):
-        best = max(solutions, key=lambda m: solutions[m].throughput / (m * delta))
+        best = max(
+            (m for m in solutions), key=lambda m: solutions[m].throughput / (m * delta)
+        )
         return result_for(best, converged=False)
 
     lo, hi = m_min, m_max  # invariant: lo infeasible, hi feasible
