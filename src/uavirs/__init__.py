@@ -33,7 +33,7 @@ from .deployment import (
     user_rate,
 )
 from .errors import ConfigurationError, ExperimentMismatchError, ScenarioError
-from .irs import IrsSurface, SurfaceKind, covers, min_serving_altitude
+from .irs import IrsSurface, SurfaceKind, covers
 from .scenario import (
     DeploymentExperiment,
     Scenario,
@@ -93,7 +93,6 @@ __all__ = [
     "link_rate",
     "load_scenario",
     "loads_scenario",
-    "min_serving_altitude",
     "min_time_mission",
     "optimal_schedule",
     "path_gain",

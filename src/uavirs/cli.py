@@ -180,7 +180,9 @@ def _cmd_deploy(args) -> int:
             "scenario holds a trajectory experiment; use the trajopt subcommand"
         )
     strategies = scenario.experiment.strategies
-    if args.strategies != "all":
+    if args.strategies == "all":
+        strategies = tuple(DeploymentStrategy)
+    elif args.strategies is not None:
         strategies = (DeploymentStrategy(args.strategies),)
     started = time.perf_counter()
     results = [evaluate_strategy(scenario, s) for s in strategies]
@@ -260,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dep.add_argument(
         "--strategies",
         choices=[s.value for s in DeploymentStrategy] + ["all"],
-        default="all",
-        help="which deployment strategies to evaluate",
+        default=None,
+        help="which deployment strategies to evaluate (default: the scenario's list)",
     )
     p_dep.set_defaults(func=_cmd_deploy)
 

@@ -4,10 +4,12 @@ One UAV-mounted surface near the BS and one terrestrial surface near a user
 share a fixed budget of reflecting elements. Users transmit over orthogonal
 equal-duration slots (prelog 1/K) and their direct BS links are blocked, so
 each user's rate is carried entirely by its serving surface's cascaded path
-with per-leg binary LoS/NLoS exponents. The element split, the aerial
-altitude (the lowest altitude giving LoS to its assigned users) and the
-user-to-surface assignment are chosen to maximize the minimum user rate; the
-split is found by binary search at the rule's breakpoints, in a number of
+with per-leg binary LoS/NLoS exponents. A plan is an element split, an aerial
+altitude (the lowest altitude giving LoS to its assigned users) and a
+user-to-surface assignment, and one rule, `_HybridRule`, builds the plan of
+every strategy. The user-side and BS-side baselines put the whole budget on
+one surface. The hybrid strategy chooses the split that maximizes the minimum
+user rate, found by binary search at the rule's breakpoints, in a number of
 rate evaluations logarithmic in the budget.
 """
 
@@ -21,7 +23,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
 from .channel import LinkState, Node, RadioParams, leg_amplitude, link_rate, resolve_link_state
 from .errors import ConfigurationError
-from .irs import IrsSurface, SurfaceKind, covers, min_serving_altitude
+from .irs import IrsSurface, SurfaceKind, covers
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
@@ -73,14 +75,6 @@ def _deployment_surfaces(scenario: "Scenario") -> Tuple[IrsSurface, IrsSurface]:
     return aerial, terrestrial
 
 
-def _state_model(scenario: "Scenario", state: LinkState):
-    if state is LinkState.LOS:
-        return scenario.path_loss("los")
-    if state is LinkState.NLOS:
-        return scenario.path_loss("nlos")
-    raise ValueError("blocked links have no path-loss model")
-
-
 def _leg_amplitude(
     scenario: "Scenario", a_id: str, a_pos, b_id: str, b_pos, aerial_altitude: float
 ) -> float:
@@ -88,7 +82,7 @@ def _leg_amplitude(
     state = resolve_link_state(scenario.link_rules, a_id, b_id, aerial_altitude)
     if state is LinkState.BLOCKED:
         return 0.0
-    return leg_amplitude(a_pos.distance_to(b_pos), _state_model(scenario, state), scenario.radio)
+    return leg_amplitude(a_pos.distance_to(b_pos), scenario.path_loss(state.value), scenario.radio)
 
 
 def _direct_amplitude(scenario: "Scenario", user: Node) -> float:
@@ -132,6 +126,12 @@ def _rate_through(
 def _check_plan(scenario: "Scenario", plan: DeploymentPlan) -> None:
     aerial, terrestrial = _deployment_surfaces(scenario)
     users = {u.id: u for u in scenario.user_nodes()}
+    assigned = [uid for uid, _ in plan.assignment]
+    for uid in users:
+        if assigned.count(uid) != 1:
+            raise ConfigurationError(
+                f"plan must assign user {uid!r} exactly once, not {assigned.count(uid)} times"
+            )
     for uid, sid in plan.assignment:
         if uid not in users:
             raise ConfigurationError(f"plan assigns unknown user {uid!r}")
@@ -178,10 +178,6 @@ def user_rate(scenario: "Scenario", plan: DeploymentPlan, user_id: str) -> float
     )
 
 
-def _aerial_threshold(scenario: "Scenario", aerial: IrsSurface, user_id: str) -> float:
-    return scenario.link_rules.rule_for(aerial.id, user_id).min_altitude_for_los
-
-
 _Legs = Tuple[float, float, float]  # direct, BS -> surface and surface -> user amplitudes
 
 
@@ -198,7 +194,8 @@ class _HybridRule(NamedTuple):
     a user's aerial legs exist only at the levels at or above its own. Every
     rate goes through the scalar branch of `link_rate` as
     `direct + elements * up * down`, the order `user_rate` uses, so it is
-    bit-identical to `user_rate` on the same plan.
+    bit-identical to `user_rate` on the same plan. `plan` writes the plan of
+    every strategy, the two single-surface baselines included.
     """
 
     n_budget: int
@@ -216,7 +213,8 @@ class _HybridRule(NamedTuple):
     def of(cls, scenario: "Scenario") -> "_HybridRule":
         aerial, terrestrial = _deployment_surfaces(scenario)
         users = scenario.user_nodes()
-        thresholds = [_aerial_threshold(scenario, aerial, u.id) for u in users]
+        rules = scenario.link_rules
+        thresholds = [rules.rule_for(aerial.id, u.id).min_altitude_for_los for u in users]
         reachable = [math.isfinite(t) for t in thresholds]
         altitudes = sorted({0.0, *(t for t, r in zip(thresholds, reachable) if r)})
         covered = [covers(terrestrial, u.position, node_id=u.id) for u in users]
@@ -362,13 +360,15 @@ def _evaluate_plan(
 def evaluate_strategy(scenario: "Scenario", strategy: DeploymentStrategy) -> DeploymentResult:
     """Evaluate one deployment strategy for the experiment's element budget.
 
-    USER_SIDE puts the whole budget on the terrestrial surface (uncovered
-    users stay unserved); BS_SIDE puts it on the aerial surface at the lowest
-    altitude with LoS to every user that can ever reach LoS; HYBRID applies
-    the hybrid altitude and assignment rule to the (n_aerial, n_terrestrial)
-    splits and keeps the highest min rate, ties to the fewest aerial
-    elements: the first maximum of `allocation_sweep`. Its winner is
-    re-evaluated and checked through `user_rate`.
+    Every strategy is one plan of the hybrid rule: a split, an altitude level
+    and the users who fly. USER_SIDE is the rule's split 0: the whole budget
+    on the terrestrial surface, uncovered users on their direct links alone.
+    BS_SIDE puts the whole budget on the aerial surface at its top level, the
+    lowest altitude with LoS to every user that can ever reach LoS, and flies
+    all of those users. HYBRID takes the (n_aerial, n_terrestrial) split with
+    the highest min rate, ties to the fewest aerial elements: the first
+    maximum of `allocation_sweep`. Each plan is re-evaluated and checked
+    through `user_rate`.
 
     HYBRID finds that split by binary search, not by pricing every split. It
     rests on the rates being monotone in n_aerial as computed in floating
@@ -379,33 +379,14 @@ def evaluate_strategy(scenario: "Scenario", strategy: DeploymentStrategy) -> Dep
     """
     if not isinstance(strategy, DeploymentStrategy):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy is DeploymentStrategy.HYBRID:
-        rule = _HybridRule.of(scenario)
-        n_aerial = _best_split(rule)
-        return _evaluate_plan(scenario, rule.plan(n_aerial, *rule.split(n_aerial)), strategy)
-
-    n_budget = scenario.experiment.n_budget
-    aerial, terrestrial = _deployment_surfaces(scenario)
-    users = scenario.user_nodes()
-    if strategy is DeploymentStrategy.USER_SIDE:
-        assignment = tuple(
-            (u.id, terrestrial.id if covers(terrestrial, u.position, node_id=u.id) else None)
-            for u in users
-        )
-        plan = DeploymentPlan(0, n_budget, 0.0, assignment)
-    else:  # BS_SIDE
-        reachable = [
-            u.id
-            for u in users
-            if math.isfinite(_aerial_threshold(scenario, aerial, u.id))
-        ]
-        altitude = min_serving_altitude(aerial, reachable, scenario.link_rules)
-        assignment = tuple(
-            (u.id, aerial.id if u.id in reachable and n_budget > 0 else None)
-            for u in users
-        )
-        plan = DeploymentPlan(n_budget, 0, altitude, assignment)
-    return _evaluate_plan(scenario, plan, strategy)
+    rule = _HybridRule.of(scenario)
+    if strategy is DeploymentStrategy.BS_SIDE:
+        n_aerial, level = rule.n_budget, len(rule.altitudes) - 1
+        on_air = tuple(needed >= 0 and n_aerial > 0 for needed in rule.needed)
+    else:
+        n_aerial = 0 if strategy is DeploymentStrategy.USER_SIDE else _best_split(rule)
+        level, on_air = rule.split(n_aerial)
+    return _evaluate_plan(scenario, rule.plan(n_aerial, level, on_air), strategy)
 
 
 def allocation_sweep(scenario: "Scenario"):

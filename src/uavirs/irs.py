@@ -3,8 +3,10 @@
 Two surface kinds exist. A terrestrial surface is wall-mounted: it serves only
 nodes in its front half-space ((node - surface) . facing_normal > 0), further
 limited by an optional coverage radius. A UAV-mounted surface reflects
-panoramically and serves any node whose link to it resolves LoS. An explicit
-covered-node set on either kind overrides the geometric rule.
+panoramically and serves any node whose link to it resolves LoS, that is from
+the node's LoS threshold in the scenario's link rules upward; the deployment
+rule (uavirs.deployment) reads those thresholds as its candidate altitudes. An
+explicit covered-node set on either kind overrides the geometric rule.
 
 Reflection is ideal passive beamforming: continuous phases, unit amplitude,
 perfect alignment, so the reflected path contributes N identical per-element
@@ -18,9 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
-from .channel import LinkRuleSet, LinkState, Position3D
+from .channel import LinkState, Position3D
 from .errors import ConfigurationError
 
 
@@ -109,17 +111,3 @@ def covers(
     # Aerial: panoramic reflection, needs line of sight only.
     return link_state is LinkState.LOS
 
-
-def min_serving_altitude(
-    surface: IrsSurface, required_los_nodes: Iterable[str], rules: LinkRuleSet
-) -> float:
-    """Lowest altitude at which an aerial surface has LoS to every required node.
-
-    Returns 0 for an empty required set. A (surface, node) pair without a rule
-    is always LoS, so it needs 0 m.
-    """
-    if surface.kind is not SurfaceKind.AERIAL_MOUNTED:
-        raise ConfigurationError(f"surface {surface.id!r} is not aerial")
-    return max(
-        [0.0, *(rules.rule_for(surface.id, n).min_altitude_for_los for n in required_los_nodes)]
-    )

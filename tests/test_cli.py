@@ -274,6 +274,21 @@ class TestDeploy:
         rows = read_rows(out / "fig5_deployment.csv")
         assert [r["strategy"] for r in rows] == ["bs"]
 
+    @pytest.mark.parametrize(
+        "flag, expected",
+        [([], ["hybrid"]), (["--strategies", "all"], ["user", "bs", "hybrid"])],
+        ids=["default-keeps-the-file", "all-overrides-the-file"],
+    )
+    def test_strategies_flag_against_the_file(self, flag, expected, tmp_path):
+        source = tmp_path / "hybrid_only.scenario"
+        text = scenario_path("fig5").read_text()
+        assert "strategies: [user, bs, hybrid]" in text
+        source.write_text(text.replace("strategies: [user, bs, hybrid]", "strategies: [hybrid]"))
+        out = tmp_path / "out"
+        assert main(["deploy", str(source), "--out", str(out), "--quiet", *flag]) == EXIT_OK
+        rows = read_rows(out / "hybrid_only_deployment.csv")
+        assert [r["strategy"] for r in rows] == expected
+
     def test_determinism(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["deploy", str(scenario_path("fig5")), "--out", str(out1), "--quiet"])

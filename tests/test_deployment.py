@@ -851,3 +851,68 @@ class TestPlanValidation:
         plan = DeploymentPlan(600, 0, 50.0, (("user1", "mystery"), ("user2", None)))
         with pytest.raises(ConfigurationError):
             user_rate(fig5, plan, "user1")
+
+    def test_user_left_out_rejected(self, fig5):
+        plan = DeploymentPlan(0, 600, 0.0, (("user1", None),))
+        with pytest.raises(ConfigurationError, match="'user2' exactly once, not 0 times"):
+            user_rate(fig5, plan, "user2")
+
+    def test_user_assigned_twice_rejected(self, fig5):
+        plan = DeploymentPlan(0, 600, 0.0, (("user1", None), ("user2", "tirs"), ("user2", None)))
+        with pytest.raises(ConfigurationError, match="'user2' exactly once, not 2 times"):
+            user_rate(fig5, plan, "user2")
+
+
+def baseline_cases():
+    """(label, scenario, oracle users) of seeded_relay_case seeds 0-399 at
+    budgets 0, 1 and the seed's own."""
+    for seed in range(400):
+        scn, users, _ = seeded_relay_case(seed)
+        for n_budget in sorted({0, 1, scn.experiment.n_budget}):
+            yield f"seed {seed}, budget {n_budget}", with_budget(scn, n_budget), users
+
+
+class TestBaselines:
+    """The user-side and BS-side plans against constructions of their own."""
+
+    def test_user_side_is_the_sweeps_first_split(self):
+        for label, scn, _ in baseline_cases():
+            res = evaluate_strategy(scn, DeploymentStrategy.USER_SIDE)
+            expected = replace(allocation_sweep(scn)[0], strategy=DeploymentStrategy.USER_SIDE)
+            assert res == expected, label
+
+    def test_bs_side_flies_at_the_highest_threshold(self):
+        reachable_counts = set()
+        for label, scn, users in baseline_cases():
+            res = evaluate_strategy(scn, DeploymentStrategy.BS_SIDE)
+            n_budget = scn.experiment.n_budget
+            finite = [t for _, _, t in users if math.isfinite(t)]
+            reachable_counts.add(len(finite))
+            assert res.plan.aerial_elements == n_budget, label
+            assert res.plan.terrestrial_elements == 0, label
+            assert res.plan.uirs_altitude == max(finite, default=0.0), label
+        assert 0 in reachable_counts  # some instance has nobody reachable
+
+    def test_bs_side_flies_every_reachable_user(self):
+        for label, scn, users in baseline_cases():
+            res = evaluate_strategy(scn, DeploymentStrategy.BS_SIDE)
+            flying = scn.experiment.n_budget > 0
+            for (uid, covered, threshold), assigned in zip(users, res.plan.assignment):
+                # a user left on the ground keeps its terrestrial label, on 0 elements
+                ground = "tirs" if covered else None
+                expected = "uirs" if flying and math.isfinite(threshold) else ground
+                assert assigned == (uid, expected), label
+            rates = tuple(user_rate(scn, res.plan, uid) for uid, _, _ in users)
+            assert res.per_user_rates == rates, label
+            assert res.min_rate == min(rates), label
+
+    def test_bs_side_needs_no_altitude_for_a_user_without_a_rule(self):
+        scn = make_deploy_scenario(
+            [("u1", (40.0, 0.0, 0.0)), ("u2", (-30.0, 20.0, 0.0))],
+            rules=[blocked("bs", "u1"), blocked("bs", "u2")],
+            n_budget=50,
+        )
+        res = evaluate_strategy(scn, DeploymentStrategy.BS_SIDE)
+        assert res.plan.uirs_altitude == 0.0
+        assert res.plan.assignment == (("u1", "uirs"), ("u2", "uirs"))
+        assert all(r > 0.0 for r in res.per_user_rates)

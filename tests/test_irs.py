@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from uavirs.channel import (
-    LinkRuleSet,
     LinkState,
-    LinkStateRule,
     PathLossModel,
     Position3D,
     RadioParams,
@@ -14,7 +12,7 @@ from uavirs.channel import (
     link_rate,
 )
 from uavirs.errors import ConfigurationError
-from uavirs.irs import IrsSurface, SurfaceKind, covers, min_serving_altitude
+from uavirs.irs import IrsSurface, SurfaceKind, covers
 
 RADIO = RadioParams(tx_power=0.1, noise_power=1e-11, ref_path_gain_db=-30.0)
 
@@ -151,40 +149,6 @@ class TestEffectiveSnr:
         assert reflected_snr(0.0, 5.0, 8.0, 2.2, n) > 1e3
         gap = link_rate(2 * n * per_element, RADIO) - link_rate(n * per_element, RADIO)
         assert abs(gap - 2.0) < 0.01
-
-
-class TestMinServingAltitude:
-    RULES = LinkRuleSet(
-        [
-            LinkStateRule(("uirs", "user1"), 30.0, LinkState.NLOS),
-            LinkStateRule(("uirs", "user2"), 50.0, LinkState.NLOS),
-        ]
-    )
-
-    def test_both_users(self):
-        assert min_serving_altitude(aerial(), ["user1", "user2"], self.RULES) == 50.0
-
-    def test_single_user(self):
-        assert min_serving_altitude(aerial(), ["user1"], self.RULES) == 30.0
-
-    def test_empty_set(self):
-        assert min_serving_altitude(aerial(), [], self.RULES) == 0.0
-
-    def test_strict_rule_set(self):
-        rules = LinkRuleSet(
-            [
-                LinkStateRule(("uirs", "user1"), 30.0),
-                LinkStateRule(("uirs", "user2"), 50.0),
-            ]
-        )
-        assert min_serving_altitude(aerial(), ["user1", "user2"], rules) == 50.0
-
-    def test_unknown_node_needs_no_altitude(self):
-        assert min_serving_altitude(aerial(), ["ghost"], LinkRuleSet([])) == 0.0
-
-    def test_terrestrial_surface_rejected(self):
-        with pytest.raises(ConfigurationError):
-            min_serving_altitude(terrestrial(), ["user1"], self.RULES)
 
 
 class TestSurface:
