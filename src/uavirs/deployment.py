@@ -7,7 +7,9 @@ each user's rate is carried entirely by its serving surface's cascaded path
 with per-leg binary LoS/NLoS exponents. A plan is an element split, an aerial
 altitude (the lowest altitude giving LoS to its assigned users) and a
 user-to-surface assignment, and one rule, `_HybridRule`, builds the plan of
-every strategy. The user-side and BS-side baselines put the whole budget on
+every strategy. The rule and `user_rate` price every rate alike: `_legs` gives
+a user's direct and two surface-leg amplitudes, and `_rate` the rate of
+direct + N * up * down. The user-side and BS-side baselines put the whole budget on
 one surface. The hybrid strategy chooses the split that maximizes the minimum
 user rate, found by binary search at the rule's breakpoints, in a number of
 rate evaluations logarithmic in the budget.
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
@@ -52,12 +54,6 @@ class DeploymentPlan:
             raise ValueError(f"uirs_altitude must be finite and >= 0, got {self.uirs_altitude!r}")
         object.__setattr__(self, "assignment", tuple(self.assignment))
 
-    def serving_surface_id(self, user_id: str) -> Optional[str]:
-        for uid, sid in self.assignment:
-            if uid == user_id:
-                return sid
-        raise ValueError(f"unknown user {user_id!r}")
-
 
 @dataclass(frozen=True)
 class DeploymentResult:
@@ -85,42 +81,34 @@ def _leg_amplitude(
     return leg_amplitude(a_pos.distance_to(b_pos), scenario.path_loss(state.value), scenario.radio)
 
 
-def _direct_amplitude(scenario: "Scenario", user: Node) -> float:
+_Legs = Tuple[float, float, float]  # direct, BS -> surface and surface -> user amplitudes
+
+
+def _legs(
+    scenario: "Scenario", surface: Optional[IrsSurface], altitude: float, user: Node
+) -> _Legs:
+    """A user's legs through one surface, or over the direct link alone (None).
+
+    An aerial surface is priced at `altitude`, a terrestrial one where it
+    stands; both surface legs resolve their link state at the surface's height.
+    """
     bs = scenario.bs_node()
     direct_alt = max(bs.position.z, user.position.z)
-    return _leg_amplitude(scenario, bs.id, bs.position, user.id, user.position, direct_alt)
-
-
-def _surface_legs(
-    scenario: "Scenario", surface: IrsSurface, altitude: float, user: Node
-) -> Tuple[float, float]:
-    """Amplitudes of the BS -> surface and surface -> user legs."""
-    bs = scenario.bs_node()
+    direct = _leg_amplitude(scenario, bs.id, bs.position, user.id, user.position, direct_alt)
+    if surface is None:
+        return direct, 0.0, 0.0
+    at = surface.position
     if surface.kind is SurfaceKind.AERIAL_MOUNTED:
-        surf_pos = surface.at_altitude(altitude).position
-        leg_alt = altitude
-    else:
-        surf_pos = surface.position
-        leg_alt = surface.position.z
-    up = _leg_amplitude(scenario, bs.id, bs.position, surface.id, surf_pos, leg_alt)
-    down = _leg_amplitude(scenario, surface.id, surf_pos, user.id, user.position, leg_alt)
-    return up, down
+        at = replace(at, z=float(altitude))
+    up = _leg_amplitude(scenario, bs.id, bs.position, surface.id, at, at.z)
+    down = _leg_amplitude(scenario, surface.id, at, user.id, user.position, at.z)
+    return direct, up, down
 
 
-def _rate_through(
-    scenario: "Scenario",
-    surface: Optional[IrsSurface],
-    elements: int,
-    altitude: float,
-    user: Node,
-    num_users: int,
-) -> float:
-    """User rate through one serving surface (or none), prelog 1/num_users."""
-    amplitude = _direct_amplitude(scenario, user)
-    if surface is not None and elements > 0:
-        up, down = _surface_legs(scenario, surface, altitude, user)
-        amplitude += elements * up * down
-    return link_rate(amplitude, scenario.radio) / num_users
+def _rate(legs: _Legs, elements: int, radio: RadioParams, num_users: int) -> float:
+    """A user's rate with `elements` on its surface, prelog 1/num_users."""
+    direct, up, down = legs
+    return link_rate(direct + elements * up * down, radio) / num_users
 
 
 def _check_plan(scenario: "Scenario", plan: DeploymentPlan) -> None:
@@ -159,26 +147,22 @@ def user_rate(scenario: "Scenario", plan: DeploymentPlan, user_id: str) -> float
     Equal orthogonal time slots give the 1/K prelog; the direct BS link is
     taken from the scenario's link rules (blocked in the relaying scenarios),
     and an unserved user's rate is exactly 0 on top of a blocked direct link.
+    The plan is checked, then the legs through the user's serving surface (an
+    aerial one at the plan's altitude) are priced as in `_HybridRule`.
     """
     users = scenario.user_nodes()
     by_id = {u.id: u for u in users}
     if user_id not in by_id:
         raise ValueError(f"unknown user {user_id!r}")
-    _check_plan(scenario, plan)
+    _check_plan(scenario, plan)  # one entry per user, each a known surface or None
     aerial, terrestrial = _deployment_surfaces(scenario)
-    sid = plan.serving_surface_id(user_id)
-    if sid is None:
-        surface, elements = None, 0
-    elif sid == aerial.id:
-        surface, elements = aerial, plan.aerial_elements
-    else:
-        surface, elements = terrestrial, plan.terrestrial_elements
-    return _rate_through(
-        scenario, surface, elements, plan.uirs_altitude, by_id[user_id], len(users)
-    )
-
-
-_Legs = Tuple[float, float, float]  # direct, BS -> surface and surface -> user amplitudes
+    surface, elements = {
+        None: (None, 0),
+        aerial.id: (aerial, plan.aerial_elements),
+        terrestrial.id: (terrestrial, plan.terrestrial_elements),
+    }[dict(plan.assignment)[user_id]]
+    legs = _legs(scenario, surface, plan.uirs_altitude, by_id[user_id])
+    return _rate(legs, elements, scenario.radio, len(users))
 
 
 class _HybridRule(NamedTuple):
@@ -191,11 +175,11 @@ class _HybridRule(NamedTuple):
     final altitude is the lowest giving LoS to all aerially assigned users.
 
     The candidate altitudes are the levels {0} and the finite LoS thresholds;
-    a user's aerial legs exist only at the levels at or above its own. Every
-    rate goes through the scalar branch of `link_rate` as
-    `direct + elements * up * down`, the order `user_rate` uses, so it is
-    bit-identical to `user_rate` on the same plan. `plan` writes the plan of
-    every strategy, the two single-surface baselines included.
+    a user's aerial legs exist only at the levels at or above its own. The
+    legs come from `_legs` and every rate from `_rate`, the path `user_rate`
+    takes, so a rate is bit-identical to `user_rate` on the same plan. `plan`
+    writes the plan of every strategy, the two single-surface baselines
+    included.
     """
 
     n_budget: int
@@ -218,11 +202,6 @@ class _HybridRule(NamedTuple):
         reachable = [math.isfinite(t) for t in thresholds]
         altitudes = sorted({0.0, *(t for t, r in zip(thresholds, reachable) if r)})
         covered = [covers(terrestrial, u.position, node_id=u.id) for u in users]
-        direct = [_direct_amplitude(scenario, u) for u in users]
-
-        def legs(surface, altitude, i):
-            return (direct[i], *_surface_legs(scenario, surface, altitude, users[i]))
-
         indices = range(len(users))
         return cls(
             n_budget=scenario.experiment.n_budget,
@@ -233,26 +212,25 @@ class _HybridRule(NamedTuple):
             altitudes=tuple(altitudes),
             order=tuple(sorted((i for i in indices if reachable[i]), key=covered.__getitem__)),
             needed=tuple(altitudes.index(t) if r else -1 for t, r in zip(thresholds, reachable)),
-            ground=tuple(legs(terrestrial, 0.0, i) for i in indices),
+            ground=tuple(_legs(scenario, terrestrial, 0.0, u) for u in users),
             # Below its LoS threshold a user can never be served by the aerial surface.
             air=tuple(
-                tuple(legs(aerial, alt, i) if alt >= t else None for i, t in enumerate(thresholds))
+                tuple(
+                    _legs(scenario, aerial, alt, u) if alt >= t else None
+                    for u, t in zip(users, thresholds)
+                )
                 for alt in altitudes
             ),
         )
 
-    def _rate(self, legs: _Legs, elements: int) -> float:
-        direct, up, down = legs
-        return link_rate(direct + elements * up * down, self.radio) / len(self.user_ids)
-
     def ground_rate(self, i: int, n_aerial: int) -> float:
         """Without the aerial surface: through the terrestrial one if it covers
         the user, else over the direct link alone (zero elements)."""
-        covered = self.ground_ids[i] is not None
-        return self._rate(self.ground[i], (self.n_budget - n_aerial) * covered)
+        elements = (self.n_budget - n_aerial) * (self.ground_ids[i] is not None)
+        return _rate(self.ground[i], elements, self.radio, len(self.user_ids))
 
     def air_rate(self, i: int, level: int, n_aerial: int) -> float:
-        return self._rate(self.air[level][i], n_aerial)
+        return _rate(self.air[level][i], n_aerial, self.radio, len(self.user_ids))
 
     def flies(self, i: int, level: int, n_aerial: int) -> bool:
         """Whether user i joins the aerial surface if that puts it at level."""

@@ -6,7 +6,9 @@ limited by an optional coverage radius. A UAV-mounted surface reflects
 panoramically and serves any node whose link to it resolves LoS, that is from
 the node's LoS threshold in the scenario's link rules upward; the deployment
 rule (uavirs.deployment) reads those thresholds as its candidate altitudes. An
-explicit covered-node set on either kind overrides the geometric rule.
+explicit covered-node set on either kind overrides the geometric rule; a
+deployment scenario accepts one on its terrestrial surface only, because the
+deployment serves aerially by LoS threshold alone.
 
 Reflection is ideal passive beamforming: continuous phases, unit amplitude,
 perfect alignment, so the reflected path contributes N identical per-element
@@ -68,13 +70,6 @@ class IrsSurface:
             raise ValueError(f"coverage_radius must be > 0 when set, got {self.coverage_radius!r}")
         if self.covered_node_ids is not None:
             object.__setattr__(self, "covered_node_ids", frozenset(self.covered_node_ids))
-
-    def at_altitude(self, altitude: float) -> "IrsSurface":
-        """Copy of an aerial surface moved to a new altitude."""
-        if self.kind is not SurfaceKind.AERIAL_MOUNTED:
-            raise ConfigurationError(f"surface {self.id!r} is not aerial; altitude is fixed")
-        pos = Position3D(self.position.x, self.position.y, float(altitude))
-        return replace(self, position=pos)
 
     def with_elements(self, n: int) -> "IrsSurface":
         return replace(self, num_elements=n)

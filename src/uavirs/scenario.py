@@ -250,6 +250,13 @@ class Scenario:
                     "surfaces",
                     "deployment scenarios need exactly one aerial and one terrestrial surface",
                 )
+            for s in self.surfaces:
+                if s.kind is SurfaceKind.AERIAL_MOUNTED and s.covered_node_ids is not None:
+                    _fail(
+                        "surfaces",
+                        f"aerial surface {s.id!r} cannot list covered_node_ids in a deployment "
+                        "scenario: aerial service follows the LoS thresholds alone",
+                    )
             for cls in ("los", "nlos"):
                 if cls not in self.path_loss_classes:
                     _fail("path_loss_classes", f"missing required link class {cls!r}")

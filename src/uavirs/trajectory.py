@@ -219,7 +219,6 @@ class _RateEvaluator:
     """
 
     def __init__(self, scenario: Scenario):
-        self.scenario = scenario
         altitude = scenario.experiment.constraints.fixed_altitude
         rules = scenario.link_rules
         self.radio = scenario.radio

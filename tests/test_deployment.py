@@ -147,6 +147,30 @@ class TestUserRate:
         )
         assert via_tirs == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("altitude", [30.0, 37.5, 50.0, 80.0])  # 37.5 m is no rule level
+    def test_aerial_surface_flies_at_the_plan_altitude(self, fig5, altitude):
+        plan = DeploymentPlan(300, 300, altitude, (("user1", "uirs"), ("user2", "tirs")))
+        expected = deployment_user_rate(
+            bs_pos=(0.0, 0.0, 25.0),
+            user_pos=(80.0, 0.0, 0.0),
+            surface_pos=(10.0, 0.0, altitude),
+            elements=300,
+            num_users=2,
+            exponent_up=2.2,
+            exponent_down=2.2,
+            tx_power=0.1,
+            noise_power=1e-11,
+            ref_gain_db=-30.0,
+        )
+        assert user_rate(fig5, plan, "user1") == pytest.approx(expected, rel=1e-12)
+
+    def test_terrestrial_surface_ignores_the_plan_altitude(self, fig5):
+        low, high = (
+            DeploymentPlan(300, 300, altitude, (("user1", None), ("user2", "tirs")))
+            for altitude in (0.0, 50.0)
+        )
+        assert user_rate(fig5, low, "user2") == user_rate(fig5, high, "user2")
+
     def test_terrestrial_beats_aerial_when_product_distance_smaller(self, fig5):
         # user 2 at equal element counts: 10 m terrestrial leg vs a 50 m-high
         # aerial relay; the independent calculator confirms both values

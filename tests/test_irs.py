@@ -182,13 +182,6 @@ class TestSurface:
                 position=Position3D(0.0, 0.0, 5.0),
             )
 
-    def test_altitude_change_only_for_aerial(self):
-        moved = aerial().at_altitude(75.0)
-        assert moved.position.z == 75.0
-        assert moved.position.x == aerial().position.x
-        with pytest.raises(ConfigurationError):
-            terrestrial().at_altitude(10.0)
-
     def test_with_elements(self):
         assert aerial().with_elements(42).num_elements == 42
 

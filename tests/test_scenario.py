@@ -352,6 +352,9 @@ SINGLE_FAULTS = [
      "surfaces", "deployment scenarios need exactly one aerial and one terrestrial surface"),
     ("fig4", ("nodes", 3), DELETE, "surfaces", "surface 'irs' covers unknown node 'sn3'"),
     ("fig5", ("nodes", 1), DELETE, "link_state_rules", "unknown endpoint 'user1'"),
+    ("fig5", ("surfaces", 0, "covered_node_ids"), ["user1"],
+     "surfaces", "aerial surface 'uirs' cannot list covered_node_ids in a deployment "
+     "scenario: aerial service follows the LoS thresholds alone"),
 ]
 
 

@@ -820,8 +820,9 @@ class TestPairKernel:
 
     def test_full_matrix_matches_per_node_evaluation(self):
         # sn4 is served by the surface; the all-pairs call is one broadcast
-        ev = _RateEvaluator(load_scenario(scenario_path("fig4")))
-        wp = straight_line_trajectory(ev.scenario.experiment.constraints, 30).waypoints
+        scn = load_scenario(scenario_path("fig4"))
+        ev = _RateEvaluator(scn)
+        wp = straight_line_trajectory(scn.experiment.constraints, 30).waypoints
         rates, slopes = ev.rates(wp), ev.rate_gradient(wp)
         assert rates.shape == (len(ev.nodes), 30) and slopes.shape == (len(ev.nodes), 30, 2)
         for k in range(len(ev.nodes)):
@@ -1142,12 +1143,14 @@ class TestStackedLineSearch:
     @pytest.mark.parametrize("solve", ["fig4_noirs_solve", "fig4_surface_solve"])
     def test_every_bcd_state_matches_sequential_search(self, solve, request):
         *_, steps = request.getfixturevalue(solve)
+        name = {"fig4_noirs_solve": "fig4_noirs", "fig4_surface_solve": "fig4"}[solve]
+        max_step = load_scenario(scenario_path(name)).experiment.constraints.max_step
         for traj, sched, ev, out in steps:
             ref = sequential_line_search(
                 traj.waypoints,
                 sched.fractions,
                 traj.slot_duration,
-                ev.scenario.experiment.constraints.max_step,
+                max_step,
                 ev.rates,
                 ev.rate_gradient,
                 _project_speed,
