@@ -11,11 +11,15 @@ same scenario file reproduces byte-identical tables.
 
 Exit codes: 0 success, 2 usage/validation error, 3 infeasible, 4 internal
 error.
+
+`main` builds its parser once per process and parses each call into a fresh
+namespace, so in-process callers can drive it repeatedly.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -55,16 +59,16 @@ def trajectory_table(result: MissionResult) -> str:
         f"tau_{nid}" for nid in result.node_ids
     ]
     lines = [",".join(header)]
-    wp = result.trajectory.waypoints
-    tau = result.schedule.fractions
+    wp = result.trajectory.waypoints.tolist()  # Python floats: no numpy scalar per value
+    slots = result.schedule.fractions.T.tolist()  # [slot][node]
     delta = result.trajectory.slot_duration
     m = result.trajectory.num_slots
-    for t in range(m + 1):
-        row = [str(t), _fmt(t * delta), _fmt(wp[t, 0]), _fmt(wp[t, 1]), _fmt(wp[t, 2])]
+    for t, (x, y, z) in enumerate(wp):
+        row = [str(t), _fmt(t * delta), _fmt(x), _fmt(y), _fmt(z)]
         if t < m:
-            row += [_fmt(tau[k, t]) for k in range(tau.shape[0])]
+            row += [_fmt(v) for v in slots[t]]
         else:  # the final waypoint closes the path; no slot is flown from it
-            row += [_fmt(0.0)] * tau.shape[0]
+            row += [_fmt(0.0)] * len(result.node_ids)
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
@@ -274,9 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built by the first main() call, then shared
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; each call gets a new namespace from the one shared parser."""
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ScenarioError, ConfigurationError, ExperimentMismatchError) as exc:

@@ -8,11 +8,11 @@ with per-leg binary LoS/NLoS exponents. A plan is an element split, an aerial
 altitude (the lowest altitude giving LoS to its assigned users) and a
 user-to-surface assignment, and one rule, `_HybridRule`, builds the plan of
 every strategy. The rule and `user_rate` price every rate alike: `_legs` gives
-a user's direct and two surface-leg amplitudes, and `_rate` the rate of
-direct + N * up * down. The user-side and BS-side baselines put the whole budget on
-one surface. The hybrid strategy chooses the split that maximizes the minimum
-user rate, found by binary search at the rule's breakpoints, in a number of
-rate evaluations logarithmic in the budget.
+a user's direct amplitude (from `_direct`) and two surface-leg amplitudes, and
+`_rate` the rate of direct + N * up * down. The user-side and BS-side
+baselines put the whole budget on one surface. The hybrid strategy chooses the
+split that maximizes the minimum user rate, found by binary search at the
+rule's breakpoints, in a number of rate evaluations logarithmic in the budget.
 """
 
 from __future__ import annotations
@@ -84,17 +84,22 @@ def _leg_amplitude(
 _Legs = Tuple[float, float, float]  # direct, BS -> surface and surface -> user amplitudes
 
 
+def _direct(scenario: "Scenario", user: Node) -> float:
+    """The amplitude of a user's direct link from the BS."""
+    bs = scenario.bs_node()
+    direct_alt = max(bs.position.z, user.position.z)
+    return _leg_amplitude(scenario, bs.id, bs.position, user.id, user.position, direct_alt)
+
+
 def _legs(
-    scenario: "Scenario", surface: Optional[IrsSurface], altitude: float, user: Node
+    scenario: "Scenario", surface: Optional[IrsSurface], altitude: float, user: Node, direct: float
 ) -> _Legs:
-    """A user's legs through one surface, or over the direct link alone (None).
+    """A user's legs through one surface, or over its `_direct` link alone (None).
 
     An aerial surface is priced at `altitude`, a terrestrial one where it
     stands; both surface legs resolve their link state at the surface's height.
     """
     bs = scenario.bs_node()
-    direct_alt = max(bs.position.z, user.position.z)
-    direct = _leg_amplitude(scenario, bs.id, bs.position, user.id, user.position, direct_alt)
     if surface is None:
         return direct, 0.0, 0.0
     at = surface.position
@@ -161,7 +166,8 @@ def user_rate(scenario: "Scenario", plan: DeploymentPlan, user_id: str) -> float
         aerial.id: (aerial, plan.aerial_elements),
         terrestrial.id: (terrestrial, plan.terrestrial_elements),
     }[dict(plan.assignment)[user_id]]
-    legs = _legs(scenario, surface, plan.uirs_altitude, by_id[user_id])
+    user = by_id[user_id]
+    legs = _legs(scenario, surface, plan.uirs_altitude, user, _direct(scenario, user))
     return _rate(legs, elements, scenario.radio, len(users))
 
 
@@ -175,11 +181,11 @@ class _HybridRule(NamedTuple):
     final altitude is the lowest giving LoS to all aerially assigned users.
 
     The candidate altitudes are the levels {0} and the finite LoS thresholds;
-    a user's aerial legs exist only at the levels at or above its own. The
-    legs come from `_legs` and every rate from `_rate`, the path `user_rate`
-    takes, so a rate is bit-identical to `user_rate` on the same plan. `plan`
-    writes the plan of every strategy, the two single-surface baselines
-    included.
+    a user's aerial legs exist only at the levels at or above its own, and
+    all of its legs share one `_direct`. The legs come from `_legs` and every
+    rate from `_rate`, the path `user_rate` takes, so a rate is bit-identical
+    to `user_rate` on the same plan. `plan` writes the plan of every
+    strategy, the two single-surface baselines included.
     """
 
     n_budget: int
@@ -202,6 +208,7 @@ class _HybridRule(NamedTuple):
         reachable = [math.isfinite(t) for t in thresholds]
         altitudes = sorted({0.0, *(t for t, r in zip(thresholds, reachable) if r)})
         covered = [covers(terrestrial, u.position, node_id=u.id) for u in users]
+        direct = [_direct(scenario, u) for u in users]
         indices = range(len(users))
         return cls(
             n_budget=scenario.experiment.n_budget,
@@ -212,12 +219,12 @@ class _HybridRule(NamedTuple):
             altitudes=tuple(altitudes),
             order=tuple(sorted((i for i in indices if reachable[i]), key=covered.__getitem__)),
             needed=tuple(altitudes.index(t) if r else -1 for t, r in zip(thresholds, reachable)),
-            ground=tuple(_legs(scenario, terrestrial, 0.0, u) for u in users),
+            ground=tuple(_legs(scenario, terrestrial, 0.0, u, d) for u, d in zip(users, direct)),
             # Below its LoS threshold a user can never be served by the aerial surface.
             air=tuple(
                 tuple(
-                    _legs(scenario, aerial, alt, u) if alt >= t else None
-                    for u, t in zip(users, thresholds)
+                    _legs(scenario, aerial, alt, u, d) if alt >= t else None
+                    for u, d, t in zip(users, direct, thresholds)
                 )
                 for alt in altitudes
             ),

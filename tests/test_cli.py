@@ -1,3 +1,4 @@
+import argparse
 import csv
 import importlib
 import json
@@ -8,6 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import uavirs
 from uavirs.cli import (
     EXIT_INFEASIBLE,
     EXIT_INTERNAL,
@@ -326,6 +328,61 @@ class TestDigest:
         summary = json.loads((out / f"{source.stem}_summary.json").read_text())
         assert summary["scenario_digest"] == scenario_digest(ran)
         assert summary["scenario_digest"] != scenario_digest(source.read_bytes())
+
+
+class TestSharedParser:
+    """main builds its parser once per process; no call sees another's options."""
+
+    def test_second_call_builds_no_parser(self):
+        fig5 = str(scenario_path("fig5"))
+        assert main(["validate", fig5, "--quiet"]) == EXIT_OK
+        init = argparse.ArgumentParser.__init__  # counts the subcommands' parsers too
+        with mock.patch.object(
+            argparse.ArgumentParser, "__init__", autospec=True, side_effect=init
+        ) as built:
+            assert main(["validate", fig5, "--quiet"]) == EXIT_OK
+        assert built.call_count == 0
+
+    def test_rate_target_does_not_leak(self, quick_file, tmp_path):
+        out = tmp_path / "out"
+        for flags, target in ((["--rate-target", "0.5"], 0.5), ([], 1.0)):
+            code = main(["trajopt", str(quick_file), "--out", str(out), "--quiet", *flags])
+            assert code == EXIT_OK
+            summary = json.loads((out / "quick_summary.json").read_text())
+            assert summary["rate_target_bps_hz"] == target
+
+    def test_strategies_do_not_leak(self, tmp_path):
+        out = tmp_path / "out"
+        fig5 = str(scenario_path("fig5"))
+        for flags, expected in (
+            (["--strategies", "user"], ["user"]),
+            ([], ["user", "bs", "hybrid"]),  # the file's list
+        ):
+            assert main(["deploy", fig5, "--out", str(out), "--quiet", *flags]) == EXIT_OK
+            assert [r["strategy"] for r in read_rows(out / "fig5_deployment.csv")] == expected
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--version"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.strip() == uavirs.__version__
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["--version"], 0), (["frobnicate"], EXIT_USAGE), (["deploy"], EXIT_USAGE)],
+        ids=["version", "unknown-command", "missing-scenario"],
+    )
+    def test_next_call_solves_after_an_exit(self, argv, code, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == code
+        out = tmp_path / "out"
+        fig5 = str(scenario_path("fig5"))
+        assert main(["deploy", fig5, "--out", str(out), "--quiet"]) == EXIT_OK
+        hybrid = read_rows(out / "fig5_deployment.csv")[-1]
+        assert hybrid["strategy"] == "hybrid"
+        assert (hybrid["n_aerial"], hybrid["n_terrestrial"]) == ("224", "376")
+        assert float(hybrid["altitude_m"]) == 30.0
 
 
 class TestEntryPoint:

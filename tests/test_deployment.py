@@ -1,6 +1,8 @@
 import math
 import random
+from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -781,6 +783,20 @@ class TestSplitSearch:
                     sequences += 1
         assert rule.altitudes == (0.0, 30.0, 50.0)
         assert sequences == 3  # user1 at 30 and 50 m, user2 at 50 m
+
+    def test_rule_resolves_each_direct_link_once(self, fig5):
+        # fig5 has 5 leg sets for 2 users (one ground, three aerial); each
+        # user's BS link is resolved once and shared by all of its sets
+        bs = fig5.bs_node().id
+        resolve = mock.patch(
+            "uavirs.deployment.resolve_link_state", wraps=channel.resolve_link_state
+        )
+        with resolve as counted:
+            rule = _HybridRule.of(fig5)
+        ends = [call.args[1:3] for call in counted.call_args_list]
+        direct = Counter(b for a, b in ends if a == bs and b in rule.user_ids)
+        assert dict(direct) == {uid: 1 for uid in rule.user_ids}
+        assert len(rule.ground) + sum(legs is not None for row in rule.air for legs in row) == 5
 
     @pytest.mark.parametrize("n_budget", [10**8, 2**53])
     def test_deploy_cost_does_not_grow_with_the_budget(self, n_budget, tmp_path, monkeypatch):
