@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, List
 
 from . import __version__
-from .deployment import DeploymentResult, DeploymentStrategy, evaluate_strategy
+from .deployment import DeploymentResult, DeploymentStrategy, _HybridRule, evaluate_strategy
 from .errors import ConfigurationError, ExperimentMismatchError, ScenarioError
 from .scenario import (
     DeploymentExperiment,
@@ -189,7 +189,8 @@ def _cmd_deploy(args) -> int:
     elif args.strategies is not None:
         strategies = (DeploymentStrategy(args.strategies),)
     started = time.perf_counter()
-    results = [evaluate_strategy(scenario, s) for s in strategies]
+    rule = _HybridRule.of(scenario)  # one rule writes every strategy's plan
+    results = [evaluate_strategy(scenario, s, _rule=rule) for s in strategies]
     summary = _summary(
         scenario_bytes,
         time.perf_counter() - started,

@@ -342,7 +342,9 @@ def _evaluate_plan(
     )
 
 
-def evaluate_strategy(scenario: "Scenario", strategy: DeploymentStrategy) -> DeploymentResult:
+def evaluate_strategy(
+    scenario: "Scenario", strategy: DeploymentStrategy, *, _rule: Optional[_HybridRule] = None
+) -> DeploymentResult:
     """Evaluate one deployment strategy for the experiment's element budget.
 
     Every strategy is one plan of the hybrid rule: a split, an altitude level
@@ -361,10 +363,12 @@ def evaluate_strategy(scenario: "Scenario", strategy: DeploymentStrategy) -> Dep
     every step of `direct + n * up * down`, the squaring, the scaling and
     `math.log2` rounds monotonically (tests/test_deployment.py checks this on
     fig5).
+
+    `uavirs deploy` builds the rule once and passes it to every strategy as _rule.
     """
     if not isinstance(strategy, DeploymentStrategy):
         raise ValueError(f"unknown strategy {strategy!r}")
-    rule = _HybridRule.of(scenario)
+    rule = _rule if _rule is not None else _HybridRule.of(scenario)
     if strategy is DeploymentStrategy.BS_SIDE:
         n_aerial, level = rule.n_budget, len(rule.altitudes) - 1
         on_air = tuple(needed >= 0 and n_aerial > 0 for needed in rule.needed)

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache
 from importlib import resources
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 import yaml
+from yaml.constructor import ConstructorError
 
 from .channel import (
     LinkRuleSet,
@@ -44,44 +44,68 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
-# libyaml's loader when PyYAML was built with it (about 8x faster). Both share
-# SafeConstructor and Resolver, so they build the same documents; libyaml words
-# parse errors differently and marks the end of the text on the line after it.
+# libyaml's loader when PyYAML was built with it (about 8x faster). Either one
+# composes the nodes and resolves their tags; libyaml words parse errors
+# differently and marks the end of the text on the line after it.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_TAG = "tag:yaml.org,2002:"
+_INT, _MAP, _SEQ, _SET = (_TAG + t for t in ("int", "map", "seq", "set"))
+# The tags whose safe constructors return a scalar; the others yield collections.
+_SCALARS = frozenset(_TAG + t for t in "null bool int float binary timestamp str".split())
 
 
-@cache  # one subclass per PyYAML loader class
-def _unique_keys(loader):
-    """A subclass of a PyYAML loader that rejects a key given twice in one mapping
-    and reports an integer too long for int() as a parse error."""
+def _walk(loader, node, built: dict):
+    """The value of node as the loader's construct_document builds it, in one walk.
 
-    class UniqueKeyLoader(loader):
-        def construct_mapping(self, node, deep=False):
-            pairs = list(node.value)  # flattening the `<<` merge keys rewrites node.value
-            mapping = super().construct_mapping(node, deep)
-            if len(mapping) < len(node.value):  # a key repeated, or merged and overridden
-                seen = set()
-                for key_node, _ in pairs:
-                    if key_node.tag == "tag:yaml.org,2002:merge":
-                        continue
-                    key = self.construct_object(key_node)  # built above, so cached
-                    if key in seen:
-                        raise yaml.constructor.ConstructorError(
-                            None, None, f"repeated key {key!r}", key_node.start_mark
-                        )
-                    seen.add(key)
-            return mapping
-
-    def construct_int(self, node):
+    A collection enters built before its children, so its aliases share it. An
+    own key given twice and an integer too long for int() are errors."""
+    kind, tag = type(node), node.tag
+    if kind is yaml.ScalarNode and tag in _SCALARS:
+        if tag != _INT:
+            return loader.yaml_constructors[tag](loader, node)
         try:
-            return loader.construct_yaml_int(self, node)
+            return loader.construct_yaml_int(node)
         except ValueError:  # int() converts at most sys.get_int_max_str_digits() digits
-            raise yaml.constructor.ConstructorError(
-                None, None, "integer with too many digits", node.start_mark
-            )
+            raise ConstructorError(None, None, "integer with too many digits", node.start_mark)
+    if node in built:  # an alias, or a recursive anchor
+        return built[node]
+    if kind is yaml.SequenceNode and tag == _SEQ:
+        data = built[node] = []
+        data.extend([_walk(loader, child, built) for child in node.value])
+        return data
+    if kind is yaml.MappingNode and (tag == _MAP or tag == _SET):
+        data = built[node] = {} if tag == _MAP else set()
+        mapping = data if tag == _MAP else {}
+        own = node.value  # flatten_mapping takes the `<<` keys out of this list
+        loader.flatten_mapping(node)  # and puts the pairs they merge before it
+        first_own = len(node.value) - len(own)
+        own_keys = set() if first_own else mapping  # a merged key may be overridden
+        for i, (key_node, value_node) in enumerate(node.value):
+            key = _walk(loader, key_node, built)
+            try:
+                repeated = key in own_keys
+            except TypeError:
+                raise ConstructorError("while constructing a mapping", node.start_mark,
+                                       "found unhashable key", key_node.start_mark)
+            if repeated:
+                raise ConstructorError(None, None, f"repeated key {key!r}", key_node.start_mark)
+            if own_keys is not mapping and i >= first_own:
+                own_keys.add(key)
+            mapping[key] = _walk(loader, value_node, built)
+        if tag == _SET:
+            data.update(mapping)
+        return data
+    return loader.construct_object(node, deep=True)  # omap, pairs, unknown tags, !!map x
 
-    UniqueKeyLoader.add_constructor("tag:yaml.org,2002:int", construct_int)
-    return UniqueKeyLoader
+
+def _document(text: str):
+    """The single YAML document in text, built by _walk; yaml.YAMLError if malformed."""
+    loader = _YAML_LOADER(text)
+    try:
+        node = loader.get_single_node()
+        return None if node is None else _walk(loader, node, {})
+    finally:
+        loader.dispose()
 
 
 # Largest accepted v_max * slot_duration (m). The speed projection forms
@@ -626,9 +650,9 @@ _SCENARIO = {
 
 
 def loads_scenario(text: str) -> Scenario:
-    """Parse and validate a scenario document from YAML text."""
+    """Parse (by _document) and validate a scenario document from YAML text."""
     try:
-        doc = yaml.load(text, Loader=_unique_keys(_YAML_LOADER))
+        doc = _document(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import uavirs
+from uavirs import deployment
 from uavirs.cli import (
     EXIT_INFEASIBLE,
     EXIT_INTERNAL,
@@ -299,6 +300,14 @@ class TestDeploy:
             out2 / "fig5_deployment.csv"
         ).read_bytes()
 
+    def test_one_hybrid_rule_per_run(self, tmp_path):
+        # each of the three strategies used to build its own rule
+        of = deployment._HybridRule.of
+        with mock.patch.object(deployment._HybridRule, "of", wraps=of) as build:
+            argv = ["deploy", str(scenario_path("fig5")), "--out", str(tmp_path), "--quiet"]
+            assert main(argv) == EXIT_OK
+        assert build.call_count == 1
+
 
 class TestDigest:
     @pytest.mark.parametrize(
@@ -318,9 +327,9 @@ class TestDigest:
         module, name = solver.rsplit(".", 1)
         solve = getattr(importlib.import_module(module), name)
 
-        def edit_then_solve(scenario, *args):
+        def edit_then_solve(scenario, *args, **kwargs):
             source.write_bytes(ran + b"# edited during the run\n")
-            return solve(scenario, *args)
+            return solve(scenario, *args, **kwargs)
 
         out = tmp_path / "out"
         with mock.patch(solver, edit_then_solve):

@@ -5,6 +5,7 @@ from unittest import mock
 
 import pytest
 import yaml
+from hypothesis import given, strategies as st
 
 from uavirs.channel import LinkState, Node, NodeRole
 from uavirs.cli import EXIT_USAGE, main
@@ -14,6 +15,7 @@ from uavirs.irs import SurfaceKind
 from uavirs.scenario import (
     DeploymentExperiment,
     TrajectoryExperiment,
+    _document,
     load_scenario,
     loads_scenario,
     scenario_digest,
@@ -400,6 +402,70 @@ YAML_LOADERS = [
 ]
 
 
+_STRATEGIES = "strategies: [user, bs, hybrid]"
+_NAME = "name: fig5-hybrid-deployment"
+_CHOICES = "expected one of ['bs', 'hybrid', 'user']"
+# Edits of fig5 that YAML reads oddly: (old, new, field, error text); an old
+# of None replaces the whole text, and a field of None is a parse error.
+YAML_EDGE_CASES = [
+    (_STRATEGIES, "strategies: &s [user, *s]", "experiment.strategies[1]",
+     f"experiment.strategies[1]: {_CHOICES}, got ['user', [...]]"),
+    ("radio:\n", "radio: &r\n  x: *r\n", "radio.x", "radio.x: unknown key"),
+    (_STRATEGIES, "strategies: !!set {user, bs}", "experiment.strategies",
+     f"experiment.strategies: expected a non-empty list, got {set(['user', 'bs'])!r}"),
+    (_STRATEGIES, "strategies: !!set {user, user}", None,
+     "parse error at line 39, column 28: repeated key 'user'"),
+    (_STRATEGIES, "strategies: !!omap [a: 1]", "experiment.strategies[0]",
+     f"experiment.strategies[0]: {_CHOICES}, got ('a', 1)"),
+    (_NAME, "name: 2001-12-14", "name",
+     "name: expected a non-empty string, got datetime.date(2001, 12, 14)"),
+    (_NAME, "name: !foo bar", None,
+     "parse error at line 7, column 7: could not determine a constructor for the tag '!foo'"),
+    (_NAME, "name: !!python/name:os.system x", None,
+     "parse error at line 7, column 7: could not determine a constructor for the tag "
+     "'tag:yaml.org,2002:python/name:os.system'"),
+    (_NAME, "name: !!map x", None,
+     "parse error at line 7, column 7: expected a mapping node, but found scalar"),
+    (_NAME, "[a]: 1\nname: fig5", None, "parse error at line 7, column 1: found unhashable key"),
+    (_NAME, "~: 1\nname: fig5", "None", "None: unknown key"),
+    (None, "", None, "scenario document must be a mapping"),
+    (_STRATEGIES + "\n", _STRATEGIES + "\n---\nname: x\n", None,
+     "parse error at line 40, column 1: but found another document"),
+]
+YAML_EDGE_CASE_IDS = [
+    "recursive-list", "recursive-map", "set", "set-repeat", "omap", "date", "local-tag",
+    "python-tag", "map-tag-on-scalar", "list-key", "null-key", "empty", "second-document",
+]
+
+# Documents with `<<` merge keys: a mapping, a list of them, a chain, a set, and
+# aliases inside merged values.
+MERGE_DOCUMENTS = [
+    "base: &b {x: 1, y: 2}\nderived: {<<: *b, y: 3, z: 4}\n",
+    "a: &a {x: 1}\nb: &b {x: 2, y: 2}\nc: {<<: [*a, *b], z: 0}\n",
+    "a: &a {x: 1}\nb: &b {<<: *a, y: 2}\nc: {<<: *b, x: 5}\n",
+    "a: &a {x: 1}\ns: !!set {<<: *a, y}\n",
+    "a: &a [1, {b: 2}]\nc: {d: *a, <<: {e: *a}}\n",
+]
+
+_KEYS = st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+_SCALARS = _KEYS | st.floats(allow_nan=False)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_KEYS, children, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def shared_trees(draw):
+    """A mapping whose values are drawn from a pool, so repeats share one object;
+    yaml.safe_dump writes a shared list or mapping as an anchor and aliases."""
+    pool = draw(st.lists(_TREES, min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=6))
+    return {f"k{i}": [pool[p], pool[p - 1]] if i % 2 else pool[p] for i, p in enumerate(picks)}
+
+
 @pytest.fixture(params=YAML_LOADERS)
 def yaml_loader(request):
     """Make loads_scenario parse with one given PyYAML loader."""
@@ -416,6 +482,7 @@ class TestYamlLoaders:
     def test_shipped_scenarios_parse_alike(self, name, yaml_loader):
         text = scenario_path(name).read_text(encoding="utf-8")
         assert yaml.load(text, Loader=yaml_loader) == yaml.load(text, Loader=yaml.SafeLoader)
+        assert _document(text) == yaml.load(text, Loader=yaml.SafeLoader)
         with mock.patch("uavirs.scenario._YAML_LOADER", yaml.SafeLoader):
             reference = loads_scenario(text)
         assert loads_scenario(text) == reference
@@ -516,6 +583,40 @@ class TestYamlLoaders:
             loads_scenario(text)
         assert info.value.field is None
         assert str(info.value) == "parse error at line 38, column 13: integer with too many digits"
+
+    @pytest.mark.parametrize("old, new, field, error", YAML_EDGE_CASES, ids=YAML_EDGE_CASE_IDS)
+    def test_edge_case_error(self, old, new, field, error, yaml_loader):
+        text = scenario_path("fig5").read_text(encoding="utf-8")
+        text = new if old is None else text.replace(old, new, 1)
+        with pytest.raises(ScenarioError) as info:
+            loads_scenario(text)
+        assert info.value.field == field
+        assert str(info.value) == error
+
+    @pytest.mark.parametrize("text", MERGE_DOCUMENTS)
+    def test_walk_merges_as_pyyaml(self, text, yaml_loader):
+        assert _document(text) == yaml.load(text, Loader=yaml.SafeLoader)
+
+    @pytest.mark.parametrize("loader", YAML_LOADERS)
+    @given(value=shared_trees())
+    def test_walk_builds_pyyamls_document_of_dumped_values(self, loader, value):
+        text = yaml.safe_dump(value)
+        with mock.patch("uavirs.scenario._YAML_LOADER", loader):
+            assert _document(text) == yaml.load(text, Loader=yaml.SafeLoader)
+
+    def test_walk_shares_aliased_values(self, yaml_loader):
+        doc = _document("a: &a [1]\nb: *a\nc: &c {d: *c}\n")
+        assert doc["a"] is doc["b"]
+        assert doc["c"]["d"] is doc["c"]
+
+    def test_scenario_load_constructs_no_pyyaml_document(self, yaml_loader):
+        base = yaml.constructor.BaseConstructor
+        with mock.patch.object(
+            base, "construct_document", autospec=True, side_effect=base.construct_document
+        ) as construct:
+            for name in ("fig4", "fig4_noirs", "fig5"):
+                load_scenario(scenario_path(name))
+        assert construct.call_count == 0
 
 
 class TestBuiltScenarioChecksItself:
