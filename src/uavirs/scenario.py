@@ -2,10 +2,11 @@
 
 A scenario is a single YAML document holding the nodes, surfaces, radio
 constants, per-link-class path-loss exponents, link-state rules, and exactly
-one experiment block (trajectory or deployment). Unknown keys and keys given
-twice in one mapping are rejected; every validation error names the offending
-field. Defaults live in the types: an optional key left out of a file takes
-the default of the field it fills.
+one experiment block (trajectory or deployment). Its grammar is a subset of
+YAML: string-keyed mappings, lists, strings, numbers, booleans and nulls.
+Unknown keys and keys given twice in one mapping are rejected; every
+validation error names the offending field. Defaults live in the types: an
+optional key left out of a file takes the default of the field it fills.
 """
 
 from __future__ import annotations
@@ -50,16 +51,16 @@ except ImportError:
 # differently and marks the end of the text on the line after it.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _TAG = "tag:yaml.org,2002:"
-_INT, _MAP, _SEQ, _SET = (_TAG + t for t in ("int", "map", "seq", "set"))
-# The tags whose safe constructors return a scalar; the others yield collections.
-_SCALARS = frozenset(_TAG + t for t in "null bool int float binary timestamp str".split())
+_INT, _STR, _MAP, _SEQ = (_TAG + t for t in ("int", "str", "map", "seq"))
+# The scalar tags of the grammar, each built by the loader's own constructor.
+_SCALARS = frozenset(_TAG + t for t in "null bool int float str".split())
 
 
 def _scalar(loader, node):
     """node's value from its tag's constructor; a value it cannot read is a ConstructorError."""
     try:
         return type(loader).yaml_constructors[node.tag](loader, node)
-    except (ValueError, LookupError, AttributeError):  # as on `!!float x` or `!!bool maybe`
+    except (ValueError, LookupError):  # as on `!!float x` or `!!bool maybe`
         if node.tag == _INT and loader.resolve(yaml.ScalarNode, node.value, (True, False)) == _INT:
             problem = "integer with too many digits"  # int() takes sys.get_int_max_str_digits()
         else:
@@ -67,56 +68,40 @@ def _scalar(loader, node):
         raise ConstructorError(None, None, problem, node.start_mark) from None
 
 
-# construct_object's table during a load, so !!omap and !!pairs read their scalars by _scalar
-_CONSTRUCTORS = {**yaml.SafeLoader.yaml_constructors, **dict.fromkeys(_SCALARS, _scalar)}
-
-
-def _walk(loader, node, built: dict):
-    """The value of node as the loader's construct_document builds it, in one walk.
-
-    A collection enters built before its children, so its aliases share it. An
-    own key given twice and a scalar its tag cannot read are errors."""
+def _walk(loader, node, seen: set):
+    """The value of node in the scenario grammar, in one walk: mappings with string
+    keys, lists, and str, int, float, bool and null scalars. Any other node is a
+    ConstructorError at its mark, as are a repeated key, a scalar its tag cannot
+    read and an alias, which the composer hands over as the anchored node again."""
+    if node in seen:  # libyaml keeps no mark for the alias itself
+        raise ConstructorError(None, None, "found an alias of this anchored node", node.start_mark)
+    seen.add(node)
     kind, tag = type(node), node.tag
     if kind is yaml.ScalarNode and tag in _SCALARS:
         return _scalar(loader, node)
-    if node in built:  # an alias, or a recursive anchor
-        return built[node]
     if kind is yaml.SequenceNode and tag == _SEQ:
-        data = built[node] = []
-        data.extend([_walk(loader, child, built) for child in node.value])
-        return data
-    if kind is yaml.MappingNode and (tag == _MAP or tag == _SET):
-        data = built[node] = {} if tag == _MAP else set()
-        mapping = data if tag == _MAP else {}
-        own = node.value  # flatten_mapping takes the `<<` keys out of this list
-        loader.flatten_mapping(node)  # and puts the pairs they merge before it
-        first_own = len(node.value) - len(own)
-        own_keys = set() if first_own else mapping  # a merged key may be overridden
-        for i, (key_node, value_node) in enumerate(node.value):
-            key = _walk(loader, key_node, built)
-            try:
-                repeated = key in own_keys
-            except TypeError:
-                raise ConstructorError("while constructing a mapping", node.start_mark,
-                                       "found unhashable key", key_node.start_mark)
-            if repeated:
-                raise ConstructorError(None, None, f"repeated key {key!r}", key_node.start_mark)
-            if own_keys is not mapping and i >= first_own:
-                own_keys.add(key)
-            mapping[key] = _walk(loader, value_node, built)
-        if tag == _SET:
-            data.update(mapping)
-        return data
-    return loader.construct_object(node, deep=True)  # omap, pairs, unknown tags, !!map x
+        return [_walk(loader, child, seen) for child in node.value]
+    if kind is not yaml.MappingNode or tag != _MAP:
+        tag = "!!" + tag[len(_TAG):] if tag.startswith(_TAG) else tag
+        problem = f"found a {node.id} tagged {tag}, outside the scenario grammar"
+        raise ConstructorError(None, None, problem, node.start_mark)
+    data = {}
+    for key_node, value_node in node.value:
+        if key_node.tag != _STR:  # also a `<<` merge key, tagged !!merge
+            raise ConstructorError(None, None, "expected a string key", key_node.start_mark)
+        key = _walk(loader, key_node, seen)
+        if key in data:
+            raise ConstructorError(None, None, f"repeated key {key!r}", key_node.start_mark)
+        data[key] = _walk(loader, value_node, seen)
+    return data
 
 
 def _document(text: str):
-    """The single YAML document in text, built by _walk; yaml.YAMLError if malformed."""
+    """The single YAML document in text, built by _walk; yaml.YAMLError if not in the grammar."""
     loader = _YAML_LOADER(text)
-    loader.yaml_constructors = _CONSTRUCTORS
     try:
         node = loader.get_single_node()
-        return None if node is None else _walk(loader, node, {})
+        return None if node is None else _walk(loader, node, set())
     finally:
         loader.dispose()
 
@@ -396,7 +381,7 @@ def _section(entry, where: str, what: str, table: dict) -> dict:
         _fail(where or None, what)
     prefix = f"{where}." if where else ""
     if not entry.keys() <= table.keys():
-        name = sorted(entry.keys() - table.keys(), key=str)[0]  # keys need not all be strings
+        name = sorted(entry.keys() - table.keys())[0]
         _fail(f"{prefix}{name}", "unknown key")
     fields = {}
     for key, (name, required, read) in table.items():
@@ -496,7 +481,7 @@ def _one_of(members):
 
 
 def _as_triple(value, field: str, expected: str) -> Tuple[float, float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
+    if not isinstance(value, list) or len(value) != 3:
         _fail(field, f"expected {expected}, got {value!r}")
     return _items(value, field, _as_float)
 

@@ -383,6 +383,17 @@ class TestOutputs:
         err = capsys.readouterr().err
         assert err == f"error: --out: cannot write {tmp_path / taken}: {problem}\n"
 
+    def test_unwritable_summary_leaves_the_earlier_csv(self, tmp_path):
+        # the CSV used to be rewritten before the summary failed to open
+        out = tmp_path / "out"
+        self.deploy(out, "--strategies", "hybrid")
+        before = (out / "fig5_deployment.csv").read_bytes()
+        (out / "fig5_summary.json").unlink()
+        (out / "fig5_summary.json").mkdir()
+        argv = ["deploy", str(scenario_path("fig5")), "--out", str(out), "--quiet"]
+        assert main(argv) == EXIT_USAGE
+        assert (out / "fig5_deployment.csv").read_bytes() == before
+
 
 class TestDigest:
     @pytest.mark.parametrize(

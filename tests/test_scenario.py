@@ -1,3 +1,4 @@
+import importlib.util
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -6,6 +7,7 @@ from unittest import mock
 import pytest
 import yaml
 from hypothesis import given, strategies as st
+from yaml.constructor import ConstructorError
 
 from uavirs.channel import LinkState, Node, NodeRole
 from uavirs.cli import EXIT_USAGE, main
@@ -225,10 +227,12 @@ experiment: {kind: deployment, n_budget: -1}
         assert info.value.field == "experiment.strategies[0]"
 
     def test_non_string_unknown_key_names_the_field(self):
+        # a key that is no string is a parse error at its place, before any field is read
         text = scenario_path("fig5").read_text() + "1: one\nwibble: 3\n"
-        with pytest.raises(ScenarioError, match="unknown key") as info:
+        with pytest.raises(ScenarioError) as info:
             loads_scenario(text)
-        assert info.value.field == "1"
+        assert info.value.field is None
+        assert str(info.value) == "parse error at line 40, column 1: expected a string key"
 
     def test_crlf_file_loads_like_lf(self, tmp_path):
         path = tmp_path / "crlf.scenario"
@@ -404,41 +408,47 @@ YAML_LOADERS = [
 
 _STRATEGIES = "strategies: [user, bs, hybrid]"
 _NAME = "name: fig5-hybrid-deployment"
-_CHOICES = "expected one of ['bs', 'hybrid', 'user']"
+_ALIAS = "found an alias of this anchored node"
+_OUTSIDE = "found a {} tagged {}, outside the scenario grammar"
 # Edits of fig5 that YAML reads oddly: (old, new, field, error text); an old
 # of None replaces the whole text, and a field of None is a parse error.
 YAML_EDGE_CASES = [
-    (_STRATEGIES, "strategies: &s [user, *s]", "experiment.strategies[1]",
-     f"experiment.strategies[1]: {_CHOICES}, got ['user', [...]]"),
-    ("radio:\n", "radio: &r\n  x: *r\n", "radio.x", "radio.x: unknown key"),
-    (_STRATEGIES, "strategies: !!set {user, bs}", "experiment.strategies",
-     f"experiment.strategies: expected a non-empty list, got {set(['user', 'bs'])!r}"),
+    (_STRATEGIES, "strategies: &s [user, *s]", None,
+     f"parse error at line 39, column 15: {_ALIAS}"),
+    ("radio:\n", "radio: &r\n  x: *r\n", None, f"parse error at line 24, column 8: {_ALIAS}"),
+    (_STRATEGIES, "strategies: !!set {user, bs}", None,
+     "parse error at line 39, column 15: " + _OUTSIDE.format("mapping", "!!set")),
     (_STRATEGIES, "strategies: !!set {user, user}", None,
-     "parse error at line 39, column 28: repeated key 'user'"),
-    (_STRATEGIES, "strategies: !!omap [a: 1]", "experiment.strategies[0]",
-     f"experiment.strategies[0]: {_CHOICES}, got ('a', 1)"),
-    (_NAME, "name: 2001-12-14", "name",
-     "name: expected a non-empty string, got datetime.date(2001, 12, 14)"),
+     "parse error at line 39, column 15: " + _OUTSIDE.format("mapping", "!!set")),
+    (_STRATEGIES, "strategies: !!omap [a: 1]", None,
+     "parse error at line 39, column 15: " + _OUTSIDE.format("sequence", "!!omap")),
+    (_NAME, "name: 2001-12-14", None,
+     "parse error at line 7, column 7: " + _OUTSIDE.format("scalar", "!!timestamp")),
     (_NAME, "name: !foo bar", None,
-     "parse error at line 7, column 7: could not determine a constructor for the tag '!foo'"),
+     "parse error at line 7, column 7: " + _OUTSIDE.format("scalar", "!foo")),
     (_NAME, "name: !!python/name:os.system x", None,
-     "parse error at line 7, column 7: could not determine a constructor for the tag "
-     "'tag:yaml.org,2002:python/name:os.system'"),
+     "parse error at line 7, column 7: " + _OUTSIDE.format("scalar", "!!python/name:os.system")),
     (_NAME, "name: !!map x", None,
-     "parse error at line 7, column 7: expected a mapping node, but found scalar"),
-    (_NAME, "[a]: 1\nname: fig5", None, "parse error at line 7, column 1: found unhashable key"),
-    (_NAME, "~: 1\nname: fig5", "None", "None: unknown key"),
+     "parse error at line 7, column 7: " + _OUTSIDE.format("scalar", "!!map")),
+    (_NAME, "[a]: 1\nname: fig5", None,
+     "parse error at line 7, column 1: expected a string key"),
+    (_NAME, "~: 1\nname: fig5", None,
+     "parse error at line 7, column 1: expected a string key"),
+    (_NAME, "<<: {description: x}\nname: fig5", None,
+     "parse error at line 7, column 1: expected a string key"),
+    (_NAME, "name: &n fig5\ndescription: *n", None, f"parse error at line 7, column 7: {_ALIAS}"),
     (None, "", None, "scenario document must be a mapping"),
     (_STRATEGIES + "\n", _STRATEGIES + "\n---\nname: x\n", None,
      "parse error at line 40, column 1: but found another document"),
 ]
 YAML_EDGE_CASE_IDS = [
     "recursive-list", "recursive-map", "set", "set-repeat", "omap", "date", "local-tag",
-    "python-tag", "map-tag-on-scalar", "list-key", "null-key", "empty", "second-document",
+    "python-tag", "map-tag-on-scalar", "list-key", "null-key", "merge-key", "scalar-alias",
+    "empty", "second-document",
 ]
 
-# Documents with `<<` merge keys: a mapping, a list of them, a chain, a set, and
-# aliases inside merged values.
+# Documents with `<<` merge keys, which PyYAML merges and the grammar rejects:
+# a mapping, a list of them, a chain, a set, and aliases inside merged values.
 MERGE_DOCUMENTS = [
     "base: &b {x: 1, y: 2}\nderived: {<<: *b, y: 3, z: 4}\n",
     "a: &a {x: 1}\nb: &b {x: 2, y: 2}\nc: {<<: [*a, *b], z: 0}\n",
@@ -447,23 +457,39 @@ MERGE_DOCUMENTS = [
     "a: &a [1, {b: 2}]\nc: {d: *a, <<: {e: *a}}\n",
 ]
 
-_KEYS = st.none() | st.booleans() | st.integers() | st.text(max_size=8)
-_SCALARS = _KEYS | st.floats(allow_nan=False)
-_TREES = st.recursive(
-    _SCALARS,
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(_KEYS, children, max_size=4),
-    max_leaves=12,
-)
+_KEYS = st.text(max_size=8)
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _KEYS
+
+
+def _collections(children):
+    return st.lists(children, max_size=4) | st.dictionaries(_KEYS, children, max_size=4)
+
+
+_TREES = st.recursive(_SCALARS, _collections, max_leaves=12)
 
 
 @st.composite
 def shared_trees(draw):
-    """A mapping whose values are drawn from a pool, so repeats share one object;
-    yaml.safe_dump writes a shared list or mapping as an anchor and aliases."""
-    pool = draw(st.lists(_TREES, min_size=1, max_size=4))
-    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=6))
-    return {f"k{i}": [pool[p], pool[p - 1]] if i % 2 else pool[p] for i, p in enumerate(picks)}
+    """A mapping that holds one list or mapping twice, once inside a list;
+    yaml.safe_dump writes it as an anchor and an alias."""
+    shared = draw(_collections(_TREES))
+    values = draw(st.permutations(draw(st.lists(_TREES, max_size=3)) + [shared, [shared]]))
+    return {f"k{i}": value for i, value in enumerate(values)}
+
+
+def bench_instance_texts():
+    """(name, text) of every benchmark instance, seeds 0-9 of every workload."""
+    root = Path(__file__).resolve().parents[1]
+    path = root / "bench" / "instances.py"
+    spec = importlib.util.spec_from_file_location("bench_instances", path)
+    instances = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(instances)
+    return [
+        (name, text)
+        for workload in instances.WORKLOADS
+        for seed in range(10)
+        for name, text in instances.instance_texts(root, workload, seed)
+    ]
 
 
 @pytest.fixture(params=YAML_LOADERS)
@@ -525,11 +551,14 @@ class TestYamlLoaders:
         assert str(info.value) == f"parse error at {where}"
 
     def test_merged_key_may_be_overridden(self, yaml_loader):
+        # PyYAML would merge the UAV into sn1 and let sn1 override id and role
         text = MINIMAL_TRAJECTORY.replace(
             "- {id: uav, role: uav, position: [0.0, 0.0, 30.0]}",
             "- &uav {id: uav, role: uav, position: [0.0, 0.0, 30.0]}",
         ).replace("- {id: sn1,", "- {<<: *uav, id: sn1,")
-        assert loads_scenario(text) == loads_scenario(MINIMAL_TRAJECTORY)
+        with pytest.raises(ScenarioError) as info:
+            loads_scenario(text)
+        assert str(info.value) == "parse error at line 5, column 6: expected a string key"
 
     @pytest.mark.parametrize(
         "name, old, new, field, message",
@@ -589,12 +618,12 @@ class TestYamlLoaders:
         [
             ("!!float x", "column 7", "cannot read 'x' as !!float"),
             ("!!bool maybe", "column 7", "cannot read 'maybe' as !!bool"),
-            ("!!timestamp x", "column 7", "cannot read 'x' as !!timestamp"),
-            ("2001-13-45", "column 7", "cannot read '2001-13-45' as !!timestamp"),
+            ("!!timestamp x", "column 7", _OUTSIDE.format("scalar", "!!timestamp")),
+            ("2001-13-45", "column 7", _OUTSIDE.format("scalar", "!!timestamp")),
             ("!!int x", "column 7", "cannot read 'x' as !!int"),
-            (f"!!omap [a: 1{'0' * 5000}]", "column 18", "integer with too many digits"),
-            (f"!!pairs [a: 1{'0' * 5000}]", "column 19", "integer with too many digits"),
-            ("!!pairs [a: !!float x]", "column 19", "cannot read 'x' as !!float"),
+            (f"!!omap [a: 1{'0' * 5000}]", "column 7", _OUTSIDE.format("sequence", "!!omap")),
+            (f"!!pairs [a: 1{'0' * 5000}]", "column 7", _OUTSIDE.format("sequence", "!!pairs")),
+            ("!!pairs [a: !!float x]", "column 7", _OUTSIDE.format("sequence", "!!pairs")),
         ],
         ids=["float", "bool", "timestamp", "bad-date", "int", "omap-long-int", "pairs-long-int",
              "pairs-float"],
@@ -609,29 +638,52 @@ class TestYamlLoaders:
         assert str(info.value) == f"parse error at line 7, {where}: {problem}"
 
     @pytest.mark.parametrize("old, new, field, error", YAML_EDGE_CASES, ids=YAML_EDGE_CASE_IDS)
-    def test_edge_case_error(self, old, new, field, error, yaml_loader):
+    def test_edge_case_error(self, old, new, field, error, yaml_loader, tmp_path):
         text = scenario_path("fig5").read_text(encoding="utf-8")
         text = new if old is None else text.replace(old, new, 1)
         with pytest.raises(ScenarioError) as info:
             loads_scenario(text)
         assert info.value.field == field
         assert str(info.value) == error
+        path = tmp_path / "edge.scenario"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", str(path), "--quiet"]) == EXIT_USAGE
 
     @pytest.mark.parametrize("text", MERGE_DOCUMENTS)
     def test_walk_merges_as_pyyaml(self, text, yaml_loader):
-        assert _document(text) == yaml.load(text, Loader=yaml.SafeLoader)
+        yaml.safe_load(text)  # PyYAML merges it
+        with pytest.raises(ConstructorError, match="string key|tagged !!set|an alias"):
+            _document(text)
 
     @pytest.mark.parametrize("loader", YAML_LOADERS)
-    @given(value=shared_trees())
+    @given(value=_TREES)
     def test_walk_builds_pyyamls_document_of_dumped_values(self, loader, value):
         text = yaml.safe_dump(value)
         with mock.patch("uavirs.scenario._YAML_LOADER", loader):
-            assert _document(text) == yaml.load(text, Loader=yaml.SafeLoader)
+            assert _document(text) == yaml.safe_load(text)
+
+    @pytest.mark.parametrize("loader", YAML_LOADERS)
+    @given(value=shared_trees())
+    def test_dumped_shared_value_is_a_parse_error(self, loader, value):
+        text = yaml.safe_dump(value)
+        with mock.patch("uavirs.scenario._YAML_LOADER", loader):
+            where = r"^parse error at line \d+, column \d+: "
+            with pytest.raises(ScenarioError, match=where + _ALIAS + "$"):
+                loads_scenario(text)
 
     def test_walk_shares_aliased_values(self, yaml_loader):
-        doc = _document("a: &a [1]\nb: *a\nc: &c {d: *c}\n")
-        assert doc["a"] is doc["b"]
-        assert doc["c"]["d"] is doc["c"]
+        # PyYAML shares one list between a and b; the walk stops at the second use
+        with pytest.raises(ConstructorError) as info:
+            _document("a: &a [1]\nb: *a\nc: &c {d: *c}\n")
+        assert str(info.value).startswith(_ALIAS)
+        assert (info.value.problem_mark.line, info.value.problem_mark.column) == (0, 3)
+
+    def test_bench_instances_parse_as_pyyaml(self, yaml_loader):
+        texts = bench_instance_texts()
+        assert len(texts) == 93  # 10 scenes for each trajectory workload, 1 + 9 * 8 deploys
+        for name, text in texts:
+            assert _document(text) == yaml.safe_load(text), name
+            loads_scenario(text)
 
     def test_scenario_load_constructs_no_pyyaml_document(self, yaml_loader):
         base = yaml.constructor.BaseConstructor
