@@ -19,6 +19,7 @@ namespace, so in-process callers can drive it repeatedly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -113,9 +114,11 @@ def _open_in_place(path: Path):
 def emit_results(table: str, summary: dict, scenario_file: Path, out_dir: Path) -> List[Path]:
     """Rewrite <stem>_<experiment>.csv and <stem>_summary.json in place; returns their paths.
 
-    Both open before either is written; an unwritable output is a ScenarioError naming --out."""
+    Both open before either is written; an unwritable output is a ScenarioError naming --out,
+    and a file this call created is removed again (an earlier one is left as it was)."""
     table_path = out_dir / f"{scenario_file.stem}_{summary['experiment']}.csv"
     summary_path = out_dir / f"{scenario_file.stem}_summary.json"
+    fresh = [path for path in (table_path, summary_path) if not path.exists()]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         with _open_in_place(table_path) as table_out, _open_in_place(summary_path) as summary_out:
@@ -124,6 +127,9 @@ def emit_results(table: str, summary: dict, scenario_file: Path, out_dir: Path) 
                 out.write(text)
                 out.truncate()
     except OSError as exc:  # a write that fails after the open names no file
+        for path in fresh:
+            with contextlib.suppress(OSError):  # never created, or not removable
+                path.unlink()
         where = exc.filename or out_dir
         raise ScenarioError(f"cannot write {where}: {exc.strerror or exc}", field="--out") from exc
     return [table_path, summary_path]
@@ -204,7 +210,7 @@ def _cmd_deploy(args) -> int:
     elif args.strategies is not None:
         strategies = (DeploymentStrategy(args.strategies),)
     started = time.perf_counter()
-    rule = _HybridRule.of(scenario)  # one rule writes every strategy's plan
+    rule = _HybridRule.of(scenario)  # one rule builds and prices every strategy's plan
     results = [evaluate_strategy(scenario, s, _rule=rule) for s in strategies]
     summary = _summary(
         scenario_bytes,

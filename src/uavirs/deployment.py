@@ -184,8 +184,9 @@ class _HybridRule(NamedTuple):
     a user's aerial legs exist only at the levels at or above its own, and
     all of its legs share one `_direct`. The legs come from `_legs` and every
     rate from `_rate`, the path `user_rate` takes, so a rate is bit-identical
-    to `user_rate` on the same plan. `plan` writes the plan of every
-    strategy, the two single-surface baselines included.
+    to `user_rate` on the same plan. `result` builds and prices, once, the
+    plan of every strategy, the two single-surface baselines included;
+    `user_rate` stays the public checked path the tests compare it against.
     """
 
     n_budget: int
@@ -261,16 +262,17 @@ class _HybridRule(NamedTuple):
             for i, air in enumerate(on_air)
         )
 
-    def plan(self, n_aerial: int, level: int, on_air: Tuple[bool, ...]) -> DeploymentPlan:
-        return DeploymentPlan(
-            aerial_elements=n_aerial,
-            terrestrial_elements=self.n_budget - n_aerial,
-            uirs_altitude=self.altitudes[level],
-            assignment=tuple(
-                (uid, self.aerial_id if air else ground)
-                for uid, air, ground in zip(self.user_ids, on_air, self.ground_ids)
-            ),
+    def result(
+        self, n_aerial: int, level: int, on_air: Tuple[bool, ...], strategy: DeploymentStrategy
+    ) -> DeploymentResult:
+        """The plan at (split, level, flyers), priced once by `rates`."""
+        assignment = tuple(
+            (uid, self.aerial_id if air else ground)
+            for uid, air, ground in zip(self.user_ids, on_air, self.ground_ids)
         )
+        plan = DeploymentPlan(n_aerial, self.n_budget - n_aerial, self.altitudes[level], assignment)
+        rates = self.rates(n_aerial, level, on_air)
+        return DeploymentResult(plan, self.user_ids, rates, min(rates), strategy)
 
 
 def _first_true(test, lo: int, hi: int) -> int:
@@ -328,20 +330,6 @@ def _best_split(rule: _HybridRule) -> int:
     return best_n
 
 
-def _evaluate_plan(
-    scenario: "Scenario", plan: DeploymentPlan, strategy: DeploymentStrategy
-) -> DeploymentResult:
-    users = scenario.user_nodes()
-    rates = tuple(user_rate(scenario, plan, u.id) for u in users)
-    return DeploymentResult(
-        plan=plan,
-        user_ids=tuple(u.id for u in users),
-        per_user_rates=rates,
-        min_rate=min(rates),
-        strategy=strategy,
-    )
-
-
 def evaluate_strategy(
     scenario: "Scenario", strategy: DeploymentStrategy, *, _rule: Optional[_HybridRule] = None
 ) -> DeploymentResult:
@@ -354,8 +342,8 @@ def evaluate_strategy(
     lowest altitude with LoS to every user that can ever reach LoS, and flies
     all of those users. HYBRID takes the (n_aerial, n_terrestrial) split with
     the highest min rate, ties to the fewest aerial elements: the first
-    maximum of `allocation_sweep`. Each plan is re-evaluated and checked
-    through `user_rate`.
+    maximum of `allocation_sweep`. The rule prices each plan once, with the
+    rates the checked `user_rate` gives on it (the tests compare the two).
 
     HYBRID finds that split by binary search, not by pricing every split. It
     rests on the rates being monotone in n_aerial as computed in floating
@@ -375,7 +363,7 @@ def evaluate_strategy(
     else:
         n_aerial = 0 if strategy is DeploymentStrategy.USER_SIDE else _best_split(rule)
         level, on_air = rule.split(n_aerial)
-    return _evaluate_plan(scenario, rule.plan(n_aerial, level, on_air), strategy)
+    return rule.result(n_aerial, level, on_air, strategy)
 
 
 def allocation_sweep(scenario: "Scenario"):
@@ -387,17 +375,6 @@ def allocation_sweep(scenario: "Scenario"):
     split, that the HYBRID strategy searches.
     """
     rule = _HybridRule.of(scenario)
-    results = []
-    for n_aerial in range(rule.n_budget + 1):
-        level, on_air = rule.split(n_aerial)
-        rates = rule.rates(n_aerial, level, on_air)
-        results.append(
-            DeploymentResult(
-                plan=rule.plan(n_aerial, level, on_air),
-                user_ids=rule.user_ids,
-                per_user_rates=rates,
-                min_rate=min(rates),
-                strategy=DeploymentStrategy.HYBRID,
-            )
-        )
-    return results
+    return [
+        rule.result(n, *rule.split(n), DeploymentStrategy.HYBRID) for n in range(rule.n_budget + 1)
+    ]

@@ -394,6 +394,15 @@ class TestOutputs:
         assert main(argv) == EXIT_USAGE
         assert (out / "fig5_deployment.csv").read_bytes() == before
 
+    def test_unwritable_summary_leaves_no_new_csv(self, tmp_path):
+        # the CSV opens first; a summary that cannot open must not leave it behind, empty
+        out = tmp_path / "out"
+        (out / "fig5_summary.json").mkdir(parents=True)
+        argv = ["deploy", str(scenario_path("fig5")), "--out", str(out), "--quiet"]
+        assert main(argv) == EXIT_USAGE
+        assert sorted(p.name for p in out.iterdir()) == ["fig5_summary.json"]
+        assert (out / "fig5_summary.json").is_dir()
+
 
 class TestDigest:
     @pytest.mark.parametrize(

@@ -685,6 +685,9 @@ class TestSplitSearch:
         assert res.plan == expected.plan
         assert res.per_user_rates == expected.per_user_rates
         assert res.min_rate == expected.min_rate
+        # the checked single-user path validates the plan and gives the same rates
+        rates = tuple(user_rate(scn, res.plan, uid) for uid in res.user_ids)
+        assert res.per_user_rates == rates
         return res
 
     def test_fig5(self, fig5):
@@ -920,6 +923,8 @@ class TestBaselines:
             res = evaluate_strategy(scn, DeploymentStrategy.USER_SIDE)
             expected = replace(allocation_sweep(scn)[0], strategy=DeploymentStrategy.USER_SIDE)
             assert res == expected, label
+            rates = tuple(user_rate(scn, res.plan, uid) for uid in res.user_ids)
+            assert res.per_user_rates == rates, label
 
     def test_bs_side_flies_at_the_highest_threshold(self):
         reachable_counts = set()

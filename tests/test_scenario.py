@@ -226,7 +226,7 @@ experiment: {kind: deployment, n_budget: -1}
             loads_scenario(text)
         assert info.value.field == "experiment.strategies[0]"
 
-    def test_non_string_unknown_key_names_the_field(self):
+    def test_non_string_key_is_a_parse_error(self):
         # a key that is no string is a parse error at its place, before any field is read
         text = scenario_path("fig5").read_text() + "1: one\nwibble: 3\n"
         with pytest.raises(ScenarioError) as info:
@@ -550,7 +550,7 @@ class TestYamlLoaders:
         assert info.value.field is None
         assert str(info.value) == f"parse error at {where}"
 
-    def test_merged_key_may_be_overridden(self, yaml_loader):
+    def test_merge_key_is_a_parse_error(self, yaml_loader):
         # PyYAML would merge the UAV into sn1 and let sn1 override id and role
         text = MINIMAL_TRAJECTORY.replace(
             "- {id: uav, role: uav, position: [0.0, 0.0, 30.0]}",
@@ -671,7 +671,7 @@ class TestYamlLoaders:
             with pytest.raises(ScenarioError, match=where + _ALIAS + "$"):
                 loads_scenario(text)
 
-    def test_walk_shares_aliased_values(self, yaml_loader):
+    def test_walk_rejects_an_alias(self, yaml_loader):
         # PyYAML shares one list between a and b; the walk stops at the second use
         with pytest.raises(ConstructorError) as info:
             _document("a: &a [1]\nb: *a\nc: &c {d: *c}\n")
