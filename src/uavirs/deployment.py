@@ -10,9 +10,10 @@ user-to-surface assignment, and one rule, `_HybridRule`, builds the plan of
 every strategy. The rule and `user_rate` price every rate alike: `_legs` gives
 a user's direct amplitude (from `_direct`) and two surface-leg amplitudes, and
 `_rate` the rate of direct + N * up * down. The user-side and BS-side
-baselines put the whole budget on one surface. The hybrid strategy chooses the
-split that maximizes the minimum user rate, found by binary search at the
-rule's breakpoints, in a number of rate evaluations logarithmic in the budget.
+baselines put the whole budget on one surface. The hybrid rule is exact: at
+each split every user takes its better surface (ties stay on the ground) at
+each altitude a flyer forces, the first best plan wins, and binary search at
+its breakpoints finds the best split in evaluations logarithmic in the budget.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Tuple
 
 from .channel import LinkState, Node, RadioParams, leg_amplitude, link_rate, resolve_link_state
 from .errors import ConfigurationError
@@ -174,11 +175,11 @@ def user_rate(scenario: "Scenario", plan: DeploymentPlan, user_id: str) -> float
 class _HybridRule(NamedTuple):
     """The hybrid rule on one scenario, with every leg it prices computed once.
 
-    Users without terrestrial coverage go to the aerial surface when LoS is
-    attainable. Each terrestrially covered user then takes whichever surface
-    yields it the higher rate -- the aerial option priced at the altitude
-    needed if that user joins -- with ties to the terrestrial surface. The
-    final altitude is the lowest giving LoS to all aerially assigned users.
+    At each split the rule weighs nobody flying (level 0), then each reachable
+    user in turn flying at its own threshold's level with every user at or
+    below it on its better surface, ties staying on the ground (`forced`), and
+    takes the first plan with the highest min rate: the best plan over every
+    assignment, whose altitude is the highest threshold among flyers, or 0.
 
     The candidate altitudes are the levels {0} and the finite LoS thresholds;
     a user's aerial legs exist only at the levels at or above its own, and
@@ -195,7 +196,6 @@ class _HybridRule(NamedTuple):
     aerial_id: str
     ground_ids: Tuple[Optional[str], ...]  # the terrestrial id if covered, else None
     altitudes: Tuple[float, ...]  # the levels, ascending
-    order: Tuple[int, ...]  # the users who can reach LoS, uncovered first
     needed: Tuple[int, ...]  # [user]: the level of its LoS threshold (if it has one)
     ground: Tuple[_Legs, ...]  # [user]: through the terrestrial surface
     air: Tuple[Tuple[Optional[_Legs], ...], ...]  # [level][user]: through the aerial one
@@ -206,11 +206,9 @@ class _HybridRule(NamedTuple):
         users = scenario.user_nodes()
         rules = scenario.link_rules
         thresholds = [rules.rule_for(aerial.id, u.id).min_altitude_for_los for u in users]
-        reachable = [math.isfinite(t) for t in thresholds]
-        altitudes = sorted({0.0, *(t for t, r in zip(thresholds, reachable) if r)})
+        altitudes = sorted({0.0, *filter(math.isfinite, thresholds)})
         covered = [covers(terrestrial, u.position, node_id=u.id) for u in users]
         direct = [_direct(scenario, u) for u in users]
-        indices = range(len(users))
         return cls(
             n_budget=scenario.experiment.n_budget,
             radio=scenario.radio,
@@ -218,8 +216,7 @@ class _HybridRule(NamedTuple):
             aerial_id=aerial.id,
             ground_ids=tuple(terrestrial.id if c else None for c in covered),
             altitudes=tuple(altitudes),
-            order=tuple(sorted((i for i in indices if reachable[i]), key=covered.__getitem__)),
-            needed=tuple(altitudes.index(t) if r else -1 for t, r in zip(thresholds, reachable)),
+            needed=tuple(altitudes.index(t) if math.isfinite(t) else -1 for t in thresholds),
             ground=tuple(_legs(scenario, terrestrial, 0.0, u, d) for u, d in zip(users, direct)),
             # Below its LoS threshold a user can never be served by the aerial surface.
             air=tuple(
@@ -241,20 +238,24 @@ class _HybridRule(NamedTuple):
         return _rate(self.air[level][i], n_aerial, self.radio, len(self.user_ids))
 
     def flies(self, i: int, level: int, n_aerial: int) -> bool:
-        """Whether user i joins the aerial surface if that puts it at level."""
-        if self.ground_ids[i] is None:
-            return True
+        """Whether user i's aerial rate at level beats its ground rate (ties stay)."""
         return self.air_rate(i, level, n_aerial) > self.ground_rate(i, n_aerial)
 
+    def forced(self, n_aerial: int) -> Iterator[Tuple[int, Tuple[bool, ...]]]:
+        """The (level, flyers) plans in which someone flies, at one split: each
+        reachable user f in turn forces its own level and flies, and every other
+        user at or below that level flies iff that beats its ground rate."""
+        for f, level in enumerate(self.needed):
+            if level >= 0 and n_aerial > 0:  # no aerial elements, no aerial service
+                yield level, tuple(
+                    i == f or 0 <= needed <= level and self.flies(i, level, n_aerial)
+                    for i, needed in enumerate(self.needed)
+                )
+
     def split(self, n_aerial: int) -> Tuple[int, Tuple[bool, ...]]:
-        """The rule at one split: the aerial level and which users fly."""
-        level, on_air = 0, [False] * len(self.user_ids)
-        if n_aerial > 0:  # no aerial elements, no aerial service
-            for i in self.order:
-                level_if = max(level, self.needed[i])
-                if self.flies(i, level_if, n_aerial):
-                    on_air[i], level = True, level_if
-        return level, tuple(on_air)
+        """The first plan with the highest min rate: nobody flies (level 0), then `forced`."""
+        plans = [(0, (False,) * len(self.user_ids)), *self.forced(n_aerial)]
+        return max(plans, key=lambda plan: min(self.rates(n_aerial, *plan)))
 
     def rates(self, n_aerial: int, level: int, on_air: Tuple[bool, ...]) -> Tuple[float, ...]:
         return tuple(
@@ -277,56 +278,55 @@ class _HybridRule(NamedTuple):
 
 def _first_true(test, lo: int, hi: int) -> int:
     """The first n in [lo, hi] with test(n), else hi + 1; test is false, then true."""
-    return lo + bisect_left(range(lo, hi + 1), True, key=test)
+    if lo > hi or test(lo):  # most of the rule's comparisons flip at lo
+        return lo
+    return lo + 1 + bisect_left(range(lo + 1, hi + 1), True, key=test)
 
 
 def _best_split(rule: _HybridRule) -> int:
     """The first n_aerial with the highest min rate, found by search.
 
     For fixed (user, level) the aerial rate does not fall and the ground rate
-    does not rise in n_aerial, so each of the rule's comparisons flips at most
-    once; the flips cut [1, n_budget] into pieces of constant assignment and
-    altitude (split 0 is a piece of its own). On a piece the min rate is
-    min(lowest aerial rate, lowest ground rate), the first non-decreasing and
-    the second non-increasing, so its first maximum lies where they meet.
+    does not rise in n_aerial, so each `flies` comparison flips at most once;
+    the flips cut [1, n_budget] into pieces on which every plan keeps its
+    flyers. Split 0 is a piece of its own, where nobody flying wins (zero
+    aerial elements add no rate), and the only split where it can, as ground
+    rates only fall. On a piece a `forced` plan's min rate is min(lowest
+    aerial rate, lowest ground rate), the first non-decreasing and the second
+    non-increasing, so its first maximum lies where they meet; the search
+    keeps the first maximum over every plan of every piece.
     """
-    n_budget = rule.n_budget
-    cuts = {1, n_budget + 1}
-    for i in rule.order:
-        if rule.ground_ids[i] is None:
-            continue  # an uncovered user always flies
-        for level in range(rule.needed[i], len(rule.altitudes)):
-            cuts.add(_first_true(lambda n: rule.flies(i, level, n), 1, n_budget))
-    best_n, best = 0, min(rule.rates(0, *rule.split(0)))
+    cuts = {1, rule.n_budget + 1}
+    for i, needed in enumerate(rule.needed):
+        for level in range(needed, len(rule.altitudes)) if needed >= 0 else ():
+            cuts.add(_first_true(lambda n: rule.flies(i, level, n), 1, rule.n_budget))
+    best_n, best = 0, min(rule.ground_rate(i, 0) for i in range(len(rule.user_ids)))
     bounds = sorted(cuts)
     for lo, end in zip(bounds, bounds[1:]):
-        hi = end - 1
-        level, on_air = rule.split(lo)
-        fliers = [i for i, air in enumerate(on_air) if air]
-        grounded = [i for i, air in enumerate(on_air) if not air]
+        for level, on_air in rule.forced(lo):
+            fliers = [i for i, air in enumerate(on_air) if air]
+            grounded = [i for i, air in enumerate(on_air) if not air]
 
-        def air_min(n):
-            return min(rule.air_rate(i, level, n) for i in fliers)
+            def air_min(n):
+                return min(rule.air_rate(i, level, n) for i in fliers)
 
-        def ground_min(n):
-            return min(rule.ground_rate(i, n) for i in grounded)
+            def ground_min(n):
+                return min(rule.ground_rate(i, n) for i in grounded)
 
-        # meet: the first split of the piece where the min rate is a ground rate
-        if not fliers:
-            meet = lo
-        elif not grounded:
-            meet = end
-        else:
-            meet = _first_true(lambda n: air_min(n) >= ground_min(n), lo, hi)
-        value, n = -math.inf, meet
-        if meet <= hi:  # the falling part peaks at its first split
-            value = ground_min(meet)
-        if meet > lo:  # the rising part peaks at its end, first reached by search
-            top = air_min(meet - 1)
-            if top >= value:
-                value, n = top, _first_true(lambda n: air_min(n) >= top, lo, meet - 1)
-        if value > best:
-            best_n, best = n, value
+            # meet: the first split of the piece where the min rate is a ground rate
+            if not grounded:
+                meet = end
+            else:
+                meet = _first_true(lambda n: air_min(n) >= ground_min(n), lo, end - 1)
+            value, n = -math.inf, meet
+            if meet < end:  # the falling part peaks at its first split
+                value = ground_min(meet)
+            if meet > lo:  # the rising part peaks at its end, first reached by search
+                top = air_min(meet - 1)
+                if top >= max(value, best):  # else it beats neither the falling part nor best
+                    value, n = top, _first_true(lambda n: air_min(n) >= top, lo, meet - 1)
+            if (value, -n) > (best, -best_n):
+                best_n, best = n, value
     return best_n
 
 
@@ -340,10 +340,11 @@ def evaluate_strategy(
     on the terrestrial surface, uncovered users on their direct links alone.
     BS_SIDE puts the whole budget on the aerial surface at its top level, the
     lowest altitude with LoS to every user that can ever reach LoS, and flies
-    all of those users. HYBRID takes the (n_aerial, n_terrestrial) split with
-    the highest min rate, ties to the fewest aerial elements: the first
-    maximum of `allocation_sweep`. The rule prices each plan once, with the
-    rates the checked `user_rate` gives on it (the tests compare the two).
+    all of those users. HYBRID takes the first split with the highest min
+    rate (the first maximum of `allocation_sweep`) and there the best plan
+    over every assignment, each user on its better surface, ties on the
+    ground. The rule prices each plan once, with the rates the checked
+    `user_rate` gives on it (the tests compare the two).
 
     HYBRID finds that split by binary search, not by pricing every split. It
     rests on the rates being monotone in n_aerial as computed in floating

@@ -2,8 +2,7 @@
 
 Nothing here may import from the optimizer code paths it checks: the grid
 scheduler below enumerates airtime splits directly, the deployment
-evaluator recomputes rates from raw float math, the hybrid split rule is
-restated one split at a time from its description, the schedule LP's matrix
+evaluator recomputes rates from raw float math, the schedule LP's matrix
 is assembled from blocks and solved through scipy's public linprog, and the
 trajectory line search is restated one candidate at a time around the
 projection and rates its caller passes in, the speed projection is checked
@@ -132,40 +131,6 @@ def deployment_user_rate(
     return math.log2(1.0 + snr) / num_users
 
 
-def hybrid_split(users, n_aerial, n_terrestrial, rate):
-    """The hybrid altitude and assignment rule at one element split.
-
-    users: (user id, covered by the terrestrial surface, aerial LoS
-    threshold) in scenario order. rate(uid, surface, elements, altitude) is
-    the user's rate through "aerial", "terrestrial" or None (direct link
-    only). Uncovered users fly when the aerial surface has elements and
-    their threshold is finite. Each covered user, in order, then flies only
-    if that beats its terrestrial rate at the altitude its joining would
-    need; ties stay terrestrial. The altitude is the highest threshold among
-    the fliers. Returns (altitude, {uid: surface}, rates in user order).
-    """
-    serving, flying = {}, []
-    for uid, covered, threshold in users:
-        if not covered:
-            fly = n_aerial > 0 and math.isfinite(threshold)
-            serving[uid] = "aerial" if fly else None
-            flying += [threshold] if fly else []
-    for uid, covered, threshold in users:
-        if not covered:
-            continue
-        serving[uid] = "terrestrial"
-        if n_aerial > 0 and math.isfinite(threshold):
-            altitude = max([0.0, threshold, *flying])
-            terrestrial = rate(uid, "terrestrial", n_terrestrial, 0.0)
-            if rate(uid, "aerial", n_aerial, altitude) > terrestrial:
-                serving[uid] = "aerial"
-                flying.append(threshold)
-    altitude = max([0.0, *flying])
-    elements = {"aerial": n_aerial, "terrestrial": n_terrestrial, None: 0}
-    rates = [rate(uid, serving[uid], elements[serving[uid]], altitude) for uid, _, _ in users]
-    return altitude, serving, rates
-
-
 def dykstra_speed_projection(path, max_step, tol=1e-14, max_sweeps=200_000):
     """Euclidean projection of a 2-D path onto ||p[t+1] - p[t]|| <= max_step.
 
@@ -248,34 +213,37 @@ def speed_projection_kkt_violation(path, projected, max_step, active_tol=1e-6):
     )
 
 
-def brute_force_deployment(users, n_budget, rate):
-    """Highest min user rate over every element split and every user-to-surface assignment.
+def brute_force_split(users, n_aerial, n_terrestrial, rate):
+    """Highest min user rate over every user-to-surface assignment at one element split.
 
     users: (user id, covered by the terrestrial surface, aerial LoS
-    threshold) in scenario order; rate(uid, surface, elements, altitude) as
-    for hybrid_split. Each user may go to no surface (None), to the
-    terrestrial surface if it covers the user, or to the aerial one if its
-    threshold is finite; the aerial altitude is the module's rule, the
-    lowest giving LoS to every aerial user: the highest of their thresholds,
-    or 0. Every n_aerial = 0..n_budget is tried with n_budget - n_aerial
-    terrestrial elements.
+    threshold) in scenario order. rate(uid, surface, elements, altitude) is
+    the user's rate through "aerial", "terrestrial" or None (direct link
+    only). Each user may go to no surface (None), to the terrestrial surface
+    if it covers the user, or to the aerial one if its threshold is finite;
+    the aerial altitude is the module's rule, the lowest giving LoS to every
+    aerial user: the highest of their thresholds, or 0.
     """
     options = [
         [None] + ["terrestrial"] * covered + ["aerial"] * math.isfinite(threshold)
         for _, covered, threshold in users
     ]
+    elements = {"aerial": n_aerial, "terrestrial": n_terrestrial, None: 0}
     best = -math.inf
-    for n_aerial in range(n_budget + 1):
-        elements = {"aerial": n_aerial, "terrestrial": n_budget - n_aerial, None: 0}
-        for choice in itertools.product(*options):
-            altitude = max(
-                [0.0] + [t for (_, _, t), s in zip(users, choice) if s == "aerial"]
-            )
-            worst = min(
-                rate(uid, s, elements[s], altitude) for (uid, _, _), s in zip(users, choice)
-            )
-            best = max(best, worst)
+    for choice in itertools.product(*options):
+        altitude = max([0.0] + [t for (_, _, t), s in zip(users, choice) if s == "aerial"])
+        worst = min(rate(uid, s, elements[s], altitude) for (uid, _, _), s in zip(users, choice))
+        best = max(best, worst)
     return best
+
+
+def brute_force_deployment(users, n_budget, rate):
+    """Highest min user rate over every element split and every assignment.
+
+    Every n_aerial = 0..n_budget is tried with n_budget - n_aerial
+    terrestrial elements, each by brute_force_split (users and rate as there).
+    """
+    return max(brute_force_split(users, n, n_budget - n, rate) for n in range(n_budget + 1))
 
 
 def sequential_line_search(
