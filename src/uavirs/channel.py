@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Optional, Tuple, Union
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, FieldError
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -134,7 +134,7 @@ class LinkStateRule:
 
     def __post_init__(self):
         if not (self.min_altitude_for_los >= 0):  # also rejects NaN
-            raise ValueError("min_altitude_for_los must be >= 0")
+            raise FieldError("min_altitude_for_los", "must be >= 0")
         if self.fallback_state is LinkState.LOS:
             raise ValueError("fallback_state must be NLoS or Blocked")
         object.__setattr__(self, "endpoints", _normalize_pair(self.endpoints))

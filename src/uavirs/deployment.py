@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Tuple
 
 from .channel import LinkState, Node, RadioParams, leg_amplitude, link_rate, resolve_link_state
 from .errors import ConfigurationError
-from .irs import IrsSurface, SurfaceKind, covers
+from .irs import IrsSurface, SurfaceKind, _check_count, covers
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
@@ -48,9 +48,8 @@ class DeploymentPlan:
     assignment: Tuple[Tuple[str, Optional[str]], ...]  # (user id, surface id | None)
 
     def __post_init__(self):
-        for count in (self.aerial_elements, self.terrestrial_elements):
-            if not (type(count) is int and count >= 0):  # bool is no count
-                raise ValueError(f"element counts must be integers >= 0, got {count!r}")
+        _check_count("aerial_elements", self.aerial_elements)
+        _check_count("terrestrial_elements", self.terrestrial_elements)
         if not (math.isfinite(self.uirs_altitude) and self.uirs_altitude >= 0):
             raise ValueError(f"uirs_altitude must be finite and >= 0, got {self.uirs_altitude!r}")
         object.__setattr__(self, "assignment", tuple(self.assignment))

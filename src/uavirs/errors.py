@@ -18,5 +18,13 @@ class ScenarioError(Exception):
         super().__init__(message)
 
 
+class FieldError(ValueError):
+    """A type rejected the value of its attribute ``field``; str() is "<field> <problem>"."""
+
+    def __init__(self, field, problem):
+        self.field, self.problem = field, problem
+        super().__init__(f"{field} {problem}")
+
+
 class ExperimentMismatchError(Exception):
     """Scenario's experiment kind does not match the requested run."""

@@ -25,11 +25,17 @@ from enum import Enum
 from typing import Optional, Tuple
 
 from .channel import LinkState, Position3D
-from .errors import ConfigurationError
+from .errors import ConfigurationError, FieldError
 
 
-# Element counts stay exact in the float rate math up to 2**53.
-_MAX_ELEMENTS = 2**53
+def _check_count(field: str, value) -> None:
+    """Raise FieldError unless value is an element count: an int, not a bool, in 0..2**53."""
+    if not (type(value) is int and value >= 0):
+        raise FieldError(field, f"must be an integer >= 0, got {value!r}")
+    if value > 2**53:
+        raise FieldError(
+            field, "must be <= 2**53, where element counts stop being exact in the rate math"
+        )
 
 
 class SurfaceKind(Enum):
@@ -50,24 +56,18 @@ class IrsSurface:
     covered_node_ids: Optional[frozenset] = None
 
     def __post_init__(self):
-        if not (type(self.num_elements) is int and self.num_elements >= 0):  # bool is no count
-            raise ValueError(f"num_elements must be an integer >= 0, got {self.num_elements!r}")
-        if self.num_elements > _MAX_ELEMENTS:
-            raise ValueError("num_elements must be <= 2**53")
+        _check_count("num_elements", self.num_elements)
         if self.facing_normal is not None:
             normal = tuple(float(c) for c in self.facing_normal)
             if len(normal) != 3 or not all(map(math.isfinite, normal)) or not any(normal):
-                raise ConfigurationError(
-                    f"surface {self.id!r} needs a finite, non-zero 3-vector facing_normal, "
-                    f"got {self.facing_normal!r}"
+                raise FieldError(
+                    "facing_normal", f"must be a finite, non-zero 3-vector, got {normal}"
                 )
             object.__setattr__(self, "facing_normal", normal)
         elif self.kind is SurfaceKind.TERRESTRIAL:
-            raise ConfigurationError(
-                f"terrestrial surface {self.id!r} requires a facing_normal"
-            )
+            raise FieldError("facing_normal", "is required on a terrestrial surface")
         if self.coverage_radius is not None and not (self.coverage_radius > 0):
-            raise ValueError(f"coverage_radius must be > 0 when set, got {self.coverage_radius!r}")
+            raise FieldError("coverage_radius", f"must be > 0, got {self.coverage_radius!r}")
         if self.covered_node_ids is not None:
             object.__setattr__(self, "covered_node_ids", frozenset(self.covered_node_ids))
 

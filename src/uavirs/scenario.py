@@ -4,9 +4,9 @@ A scenario is a single YAML document holding the nodes, surfaces, radio
 constants, per-link-class path-loss exponents, link-state rules, and exactly
 one experiment block (trajectory or deployment). Its grammar is a subset of
 YAML: string-keyed mappings, lists, strings, numbers, booleans and nulls.
-Unknown keys and keys given twice in one mapping are rejected; every
-validation error names the offending field. Defaults live in the types: an
-optional key left out of a file takes the default of the field it fills.
+Unknown keys and keys given twice in one mapping are rejected. The reader only
+converts values: the type each fills checks it, and every error names its
+field. An optional key left out of a file takes the default of that field.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .channel import (
     resolve_link_state,
 )
 from .deployment import DeploymentStrategy
-from .errors import ConfigurationError, ScenarioError
-from .irs import _MAX_ELEMENTS, IrsSurface, SurfaceKind, covers
+from .errors import ConfigurationError, FieldError, ScenarioError
+from .irs import IrsSurface, SurfaceKind, _check_count, covers
 
 # CPython's built-in SHA-256: hashlib's would map OpenSSL's libcrypto for one
 # digest per run. hashlib only for builds without the built-in module.
@@ -112,18 +112,14 @@ def _document(text: str):
 _MAX_STEP_LIMIT = 1e70
 
 
-class _StepOutOfRange(ValueError):
-    """v_max * slot_duration is a step the speed projection cannot handle."""
-
-
 @dataclass(frozen=True)
 class TrajectoryConstraints:
     """Endpoint, altitude, speed and slot-length limits for one mission.
 
-    The largest step, max_step = v_max * slot_duration, must have a
-    non-zero float square and be at most _MAX_STEP_LIMIT: the speed
-    projection works in squared lengths and in products of four, and beyond
-    that range its slack rounds to zero or its step length overflows.
+    The largest step, max_step = v_max * slot_duration, must have a non-zero
+    float square and be at most _MAX_STEP_LIMIT, or a FieldError names v_max:
+    the speed projection works in squared lengths and in products of four, and
+    beyond that range its slack rounds to zero or its step length overflows.
     """
 
     start: Position3D
@@ -134,13 +130,14 @@ class TrajectoryConstraints:
 
     def __post_init__(self):
         if not (self.v_max > 0):
-            raise ValueError("v_max must be > 0")
+            raise FieldError("v_max", "must be > 0")
         if not (self.slot_duration > 0):
-            raise ValueError("slot_duration must be > 0")
+            raise FieldError("slot_duration", "must be > 0")
         if not (0.0 < self.max_step * self.max_step and self.max_step <= _MAX_STEP_LIMIT):
-            raise _StepOutOfRange(
-                f"v_max * slot_duration = {self.max_step!r} m is out of range: "
-                f"it must be at most {_MAX_STEP_LIMIT:g} m and its square a float > 0"
+            raise FieldError(
+                "v_max",
+                f"* slot_duration = {self.max_step!r} m is out of range: "
+                f"it must be at most {_MAX_STEP_LIMIT:g} m and its square a float > 0",
             )
         if self.start.z != self.fixed_altitude or self.end.z != self.fixed_altitude:
             raise ValueError("start and end must lie at the fixed altitude")
@@ -154,18 +151,18 @@ class TrajectoryConstraints:
         """Fewest and most slots a mission can take within max_time.
 
         The fewest fly the straight start-to-end line at v_max; the most fit
-        whole in max_time. Raises ValueError when max_time is not a finite
-        number of slots or cannot cover that straight flight.
+        whole in max_time. Raises FieldError("max_time", ...) when max_time is
+        not a finite number of slots or cannot cover that straight flight.
         """
         slots = max_time / self.slot_duration
         if not math.isfinite(slots):
-            raise ValueError(f"max_time must be a finite number of slots, got {max_time!r} s")
+            raise FieldError("max_time", f"must be a finite number of slots, got {max_time!r} s")
         distance = self.start.distance_to(self.end)
         m_min = max(1, math.ceil(distance / self.max_step - 1e-9))
         m_max = math.floor(slots + 1e-9)
         if m_max < m_min:
-            raise ValueError(
-                f"max_time {max_time} s cannot cover the straight {distance:.1f} m flight"
+            raise FieldError(
+                "max_time", f"{max_time} s cannot cover the straight {distance:.1f} m flight"
             )
         return m_min, m_max
 
@@ -178,7 +175,7 @@ class TrajectoryExperiment:
 
     def __post_init__(self):
         if not (0 < self.rate_target < math.inf):  # also rejects NaN
-            raise ValueError(f"rate_target must be > 0 and finite, got {self.rate_target!r}")
+            raise FieldError("rate_target", f"must be > 0 and finite, got {self.rate_target!r}")
         self.constraints.slot_range(self.max_time)
 
 
@@ -192,17 +189,14 @@ class DeploymentExperiment:
     )
 
     def __post_init__(self):
-        if not (type(self.n_budget) is int and self.n_budget >= 0):  # bool is no count
-            raise ValueError(f"n_budget must be an integer >= 0, got {self.n_budget!r}")
-        if self.n_budget > _MAX_ELEMENTS:
-            raise ValueError("n_budget must be <= 2**53")
+        _check_count("n_budget", self.n_budget)
         strategies = self.strategies
         if not (strategies and all(isinstance(s, DeploymentStrategy) for s in strategies)):
-            raise ValueError(
-                f"strategies must be a non-empty tuple of DeploymentStrategy, got {strategies!r}"
+            raise FieldError(
+                "strategies", f"must be a non-empty tuple of DeploymentStrategy, got {strategies!r}"
             )
         if len(set(strategies)) != len(strategies):
-            raise ValueError("strategies must be unique")
+            raise FieldError("strategies", "must be unique")
 
 
 Experiment = Union[TrajectoryExperiment, DeploymentExperiment]
@@ -250,10 +244,8 @@ class Scenario:
                 _fail("nodes", "trajectory scenarios need exactly one UAV node")
             if not self.sensor_nodes():
                 _fail("nodes", "trajectory scenarios need at least one sensor node")
-            required = {"uav_sn"} | ({"uav_irs", "irs_sn"} if self.surfaces else set())
-            for cls in sorted(required):
-                if cls not in self.path_loss_classes:
-                    _fail("path_loss_classes", f"missing required link class {cls!r}")
+            priced = {"uav_sn", "uav_irs", "irs_sn"}
+            required = priced if self.surfaces else {"uav_sn"}
             for node in self.sensor_nodes():
                 covering = [s.id for s in self.surfaces if self._surface_covers(s, node)]
                 if len(covering) > 1:
@@ -261,6 +253,9 @@ class Scenario:
                         "surfaces",
                         f"node {node.id!r} is covered by multiple surfaces {covering}",
                     )
+            for rule in self.link_rules:  # the solver prices each link as LoS unless blocked
+                if rule.fallback_state is LinkState.NLOS:
+                    _fail("link_state_rules", f"{rule.endpoints} falls back to nlos; use blocked")
         else:
             if len(self._by_role(NodeRole.BS)) != 1:
                 _fail("nodes", "deployment scenarios need exactly one BS node")
@@ -279,9 +274,11 @@ class Scenario:
                         f"aerial surface {s.id!r} cannot list covered_node_ids in a deployment "
                         "scenario: aerial service follows the LoS thresholds alone",
                     )
-            for cls in ("los", "nlos"):
-                if cls not in self.path_loss_classes:
-                    _fail("path_loss_classes", f"missing required link class {cls!r}")
+            required = priced = {"los", "nlos"}
+        for cls in sorted(required - self.path_loss_classes.keys()):
+            _fail("path_loss_classes", f"missing required link class {cls!r}")
+        for cls in sorted(self.path_loss_classes.keys() - priced):
+            _fail("path_loss_classes", f"link class {cls!r} is never priced by this experiment")
 
     def node(self, node_id: str) -> Node:
         for n in self.nodes:
@@ -353,8 +350,8 @@ def scenario_path(name: str) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Reading files. A reader takes (value, field) and names field in its errors;
-# a table maps each key of one mapping to (type field, required, reader).
+# Reading files. A reader takes (value, field) and names field in its errors. A table
+# maps each key to (type field, required, reader); reader None leaves the value to its type.
 
 
 def _fail(field: Optional[str], message: str):
@@ -362,11 +359,11 @@ def _fail(field: Optional[str], message: str):
 
 
 def _build(make, field: str, args: tuple = (), kwargs: Optional[dict] = None):
-    """make(*args, **kwargs), the errors of its own checks reported against field."""
+    """make(*args, **kwargs), its errors reported against field (a FieldError's: field.<key>)."""
     try:
         return make(*args, **(kwargs or {}))
-    except _StepOutOfRange as exc:  # slot_duration has a default; v_max does not
-        _fail(f"{field}.v_max", str(exc))
+    except FieldError as exc:
+        _fail(f"{field}.{exc.field}", exc.problem)
     except (ValueError, ConfigurationError) as exc:
         _fail(field, str(exc))
 
@@ -386,7 +383,7 @@ def _section(entry, where: str, what: str, table: dict) -> dict:
     fields = {}
     for key, (name, required, read) in table.items():
         if key in entry:
-            fields[name] = read(entry[key], prefix + key)
+            fields[name] = entry[key] if read is None else read(entry[key], prefix + key)
         elif required:
             _fail(prefix + key, "missing required key")
     return fields
@@ -440,32 +437,12 @@ def _as_float(value, field: str, allow_inf: bool = False) -> float:
     return out
 
 
-def _as_positive(value, field: str) -> float:
-    out = _as_float(value, field)
-    if out <= 0:
-        _fail(field, "must be > 0")
-    return out
-
-
 def _as_radius(value, field: str) -> Optional[float]:
-    return None if value is None else _as_positive(value, field)
+    return None if value is None else _as_float(value, field)
 
 
 def _as_threshold(value, field: str) -> float:
-    out = _as_float(value, field, allow_inf=True)
-    if out < 0:
-        _fail(field, "must be >= 0")
-    return out
-
-
-def _as_elements(value, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(field, f"expected an integer, got {value!r}")
-    if value < 0:
-        _fail(field, "must be >= 0")
-    if value > _MAX_ELEMENTS:
-        _fail(field, "must be <= 2**53, where element counts stop being exact in the rate math")
-    return value
+    return _as_float(value, field, allow_inf=True)
 
 
 def _one_of(members):
@@ -491,10 +468,7 @@ def _as_position(value, field: str) -> Position3D:
 
 
 def _as_normal(value, field: str) -> Tuple[float, float, float]:
-    normal = _as_triple(value, field, "a 3-vector")
-    if not any(normal):
-        _fail(field, "must not be the zero vector")
-    return normal
+    return _as_triple(value, field, "a 3-vector")
 
 
 def _as_pair(value, field: str) -> Tuple[str, str]:
@@ -549,7 +523,7 @@ _SURFACE = {
     "id": ("id", True, _as_str),
     "kind": ("kind", True, _one_of(SurfaceKind)),
     "position": ("position", True, _as_position),
-    "num_elements": ("num_elements", False, _as_elements),
+    "num_elements": ("num_elements", False, None),
     "facing_normal": ("facing_normal", False, _as_normal),
     "coverage_radius": ("coverage_radius", False, _as_radius),
     "covered_node_ids": ("covered_node_ids", False, _as_ids),
@@ -570,20 +544,13 @@ _TRAJECTORY = {
     "fixed_altitude": ("fixed_altitude", True, _as_float),
     "v_max": ("v_max", True, _as_float),
     "slot_duration": ("slot_duration", False, _as_float),
-    "rate_target": ("rate_target", True, _as_positive),
+    "rate_target": ("rate_target", True, _as_float),
     "max_time": ("max_time", False, _as_float),
 }
 _DEPLOYMENT = {
-    "n_budget": ("n_budget", True, _as_elements),
+    "n_budget": ("n_budget", True, None),
     "strategies": ("strategies", False, _as_strategies),
 }
-
-
-def _as_surface(value, field: str) -> IrsSurface:
-    fields = _section(value, field, "surface entries must be mappings", _SURFACE)
-    if "facing_normal" not in fields and fields["kind"] is SurfaceKind.TERRESTRIAL:
-        _fail(f"{field}.facing_normal", "terrestrial surfaces require a facing_normal")
-    return _build(IrsSurface, field, kwargs=fields)
 
 
 def _as_radio(value, field: str) -> RadioParams:
@@ -612,12 +579,12 @@ def _as_trajectory(entry: dict, where: str) -> TrajectoryExperiment:
     fields = _section(entry, where, "", _TRAJECTORY)  # _as_experiment saw a mapping
     experiment = {key: fields.pop(key) for key in ("rate_target", "max_time") if key in fields}
     constraints = _build(TrajectoryConstraints, where, kwargs=fields)
-    return _build(TrajectoryExperiment, f"{where}.max_time", (constraints,), experiment)
+    return _build(TrajectoryExperiment, where, (constraints,), experiment)
 
 
 def _as_deployment(entry: dict, where: str) -> DeploymentExperiment:
     fields = _section(entry, where, "", _DEPLOYMENT)  # _as_experiment saw a mapping
-    return _build(DeploymentExperiment, f"{where}.strategies", kwargs=fields)
+    return _build(DeploymentExperiment, where, kwargs=fields)
 
 
 _EXPERIMENTS = {"trajectory": _as_trajectory, "deployment": _as_deployment}
@@ -635,11 +602,12 @@ def _as_experiment(entry, field: str) -> Experiment:
 
 
 _as_nodes = _list_of(_record(Node, "node entries must be mappings", _NODE), non_empty=True)
+_as_surfaces = _list_of(_record(IrsSurface, "surface entries must be mappings", _SURFACE))
 _SCENARIO = {
     "name": ("name", False, _as_str),
     "description": ("description", False, _as_text),
     "nodes": ("nodes", True, _as_nodes),
-    "surfaces": ("surfaces", False, _list_of(_as_surface)),
+    "surfaces": ("surfaces", False, _as_surfaces),
     "radio": ("radio", False, _as_radio),
     "path_loss_classes": ("path_loss_classes", True, _as_path_loss_classes),
     "link_state_rules": ("link_rules", False, _as_rules),

@@ -21,13 +21,14 @@ from uavirs import channel
 from uavirs.cli import EXIT_OK, main
 from uavirs.deployment import (
     DeploymentPlan,
+    DeploymentResult,
     DeploymentStrategy,
     _HybridRule,
     allocation_sweep,
     evaluate_strategy,
     user_rate,
 )
-from uavirs.errors import ConfigurationError
+from uavirs.errors import ConfigurationError, FieldError
 from uavirs.irs import IrsSurface, SurfaceKind
 from uavirs.scenario import DeploymentExperiment, Scenario, load_scenario, scenario_path
 
@@ -908,9 +909,15 @@ class TestPlanValidation:
         ids=["fractional", "nan", "integral-float", "bool"],
     )
     def test_non_integer_elements_rejected(self, aerial, terrestrial, assignment):
-        # the same check IrsSurface.num_elements makes: an int >= 0
-        with pytest.raises(ValueError, match="element counts must be integers"):
+        # the one element-count check, irs._check_count, that IrsSurface.num_elements also makes
+        with pytest.raises(FieldError, match="_elements must be an integer >= 0"):
             DeploymentPlan(aerial, terrestrial, 30.0, assignment)
+
+    @pytest.mark.parametrize("aerial, terrestrial", [(2**53 + 1, 0), (0, 2**53 + 1), (10**400, 0)])
+    def test_more_elements_than_floats_count_exactly_rejected(self, aerial, terrestrial):
+        with pytest.raises(ValueError, match=r"_elements must be <= 2\*\*53"):
+            DeploymentPlan(aerial, terrestrial, 30.0, ())
+        assert DeploymentPlan(2**53, 2**53, 30.0, ()).aerial_elements == 2**53
 
     @pytest.mark.parametrize("altitude", [math.nan, math.inf, -1.0])
     def test_bad_altitude_rejected(self, altitude):
@@ -946,10 +953,25 @@ class TestBaselines:
     """The user-side and BS-side plans against constructions of their own."""
 
     def test_user_side_is_the_sweeps_first_split(self):
-        for label, scn, _ in baseline_cases():
+        # split (0, budget) at altitude 0, covered users on the terrestrial surface and
+        # the others on their direct links (all blocked or all NLoS), priced by the oracle;
+        # a whole sweep is built only at budgets 0 and 1, where it is short
+        for label, scn, users in baseline_cases():
             res = evaluate_strategy(scn, DeploymentStrategy.USER_SIDE)
-            expected = replace(allocation_sweep(scn)[0], strategy=DeploymentStrategy.USER_SIDE)
-            assert res == expected, label
+            n_budget = scn.experiment.n_budget
+            direct = scn.link_rules.get("bs", users[0][0]).fallback_state is LinkState.NLOS
+            rate = oracle_rate(scn, scn.path_loss("nlos").exponent if direct else None)
+            ids = tuple(uid for uid, _, _ in users)
+            covered = tuple(c for _, c, _ in users)
+            rates = tuple(
+                rate(uid, "terrestrial", n_budget if c else 0, 0.0) for uid, c in zip(ids, covered)
+            )
+            assignment = tuple((uid, "tirs" if c else None) for uid, c in zip(ids, covered))
+            plan = DeploymentPlan(0, n_budget, 0.0, assignment)
+            strategy = DeploymentStrategy.USER_SIDE
+            assert res == DeploymentResult(plan, ids, rates, min(rates), strategy), label
+            if n_budget <= 1:
+                assert res == replace(allocation_sweep(scn)[0], strategy=strategy), label
             rates = tuple(user_rate(scn, res.plan, uid) for uid in res.user_ids)
             assert res.per_user_rates == rates, label
 

@@ -11,7 +11,7 @@ from uavirs.channel import (
     leg_amplitude,
     link_rate,
 )
-from uavirs.errors import ConfigurationError
+from uavirs.errors import ConfigurationError, FieldError
 from uavirs.irs import IrsSurface, SurfaceKind, covers
 
 RADIO = RadioParams(tx_power=0.1, noise_power=1e-11, ref_path_gain_db=-30.0)
@@ -84,8 +84,9 @@ class TestCovers:
             covers(surf, Position3D(0.0, 0.0, 0.0))
 
     def test_zero_normal_is_an_error(self):
-        with pytest.raises(ConfigurationError, match="facing_normal"):
+        with pytest.raises(FieldError, match="facing_normal must be a finite, non-zero") as info:
             terrestrial(facing_normal=(0.0, 0.0, 0.0))
+        assert info.value.field == "facing_normal"
 
 
 def reflected_snr(direct_gain, d_up, d_down, exponent, elements):
@@ -166,8 +167,9 @@ class TestSurface:
     )
     def test_bad_normal_rejected_at_construction(self, normal):
         # a NaN normal used to pass, and then covered every node
-        with pytest.raises(ConfigurationError, match="facing_normal"):
+        with pytest.raises(FieldError, match="facing_normal") as info:
             terrestrial(facing_normal=normal)
+        assert info.value.field == "facing_normal"
 
     @pytest.mark.parametrize("radius", [math.nan, 0.0, -5.0])
     def test_bad_radius_rejected(self, radius):
@@ -175,7 +177,7 @@ class TestSurface:
             terrestrial(coverage_radius=radius)
 
     def test_terrestrial_needs_normal(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(FieldError, match="facing_normal is required on a terrestrial surface"):
             IrsSurface(
                 id="x",
                 kind=SurfaceKind.TERRESTRIAL,

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 from dataclasses import replace
@@ -11,8 +12,8 @@ from yaml.constructor import ConstructorError
 
 from uavirs.channel import LinkState, Node, NodeRole
 from uavirs.cli import EXIT_USAGE, main
-from uavirs.deployment import DeploymentStrategy, evaluate_strategy
-from uavirs.errors import ScenarioError
+from uavirs.deployment import DeploymentPlan, DeploymentStrategy, evaluate_strategy
+from uavirs.errors import FieldError, ScenarioError
 from uavirs.irs import SurfaceKind
 from uavirs.scenario import (
     DeploymentExperiment,
@@ -280,9 +281,9 @@ SINGLE_FAULTS = [
     ("fig5", ("link_state_rules", 0, "fallback"), "x",
      "link_state_rules[0].fallback", "expected one of ['blocked', 'nlos'], got 'x'"),
     ("fig4", ("surfaces", 0, "facing_normal"), [0.0, 0.0, 0.0],
-     "surfaces[0].facing_normal", "must not be the zero vector"),
+     "surfaces[0].facing_normal", "must be a finite, non-zero 3-vector, got (0.0, 0.0, 0.0)"),
     ("fig4", ("surfaces", 0, "facing_normal"), DELETE,
-     "surfaces[0].facing_normal", "terrestrial surfaces require a facing_normal"),
+     "surfaces[0].facing_normal", "is required on a terrestrial surface"),
     ("fig4", ("surfaces", 0, "facing_normal"), "x",
      "surfaces[0].facing_normal", "expected a 3-vector, got 'x'"),
     ("fig4", ("surfaces", 0, "facing_normal", 1), "x",
@@ -291,12 +292,14 @@ SINGLE_FAULTS = [
      "surfaces[0].covered_node_ids", "expected a list of node ids"),
     ("fig4", ("surfaces", 0, "covered_node_ids", 0), "",
      "surfaces[0].covered_node_ids[0]", "expected a non-empty string, got ''"),
-    ("fig4", ("surfaces", 0, "num_elements"), -1, "surfaces[0].num_elements", "must be >= 0"),
+    ("fig4", ("surfaces", 0, "num_elements"), -1,
+     "surfaces[0].num_elements", "must be an integer >= 0, got -1"),
     ("fig4", ("surfaces", 0, "num_elements"), 2.5,
-     "surfaces[0].num_elements", "expected an integer, got 2.5"),
+     "surfaces[0].num_elements", "must be an integer >= 0, got 2.5"),
     ("fig4", ("surfaces", 0, "kind"), "x",
      "surfaces[0].kind", "expected one of ['aerial', 'terrestrial'], got 'x'"),
-    ("fig5", ("surfaces", 1, "coverage_radius"), 0, "surfaces[1].coverage_radius", "must be > 0"),
+    ("fig5", ("surfaces", 1, "coverage_radius"), 0,
+     "surfaces[1].coverage_radius", "must be > 0, got 0.0"),
     ("fig5", ("surfaces", 1, "coverage_radius"), math.inf,
      "surfaces[1].coverage_radius", "expected a finite number, got inf"),
     ("fig4", ("radio", "tx_power_w"), -1, "radio", "tx_power must be finite and > 0, got -1.0"),
@@ -330,27 +333,29 @@ SINGLE_FAULTS = [
     ("fig4", ("experiment", "kind"), [], "experiment.kind", "expected a non-empty string, got []"),
     ("fig4", ("experiment", "start"), [0.0, 0.0, 0.0],
      "experiment", "start and end must lie at the fixed altitude"),
-    ("fig4", ("experiment", "v_max"), 0, "experiment", "v_max must be > 0"),
-    ("fig4", ("experiment", "slot_duration"), -1, "experiment", "slot_duration must be > 0"),
+    ("fig4", ("experiment", "v_max"), 0, "experiment.v_max", "must be > 0"),
+    ("fig4", ("experiment", "slot_duration"), -1, "experiment.slot_duration", "must be > 0"),
     ("fig4", ("experiment", "v_max"), 1e+308,
      "experiment.v_max",
-     "v_max * slot_duration = 1.0000000000000001e+307 m is out of range: "
+     "* slot_duration = 1.0000000000000001e+307 m is out of range: "
      "it must be at most 1e+70 m and its square a float > 0"),
-    ("fig4", ("experiment", "rate_target"), 0, "experiment.rate_target", "must be > 0"),
+    ("fig4", ("experiment", "rate_target"), 0,
+     "experiment.rate_target", "must be > 0 and finite, got 0.0"),
     ("fig4", ("experiment", "rate_target"), math.inf,
      "experiment.rate_target", "expected a finite number, got inf"),
     ("fig4", ("experiment", "max_time"), 2.5,
-     "experiment.max_time", "max_time 2.5 s cannot cover the straight 150.0 m flight"),
+     "experiment.max_time", "2.5 s cannot cover the straight 150.0 m flight"),
     ("fig4", ("experiment", "max_time"), 1e+308,
-     "experiment.max_time", "max_time must be a finite number of slots, got 1e+308 s"),
-    ("fig5", ("experiment", "n_budget"), -1, "experiment.n_budget", "must be >= 0"),
+     "experiment.max_time", "must be a finite number of slots, got 1e+308 s"),
+    ("fig5", ("experiment", "n_budget"), -1,
+     "experiment.n_budget", "must be an integer >= 0, got -1"),
     ("fig5", ("experiment", "n_budget"), True,
-     "experiment.n_budget", "expected an integer, got True"),
+     "experiment.n_budget", "must be an integer >= 0, got True"),
     ("fig5", ("experiment", "n_budget"), DELETE, "experiment.n_budget", "missing required key"),
     ("fig5", ("experiment", "strategies"), [],
      "experiment.strategies", "expected a non-empty list, got []"),
     ("fig5", ("experiment", "strategies"), ["user", "user"],
-     "experiment.strategies", "strategies must be unique"),
+     "experiment.strategies", "must be unique"),
     ("fig5", ("experiment", "strategies"), ["a"],
      "experiment.strategies[0]", "expected one of ['bs', 'hybrid', 'user'], got 'a'"),
     ("fig4", ("nodes", 0), DELETE, "nodes", "trajectory scenarios need exactly one UAV node"),
@@ -361,6 +366,14 @@ SINGLE_FAULTS = [
     ("fig5", ("surfaces", 0, "covered_node_ids"), ["user1"],
      "surfaces", "aerial surface 'uirs' cannot list covered_node_ids in a deployment "
      "scenario: aerial service follows the LoS thresholds alone"),
+    # the trajectory solver prices an NLoS link as LoS, so only blocked may fall back
+    ("fig4_noirs", ("link_state_rules",),
+     [{"endpoints": ["uav", "sn1"], "min_altitude_for_los": 100.0, "fallback": "nlos"}],
+     "link_state_rules", "('sn1', 'uav') falls back to nlos; use blocked"),
+    ("fig4_noirs", ("path_loss_classes", "uav_snn"), 9.0,
+     "path_loss_classes", "link class 'uav_snn' is never priced by this experiment"),
+    ("fig5", ("path_loss_classes", "NLOS"), 9.0,
+     "path_loss_classes", "link class 'NLOS' is never priced by this experiment"),
 ]
 
 
@@ -755,9 +768,49 @@ class TestBuiltScenarioChecksItself:
         text = scenario_path("fig5").read_text().replace(
             "strategies: [user, bs, hybrid]", "strategies: [user, bs, user]"
         )
-        with pytest.raises(ScenarioError, match="strategies must be unique") as info:
+        with pytest.raises(ScenarioError) as info:
             loads_scenario(text)
-        assert info.value.field == "experiment.strategies"
+        assert str(info.value) == "experiment.strategies: must be unique"
+
+
+# (shipped scenario, the part of it to copy, attribute, a value its type rejects)
+FIELD_FAULTS = [
+    ("fig4", lambda s: s.surfaces[0], "num_elements", -1),
+    ("fig4", lambda s: s.surfaces[0], "facing_normal", (0.0, 0.0, 0.0)),
+    ("fig5", lambda s: s.surfaces[1], "coverage_radius", 0.0),
+    ("fig5", lambda s: next(iter(s.link_rules)), "min_altitude_for_los", -1.0),
+    ("fig4", lambda s: s.experiment.constraints, "v_max", 0.0),
+    ("fig4", lambda s: s.experiment.constraints, "v_max", 1e300),  # the step bound
+    ("fig4", lambda s: s.experiment.constraints, "slot_duration", -1.0),
+    ("fig4", lambda s: s.experiment, "rate_target", 0.0),
+    ("fig4", lambda s: s.experiment, "max_time", 1.0),
+    ("fig5", lambda s: s.experiment, "n_budget", 2**53 + 1),
+    ("fig5", lambda s: s.experiment, "strategies", (DeploymentStrategy.HYBRID,) * 2),
+    ("fig5", lambda s: DeploymentPlan(0, 0, 0.0, ()), "aerial_elements", True),
+]
+
+
+class TestFieldError:
+    """A type's error names the attribute it rejected, so the loader can name its file key."""
+
+    def test_is_a_value_error_that_reads_as_field_then_problem(self):
+        exc = FieldError("v_max", "must be > 0")
+        assert isinstance(exc, ValueError)
+        assert (exc.field, exc.problem, str(exc)) == ("v_max", "must be > 0", "v_max must be > 0")
+
+    @pytest.mark.parametrize(
+        "name, part, field, value",
+        FIELD_FAULTS,
+        ids=[f"{i:02d}-{case[2]}" for i, case in enumerate(FIELD_FAULTS)],
+    )
+    def test_field_is_the_attribute_name(self, name, part, field, value):
+        original = part(load_scenario(scenario_path(name)))
+        with pytest.raises(FieldError) as info:
+            replace(original, **{field: value})
+        assert isinstance(info.value, ValueError)
+        assert info.value.field == field
+        assert field in {f.name for f in dataclasses.fields(original)}
+        assert str(info.value) == f"{field} {info.value.problem}"
 
 
 class TestScenarioHelpers:
