@@ -136,7 +136,7 @@ class TrajectoryConstraints:
         if not (0.0 < self.max_step * self.max_step and self.max_step <= _MAX_STEP_LIMIT):
             raise FieldError(
                 "v_max",
-                f"* slot_duration = {self.max_step!r} m is out of range: "
+                f"sets the step v_max * slot_duration to {self.max_step!r} m, out of range: "
                 f"it must be at most {_MAX_STEP_LIMIT:g} m and its square a float > 0",
             )
         if self.start.z != self.fixed_altitude or self.end.z != self.fixed_altitude:
@@ -568,11 +568,7 @@ def _as_path_loss_classes(value, field: str) -> Dict[str, PathLossModel]:
     return classes
 
 
-_as_rule_list = _list_of(_record(LinkStateRule, "link-state rules must be mappings", _RULE))
-
-
-def _as_rules(value, field: str) -> LinkRuleSet:
-    return _build(LinkRuleSet, field, (_as_rule_list(value, field),))
+_as_rules = _list_of(_record(LinkStateRule, "link-state rules must be mappings", _RULE))
 
 
 def _as_trajectory(entry: dict, where: str) -> TrajectoryExperiment:
@@ -627,8 +623,18 @@ def loads_scenario(text: str) -> Scenario:
                 f"{getattr(exc, 'problem', exc)}"
             )
         raise ScenarioError(f"parse error: {exc}")
-    fields = dict(name="unnamed", surfaces=(), radio=RadioParams(), link_rules=LinkRuleSet())
+    fields = dict(name="unnamed", surfaces=(), radio=RadioParams(), link_rules=())
     fields.update(_section(doc, "", "scenario document must be a mapping", _SCENARIO))
+    rules = fields["link_rules"]  # in file order, so an error can name the rule's key
+    if isinstance(fields["experiment"], TrajectoryExperiment):
+        for i, rule in enumerate(rules):
+            if rule.fallback_state is LinkState.NLOS:
+                _fail(
+                    f"link_state_rules[{i}].fallback",
+                    "trajectory rules need fallback: blocked; "
+                    "the solver would price nlos, the default, as LoS",
+                )
+    fields["link_rules"] = _build(LinkRuleSet, "link_state_rules", (rules,))
     scenario = Scenario(**fields)
     nodes = scenario.nodes  # a file policy: the solvers clamp colocated nodes
     if len({n.position for n in nodes}) < len(nodes):

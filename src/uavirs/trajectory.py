@@ -87,10 +87,12 @@ def __getattr__(name):
 
 SPEED_SLACK = 1e-9  # tolerance on ||waypoint step|| <= v_max * slot_duration
 # Trajectory step: softmin temperature (bps/Hz), line-search shrink factor and
-# backtrack cap. BCD: iteration cap per duration and relative stall tolerance.
+# backtrack cap; the candidates move the fastest waypoint by 16 * max_step
+# down to max_step / 2048 (2.4 mm at the shipped 5 m step). BCD: iteration
+# cap per duration and relative stall tolerance.
 _SOFTMIN_TEMPERATURE = 0.05
 _BACKTRACK_SHRINK = 0.5
-_MAX_BACKTRACKS = 30
+_MAX_BACKTRACKS = 16
 _BCD_MAX_ITERATIONS = 200
 _BCD_REL_TOL = 1e-4
 # Speed-projection interior-point solve: stopping tolerance (per unit of
@@ -754,8 +756,9 @@ def improve_trajectory(
     """One projected ascent step on the interior waypoints for a fixed schedule.
 
     Ascends the softmin-smoothed scheduled throughput along its closed-form
-    gradient in the horizontal waypoint coordinates, backtracks the step
-    size by _BACKTRACK_SHRINK up to _MAX_BACKTRACKS times, projects each
+    gradient in the horizontal waypoint coordinates, tries _MAX_BACKTRACKS
+    step sizes, each _BACKTRACK_SHRINK times the last, that move the fastest
+    waypoint by 16 * max_step down to max_step / 2048, projects each
     candidate exactly onto the speed-feasible set, and rejects any candidate
     whose hard-min objective is below the input's; the softmin of a candidate
     is computed only once its hard minimum passes. The softmin temperature is

@@ -100,7 +100,10 @@ class TestValidate:
         assert main(["validate", str(path)]) == EXIT_OK
         path.write_text(fig4.replace("v_max: 50.0", "v_max: 2.0e+70"))
         assert main(["validate", str(path)]) == EXIT_USAGE
-        assert "error: experiment.v_max: * slot_duration = 2e+70 m" in capsys.readouterr().err
+        assert (
+            "error: experiment.v_max: sets the step v_max * slot_duration to 2e+70 m, out of range"
+            in capsys.readouterr().err
+        )
 
 
 class TestKindMismatch:

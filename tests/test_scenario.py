@@ -10,7 +10,7 @@ import yaml
 from hypothesis import given, strategies as st
 from yaml.constructor import ConstructorError
 
-from uavirs.channel import LinkState, Node, NodeRole
+from uavirs.channel import LinkRuleSet, LinkState, LinkStateRule, Node, NodeRole
 from uavirs.cli import EXIT_USAGE, main
 from uavirs.deployment import DeploymentPlan, DeploymentStrategy, evaluate_strategy
 from uavirs.errors import FieldError, ScenarioError
@@ -219,6 +219,30 @@ experiment: {kind: deployment, n_budget: -1}
             loads_scenario(text)
         assert info.value.field == "link_state_rules[0].fallback"
 
+    def test_trajectory_rule_without_fallback_names_its_fallback(self):
+        # fallback defaults to nlos, which a trajectory solver would price as
+        # LoS; the error names the rule's own key, by its place in the file
+        fig4 = scenario_path("fig4").read_text()
+        rules = (
+            "link_state_rules:\n"
+            "  - {endpoints: [uav, sn2], fallback: blocked}\n"
+            "  - {endpoints: [uav, sn1], min_altitude_for_los: 10.0}\n"
+        )
+        with pytest.raises(ScenarioError) as info:
+            loads_scenario(fig4 + rules)
+        assert info.value.field == "link_state_rules[1].fallback"
+        assert "trajectory rules need fallback: blocked" in str(info.value)
+        scn = loads_scenario(fig4 + rules.replace("10.0}", "10.0, fallback: blocked}"))
+        assert [r.fallback_state for r in scn.link_rules] == [LinkState.BLOCKED] * 2
+
+    def test_trajectory_scenario_built_in_code_rejects_an_nlos_fallback(self):
+        fig4 = load_scenario(scenario_path("fig4"))
+        rules = LinkRuleSet([LinkStateRule(("uav", "sn1"), 10.0)])  # falls back to nlos
+        with pytest.raises(ScenarioError) as info:
+            replace(fig4, link_rules=rules)
+        assert info.value.field == "link_state_rules"
+        assert "falls back to nlos" in str(info.value)
+
     def test_list_strategy_names_the_field(self):
         text = scenario_path("fig5").read_text().replace(
             "strategies: [user, bs, hybrid]", "strategies: [[user], bs]"
@@ -337,7 +361,7 @@ SINGLE_FAULTS = [
     ("fig4", ("experiment", "slot_duration"), -1, "experiment.slot_duration", "must be > 0"),
     ("fig4", ("experiment", "v_max"), 1e+308,
      "experiment.v_max",
-     "* slot_duration = 1.0000000000000001e+307 m is out of range: "
+     "sets the step v_max * slot_duration to 1.0000000000000001e+307 m, out of range: "
      "it must be at most 1e+70 m and its square a float > 0"),
     ("fig4", ("experiment", "rate_target"), 0,
      "experiment.rate_target", "must be > 0 and finite, got 0.0"),
@@ -369,7 +393,8 @@ SINGLE_FAULTS = [
     # the trajectory solver prices an NLoS link as LoS, so only blocked may fall back
     ("fig4_noirs", ("link_state_rules",),
      [{"endpoints": ["uav", "sn1"], "min_altitude_for_los": 100.0, "fallback": "nlos"}],
-     "link_state_rules", "('sn1', 'uav') falls back to nlos; use blocked"),
+     "link_state_rules[0].fallback",
+     "trajectory rules need fallback: blocked; the solver would price nlos, the default, as LoS"),
     ("fig4_noirs", ("path_loss_classes", "uav_snn"), 9.0,
      "path_loss_classes", "link class 'uav_snn' is never priced by this experiment"),
     ("fig5", ("path_loss_classes", "NLOS"), 9.0,
@@ -662,8 +687,10 @@ class TestYamlLoaders:
         path.write_text(text, encoding="utf-8")
         assert main(["validate", str(path), "--quiet"]) == EXIT_USAGE
 
-    @pytest.mark.parametrize("text", MERGE_DOCUMENTS)
-    def test_walk_merges_as_pyyaml(self, text, yaml_loader):
+    @pytest.mark.parametrize(
+        "text", MERGE_DOCUMENTS, ids=["override", "merge-list", "chained", "set", "alias"]
+    )
+    def test_walk_rejects_what_pyyaml_merges(self, text, yaml_loader):
         yaml.safe_load(text)  # PyYAML merges it
         with pytest.raises(ConstructorError, match="string key|tagged !!set|an alias"):
             _document(text)

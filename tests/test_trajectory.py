@@ -1154,11 +1154,35 @@ class TestStackedLineSearch:
                 ev.rates,
                 ev.rate_gradient,
                 _project_speed,
+                tries=trajectory._MAX_BACKTRACKS,
             )
             if ref is None:
                 assert out is traj
             else:
                 assert out is not traj and out.waypoints.tobytes() == ref.tobytes()
+
+    def test_a_failed_search_ends_at_a_2048th_of_a_step(self, fig4_noirs_solve):
+        # 16 candidates, moving the fastest waypoint by 16 * max_step down to
+        # max_step / 2048 before projection; fig4_noirs makes 9 such searches.
+        *_, steps = fig4_noirs_solve
+        scn = load_scenario(scenario_path("fig4_noirs"))
+        max_step = scn.experiment.constraints.max_step
+        failed = 0
+        for traj, sched, ev, out in steps:
+            if out is not traj:
+                continue
+            with mock.patch("uavirs.trajectory._project_speed", wraps=_project_speed) as ps:
+                assert improve_trajectory(scn, traj, sched, _evaluator=ev) is traj
+            stacks = [call.args[0] for call in ps.call_args_list]
+            if not stacks:
+                continue  # no line search was made
+            failed += 1
+            candidates = np.concatenate(stacks)
+            assert len(candidates) == 16
+            moves = np.linalg.norm((candidates - traj.waypoints)[:, :, :2], axis=-1)
+            assert moves[0].max() == pytest.approx(16 * max_step, rel=1e-12)
+            assert moves[-1].max() == pytest.approx(max_step / 2048, rel=1e-12)
+        assert failed == 9
 
 
 class TestMinTimeMission:
