@@ -32,7 +32,7 @@ from .deployment import (
     evaluate_strategy,
     user_rate,
 )
-from .errors import ConfigurationError, ExperimentMismatchError, ScenarioError
+from .errors import ConfigurationError, ScenarioError
 from .irs import IrsSurface, SurfaceKind, covers
 from .scenario import (
     DeploymentExperiment,
@@ -67,7 +67,6 @@ __all__ = [
     "DeploymentPlan",
     "DeploymentResult",
     "DeploymentStrategy",
-    "ExperimentMismatchError",
     "IrsSurface",
     "LinkRuleSet",
     "LinkState",

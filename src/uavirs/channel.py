@@ -151,7 +151,8 @@ class LinkRuleSet:
     """Lookup table of link-state rules keyed by unordered endpoint pair.
 
     A pair without an explicit rule resolves through the default always-LoS
-    rule.
+    rule. It iterates in the order the rules were given, so the i-th rule is
+    a file's link_state_rules[i].
     """
 
     def __init__(self, rules: Iterable[LinkStateRule] = ()):
@@ -171,7 +172,7 @@ class LinkRuleSet:
         return rule if rule is not None else LinkStateRule((a, b), min_altitude_for_los=0.0)
 
     def __iter__(self):
-        return iter(sorted(self._rules.values(), key=lambda r: r.endpoints))
+        return iter(self._rules.values())
 
     def __len__(self):
         return len(self._rules)

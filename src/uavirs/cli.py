@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, List
 
 from . import __version__
 from .deployment import DeploymentResult, DeploymentStrategy, _HybridRule, evaluate_strategy
-from .errors import ConfigurationError, ExperimentMismatchError, ScenarioError
+from .errors import ConfigurationError, ScenarioError
 from .scenario import (
     DeploymentExperiment,
     Scenario,
@@ -163,9 +163,7 @@ def _cmd_trajopt(args) -> int:
     scenario_file = Path(args.scenario)
     scenario, scenario_bytes = _read_scenario(scenario_file)
     if not isinstance(scenario.experiment, TrajectoryExperiment):
-        raise ExperimentMismatchError(
-            "scenario holds a deployment experiment; use the deploy subcommand"
-        )
+        raise ScenarioError("scenario holds a deployment experiment; use the deploy subcommand")
     scenario = _apply_trajectory_overrides(scenario, args)
     from .trajectory import min_time_mission  # numpy and scipy load only here
 
@@ -201,9 +199,7 @@ def _cmd_deploy(args) -> int:
     scenario_file = Path(args.scenario)
     scenario, scenario_bytes = _read_scenario(scenario_file)
     if not isinstance(scenario.experiment, DeploymentExperiment):
-        raise ExperimentMismatchError(
-            "scenario holds a trajectory experiment; use the trajopt subcommand"
-        )
+        raise ScenarioError("scenario holds a trajectory experiment; use the trajopt subcommand")
     strategies = scenario.experiment.strategies
     if args.strategies == "all":
         strategies = tuple(DeploymentStrategy)
@@ -308,7 +304,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ConfigurationError, ExperimentMismatchError) as exc:
+    except (ScenarioError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -24,7 +24,3 @@ class FieldError(ValueError):
     def __init__(self, field, problem):
         self.field, self.problem = field, problem
         super().__init__(f"{field} {problem}")
-
-
-class ExperimentMismatchError(Exception):
-    """Scenario's experiment kind does not match the requested run."""

@@ -110,6 +110,9 @@ def _document(text: str):
 # products of four lengths (the square of s . ds in its step to the bound),
 # which overflow near 1e77 m; 1e70 m leaves room for steps 1e7 times longer.
 _MAX_STEP_LIMIT = 1e70
+# Tolerance (m) of the speed contract: every waypoint step is at most
+# v_max * slot_duration + SPEED_SLACK.
+SPEED_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -150,15 +153,18 @@ class TrajectoryConstraints:
     def slot_range(self, max_time: float) -> Tuple[int, int]:
         """Fewest and most slots a mission can take within max_time.
 
-        The fewest fly the straight start-to-end line at v_max; the most fit
-        whole in max_time. Raises FieldError("max_time", ...) when max_time is
-        not a finite number of slots or cannot cover that straight flight.
+        The fewest is the least m whose straight start-to-end step, distance
+        / m, is at most max_step + SPEED_SLACK / 2: the other half of the slack
+        takes up the rounding of that line's waypoints, so the line meets the
+        speed contract. The most fit whole in max_time. Raises
+        FieldError("max_time", ...) when max_time is not a finite number of
+        slots or cannot cover that straight flight.
         """
         slots = max_time / self.slot_duration
         if not math.isfinite(slots):
             raise FieldError("max_time", f"must be a finite number of slots, got {max_time!r} s")
         distance = self.start.distance_to(self.end)
-        m_min = max(1, math.ceil(distance / self.max_step - 1e-9))
+        m_min = max(1, math.ceil(distance / (self.max_step + SPEED_SLACK / 2)))
         m_max = math.floor(slots + 1e-9)
         if m_max < m_min:
             raise FieldError(
@@ -253,9 +259,13 @@ class Scenario:
                         "surfaces",
                         f"node {node.id!r} is covered by multiple surfaces {covering}",
                     )
-            for rule in self.link_rules:  # the solver prices each link as LoS unless blocked
+            for i, rule in enumerate(self.link_rules):  # in the order given, as in a file
                 if rule.fallback_state is LinkState.NLOS:
-                    _fail("link_state_rules", f"{rule.endpoints} falls back to nlos; use blocked")
+                    _fail(
+                        f"link_state_rules[{i}].fallback",
+                        "trajectory rules need fallback: blocked; "
+                        "the solver would price nlos, the default, as LoS",
+                    )
         else:
             if len(self._by_role(NodeRole.BS)) != 1:
                 _fail("nodes", "deployment scenarios need exactly one BS node")
@@ -625,16 +635,7 @@ def loads_scenario(text: str) -> Scenario:
         raise ScenarioError(f"parse error: {exc}")
     fields = dict(name="unnamed", surfaces=(), radio=RadioParams(), link_rules=())
     fields.update(_section(doc, "", "scenario document must be a mapping", _SCENARIO))
-    rules = fields["link_rules"]  # in file order, so an error can name the rule's key
-    if isinstance(fields["experiment"], TrajectoryExperiment):
-        for i, rule in enumerate(rules):
-            if rule.fallback_state is LinkState.NLOS:
-                _fail(
-                    f"link_state_rules[{i}].fallback",
-                    "trajectory rules need fallback: blocked; "
-                    "the solver would price nlos, the default, as LoS",
-                )
-    fields["link_rules"] = _build(LinkRuleSet, "link_state_rules", (rules,))
+    fields["link_rules"] = _build(LinkRuleSet, "link_state_rules", (fields["link_rules"],))
     scenario = Scenario(**fields)
     nodes = scenario.nodes  # a file policy: the solvers clamp colocated nodes
     if len({n.position for n in nodes}) < len(nodes):

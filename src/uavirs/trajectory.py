@@ -59,7 +59,7 @@ from .channel import (
     link_rate,
     resolve_link_state,
 )
-from .scenario import Scenario, TrajectoryConstraints
+from .scenario import SPEED_SLACK, Scenario, TrajectoryConstraints
 
 
 def _compiled(package, name):
@@ -85,7 +85,6 @@ def __getattr__(name):
     return globals()[name]
 
 
-SPEED_SLACK = 1e-9  # tolerance on ||waypoint step|| <= v_max * slot_duration
 # Trajectory step: softmin temperature (bps/Hz), line-search shrink factor and
 # backtrack cap; the candidates move the fastest waypoint by 16 * max_step
 # down to max_step / 2048 (2.4 mm at the shipped 5 m step). BCD: iteration
@@ -145,14 +144,10 @@ class Trajectory:
     def mission_time(self) -> float:
         return self.num_slots * self.slot_duration
 
-    def segment_lengths(self) -> np.ndarray:
-        return np.linalg.norm(np.diff(self.waypoints, axis=0), axis=1)
-
-    def max_segment_length(self) -> float:
-        return float(self.segment_lengths().max())
-
     def is_speed_feasible(self, constraints: TrajectoryConstraints) -> bool:
-        return self.max_segment_length() <= constraints.max_step + SPEED_SLACK
+        """Whether every waypoint step is at most max_step + SPEED_SLACK."""
+        steps = np.linalg.norm(np.diff(self.waypoints, axis=0), axis=1)
+        return bool(steps.max() <= constraints.max_step + SPEED_SLACK)
 
     def closest_approach(self, position: Position3D) -> float:
         """Smallest waypoint distance to a point (detour diagnostics)."""

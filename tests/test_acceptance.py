@@ -245,10 +245,7 @@ def test_criterion_6_optimizer_contracts(fig4_missions):
         for probe in result.probes:
             hist = probe.objective_history
             monotone_violations += sum(1 for a, b in zip(hist, hist[1:]) if b < a)
-    speed_ok = all(
-        r.trajectory.max_segment_length() <= constraints.max_step + 1e-9
-        for r in (with_irs, without_irs)
-    )
+    speed_ok = all(r.trajectory.is_speed_feasible(constraints) for r in (with_irs, without_irs))
     sound = True
     for result in (with_irs, without_irs):
         if result.converged:

@@ -167,6 +167,10 @@ class TestLinkRuleSet:
         with pytest.raises(ConfigurationError):
             LinkRuleSet([LinkStateRule(("a", "b")), LinkStateRule(("b", "a"))])
 
+    def test_iterates_in_the_given_order(self):
+        given = [LinkStateRule(("c", "d")), LinkStateRule(("b", "a")), LinkStateRule(("a", "c"))]
+        assert list(LinkRuleSet(given)) == given
+
 
 class TestRate:
     def test_zero_snr(self):

@@ -110,12 +110,16 @@ class TestKindMismatch:
     def test_trajopt_on_deployment_scenario(self, capsys):
         code = main(["trajopt", str(scenario_path("fig5")), "--quiet"])
         assert code == EXIT_USAGE
-        assert "deploy" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: scenario holds a deployment experiment; use the deploy subcommand\n"
+        )
 
     def test_deploy_on_trajectory_scenario(self, quick_file, capsys):
         code = main(["deploy", str(quick_file), "--quiet"])
         assert code == EXIT_USAGE
-        assert "trajopt" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: scenario holds a trajectory experiment; use the trajopt subcommand\n"
+        )
 
 
 class TestTrajopt:

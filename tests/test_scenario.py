@@ -240,8 +240,22 @@ experiment: {kind: deployment, n_budget: -1}
         rules = LinkRuleSet([LinkStateRule(("uav", "sn1"), 10.0)])  # falls back to nlos
         with pytest.raises(ScenarioError) as info:
             replace(fig4, link_rules=rules)
-        assert info.value.field == "link_state_rules"
-        assert "falls back to nlos" in str(info.value)
+        assert info.value.field == "link_state_rules[0].fallback"
+        assert str(info.value) == (
+            "link_state_rules[0].fallback: trajectory rules need fallback: blocked; "
+            "the solver would price nlos, the default, as LoS"
+        )
+
+    def test_code_built_nlos_fallback_is_named_by_its_place_in_the_rules(self):
+        # ('uav', 'sn1') sorts before ('uav', 'sn2'), but it was given second
+        fig4 = load_scenario(scenario_path("fig4"))
+        rules = LinkRuleSet([
+            LinkStateRule(("uav", "sn2"), 10.0, LinkState.BLOCKED),
+            LinkStateRule(("uav", "sn1"), 10.0),  # falls back to nlos
+        ])
+        with pytest.raises(ScenarioError) as info:
+            replace(fig4, link_rules=rules)
+        assert info.value.field == "link_state_rules[1].fallback"
 
     def test_list_strategy_names_the_field(self):
         text = scenario_path("fig5").read_text().replace(

@@ -30,6 +30,7 @@ from uavirs import trajectory
 from uavirs.irs import IrsSurface, SurfaceKind
 from uavirs.scenario import (
     _MAX_STEP_LIMIT,
+    SPEED_SLACK,
     Scenario,
     TrajectoryExperiment,
     load_scenario,
@@ -37,7 +38,6 @@ from uavirs.scenario import (
     scenario_path,
 )
 from uavirs.trajectory import (
-    SPEED_SLACK,
     Schedule,
     Trajectory,
     TrajectoryConstraints,
@@ -1229,7 +1229,7 @@ class TestMinTimeMission:
         assert res.achieved_min_rate >= 1.2 - 1e-6
         # speed bound on the returned trajectory
         cons = scn.experiment.constraints
-        assert res.trajectory.max_segment_length() <= cons.max_step + 1e-9
+        assert res.trajectory.is_speed_feasible(cons)
 
     def test_bisection_soundness(self):
         scn = make_scenario(
@@ -1296,6 +1296,39 @@ class TestMinTimeMission:
         # the experiment checks slot_range(max_time) when built
         with pytest.raises(ValueError):
             make_scenario([("sn1", (50.0, 0.0, 0.0))], max_time=1.0)
+
+
+class TestSpeedContract:
+    """Every step is at most max_step + SPEED_SLACK, the straight line at m_min included."""
+
+    def test_step_just_over_the_bound_takes_a_second_slot(self):
+        # fig4_noirs cut to one 5.000000004 m step: 4e-9 m over its 5 m bound
+        text = scenario_path("fig4_noirs").read_text()
+        text = text.replace("end: [200.0, 0.0, 30.0]", "end: [55.000000004, 0.0, 30.0]")
+        scn = loads_scenario(text.replace("rate_target: 1.0", "rate_target: 0.01"))
+        cons = scn.experiment.constraints
+        assert cons.slot_range(scn.experiment.max_time)[0] == 2
+        res = min_time_mission(scn)
+        assert res.converged and res.trajectory.num_slots == 2
+        assert res.trajectory.is_speed_feasible(cons)
+        assert per_slot_rates(scn, res.trajectory).shape == (8, 2)  # raises past the bound
+
+    @given(
+        steps=st.integers(1, 300),
+        v_max=st.floats(1.0, 1000.0),
+        over=st.floats(-3.0, 3.0),  # SPEED_SLACKs per step beyond max_step
+        heading=st.floats(0.0, 2 * math.pi),
+    )
+    def test_straight_line_at_the_fewest_slots_meets_the_bound(self, steps, v_max, over, heading):
+        distance = steps * (v_max * 0.1 + over * SPEED_SLACK)
+        x, y = 50.0 + distance * math.cos(heading), -20.0 + distance * math.sin(heading)
+        cons = TrajectoryConstraints(
+            Position3D(50.0, -20.0, 30.0), Position3D(x, y, 30.0), 30.0, v_max, 0.1
+        )
+        m_min, _ = cons.slot_range(1e6)
+        assert straight_line_trajectory(cons, m_min).is_speed_feasible(cons)
+        # one slot fewer would need a step beyond the bound
+        assert m_min == 1 or cons.start.distance_to(cons.end) / (m_min - 1) > cons.max_step
 
 
 class TestTypes:
