@@ -110,9 +110,10 @@ def _document(text: str):
 # products of four lengths (the square of s . ds in its step to the bound),
 # which overflow near 1e77 m; 1e70 m leaves room for steps 1e7 times longer.
 _MAX_STEP_LIMIT = 1e70
-# Tolerance (m) of the speed contract: every waypoint step is at most
-# v_max * slot_duration + SPEED_SLACK.
+# Tolerance (m) of the speed contract, widened by speed_slack to _SLACK_ULPS
+# spacings of doubles where a flight's waypoints round by more.
 SPEED_SLACK = 1e-9
+_SLACK_ULPS = 64
 
 
 @dataclass(frozen=True)
@@ -150,11 +151,18 @@ class TrajectoryConstraints:
         """Largest admissible waypoint-to-waypoint displacement."""
         return self.v_max * self.slot_duration
 
+    @property
+    def speed_slack(self) -> float:
+        """Tolerance (m) of the speed contract: SPEED_SLACK while max_step and the endpoints'
+        coordinates are below 2**17 m, else _SLACK_ULPS spacings of doubles at the largest."""
+        scale = max(abs(self.start.x), abs(self.start.y), abs(self.end.x), abs(self.end.y))
+        return max(SPEED_SLACK, _SLACK_ULPS * math.ulp(max(scale, self.max_step)))
+
     def slot_range(self, max_time: float) -> Tuple[int, int]:
         """Fewest and most slots a mission can take within max_time.
 
         The fewest is the least m whose straight start-to-end step, distance
-        / m, is at most max_step + SPEED_SLACK / 2: the other half of the slack
+        / m, is at most max_step + speed_slack / 2: the other half of the slack
         takes up the rounding of that line's waypoints, so the line meets the
         speed contract. The most fit whole in max_time. Raises
         FieldError("max_time", ...) when max_time is not a finite number of
@@ -164,7 +172,7 @@ class TrajectoryConstraints:
         if not math.isfinite(slots):
             raise FieldError("max_time", f"must be a finite number of slots, got {max_time!r} s")
         distance = self.start.distance_to(self.end)
-        m_min = max(1, math.ceil(distance / (self.max_step + SPEED_SLACK / 2)))
+        m_min = max(1, math.ceil(distance / (self.max_step + self.speed_slack / 2)))
         m_max = math.floor(slots + 1e-9)
         if m_max < m_min:
             raise FieldError(

@@ -13,16 +13,11 @@ min-throughput stalls:
     optimal basis of the LP before it, mapped to its slot count when it
     opens a probe: an optimum in far fewer simplex iterations, with values
     equal to within rounding. The basis lives in one mission alone;
-  * trajectory block -- one projected ascent step on the softmin-smoothed
-    objective, using the closed-form gradient of the rates in the horizontal
-    waypoint coordinates and the exact Euclidean projection onto the speed
-    constraints (a primal-dual interior-point solve with banded Newton
-    systems, which projects a line search's candidates as one stack and
-    starts each from the candidate pulled back inside the bound along the
-    line to the straight path, so a small overshoot takes few Newton
-    steps). With the schedule fixed, rates and slopes are priced only where
-    it gives airtime, about one node per slot. Any step that lowers the true
-    (hard-min) objective is rejected.
+  * trajectory block -- one step along the closed-form gradient of the
+    softmin of the scheduled throughputs, projected exactly onto the speed
+    constraints by a primal-dual interior-point solve with banded Newton
+    systems. The line search takes the longest step whose true (hard-min)
+    objective does not fall (improve_trajectory).
 
 The inner objective is non-decreasing across accepted iterations by
 construction, and every trajectory ever returned is speed-feasible.
@@ -59,7 +54,7 @@ from .channel import (
     link_rate,
     resolve_link_state,
 )
-from .scenario import SPEED_SLACK, Scenario, TrajectoryConstraints
+from .scenario import Scenario, TrajectoryConstraints
 
 
 def _compiled(package, name):
@@ -97,11 +92,13 @@ _BCD_REL_TOL = 1e-4
 # Speed-projection interior-point solve: stopping tolerance (per unit of
 # max_step), lowest slack the centering aims at (per max_step^2, above the
 # rounding in the coordinates), share of the way to the nearest bound a step
-# may go (more once the mean gap is below 1% of max_step^2), step cap.
+# may go (more once the mean gap is below 1% of max_step^2), step cap, and
+# the stopping tests' floor in spacings of doubles (their rounding).
 _IPM_TOL = 1e-10
 _IPM_SLACK_FLOOR = 1e-13
 _IPM_REACH = 0.99
 _IPM_MAX_STEPS = 50
+_IPM_ULPS = 4
 # Halvings of a step length in (0, 1] after which it is 0 and keeps the
 # strictly feasible path; only a non-finite slack or step gets past them.
 _IPM_MAX_HALVINGS = 1075
@@ -145,9 +142,9 @@ class Trajectory:
         return self.num_slots * self.slot_duration
 
     def is_speed_feasible(self, constraints: TrajectoryConstraints) -> bool:
-        """Whether every waypoint step is at most max_step + SPEED_SLACK."""
+        """Whether every waypoint step is at most max_step + speed_slack."""
         steps = np.linalg.norm(np.diff(self.waypoints, axis=0), axis=1)
-        return bool(steps.max() <= constraints.max_step + SPEED_SLACK)
+        return bool(steps.max() <= constraints.max_step + constraints.speed_slack)
 
     def closest_approach(self, position: Position3D) -> float:
         """Smallest waypoint distance to a point (detour diagnostics)."""
@@ -500,12 +497,6 @@ def optimal_schedule(
     return Schedule(tau), value
 
 
-def _softmin(values: np.ndarray, temperature: float) -> float:
-    v = values / temperature
-    low = v.min()
-    return -temperature * (math.log(np.exp(-(v - low)).sum()) - low)
-
-
 def _softmin_weights(values: np.ndarray, temperature: float) -> np.ndarray:
     v = values / temperature
     w = np.exp(-(v - v.min()))
@@ -595,8 +586,11 @@ def _interior_point_chain(xy: np.ndarray, line: np.ndarray, max_step: float) -> 
     _IPM_SLACK_FLOOR * L^2, plus the second-order term. A chain stops once
     its stationarity residual is below _IPM_TOL * L and each of its segments
     has slack below _IPM_TOL * L^2 or multiplier below _IPM_TOL, or after
-    _IPM_MAX_STEPS. A step that no halving brings inside the bound (a
-    non-finite slack) raises RuntimeError.
+    _IPM_MAX_STEPS. So that far candidates stop, the tolerances are floored
+    at _IPM_ULPS times their rounding: the spacing of doubles at the
+    candidate's coordinates plus the largest multiplier times that at the
+    path's, and L times the latter. A step that no halving brings inside the
+    bound (a non-finite slack) raises RuntimeError.
 
     The chains are solved together but each on its own: per-chain arrays
     have shape (B, M), one banded matrix holds their Newton systems end to
@@ -633,12 +627,16 @@ def _interior_point_chain(xy: np.ndarray, line: np.ndarray, max_step: float) -> 
         slack = _slack(seg, max_step)
         overshoot = np.abs(cand[:, 1:] - cand[:, :-1]).max(axis=1) - max_step
         lam = np.repeat(np.maximum(_IPM_TOL, overshoot / max_step)[:, None], m, axis=1)
+        far = _IPM_ULPS * np.spacing(np.abs(xy).max(axis=(1, 2)))
         while live.size and steps < _IPM_MAX_STEPS:
             fit = path[:, 1:-1] - target
             force = lam * seg
             residual = fit + force[:, :-1] - force[:, 1:]
-            gone = (np.abs(residual).max(axis=1) <= _IPM_TOL * max_step) & (
-                np.minimum(slack, lam * area).max(axis=1) <= _IPM_TOL * area
+            grain = _IPM_ULPS * np.spacing(np.abs(path.view(float)).max(axis=1))
+            fit_tol = np.maximum(_IPM_TOL * max_step, far + lam.max(axis=1) * grain)
+            gone = (np.abs(residual).max(axis=1) <= fit_tol) & (
+                np.minimum(slack, lam * area).max(axis=1)
+                <= np.maximum(_IPM_TOL * area, max_step * grain)
             )
             if not gone.any():
                 # Per-segment 2x2 blocks lam I + (lam / u) s s^T of H: the xx and
@@ -659,8 +657,8 @@ def _interior_point_chain(xy: np.ndarray, line: np.ndarray, max_step: float) -> 
             if gone.any():
                 out[live[gone]] = path[gone, 1:-1]
                 keep = ~gone
-                live, target, path, seg, slack, lam, step = (
-                    v[keep] for v in (live, target, path, seg, slack, lam, step)
+                live, target, path, seg, slack, lam, step, far = (
+                    v[keep] for v in (live, target, path, seg, slack, lam, step, far)
                 )
                 continue
             conj_seg = seg.conj()
@@ -750,23 +748,23 @@ def improve_trajectory(
 ) -> Trajectory:
     """One projected ascent step on the interior waypoints for a fixed schedule.
 
-    Ascends the softmin-smoothed scheduled throughput along its closed-form
-    gradient in the horizontal waypoint coordinates, tries _MAX_BACKTRACKS
-    step sizes, each _BACKTRACK_SHRINK times the last, that move the fastest
-    waypoint by 16 * max_step down to max_step / 2048, projects each
-    candidate exactly onto the speed-feasible set, and rejects any candidate
-    whose hard-min objective is below the input's; the softmin of a candidate
-    is computed only once its hard minimum passes. The softmin temperature is
-    _SOFTMIN_TEMPERATURE. Endpoints and altitude stay fixed. Rates and slopes
-    are priced only where tau > 0, into a zero-filled K x M matrix: elsewhere
-    tau * R is +0.0 either way, so every scheduled throughput keeps its bits.
+    Steps along the closed-form gradient, in the horizontal waypoint
+    coordinates, of the softmin (at _SOFTMIN_TEMPERATURE) of the scheduled
+    throughputs. It tries _MAX_BACKTRACKS step sizes, each _BACKTRACK_SHRINK
+    times the last, that move the fastest waypoint by 16 * max_step down to
+    max_step / 2048, projects each exactly onto the speed-feasible set, and
+    takes the first whose hard-min objective is not below the input's, as
+    block-coordinate descent requires. Endpoints and altitude stay fixed.
+    Rates and slopes are priced only where tau > 0, into a zero-filled K x M
+    matrix: elsewhere tau * R is +0.0 either way, so every scheduled
+    throughput keeps its bits.
 
     The candidates are projected in two stacked solves: first the long
     steps, which move the fastest waypoint by at least max_step, then, only
     if none of those passes, the rest. Each stack is priced in one call, with
-    the bits of each path priced alone. The first candidate in backtracking
-    order that passes is taken, the same one, bit for bit, that projecting
-    and scoring one candidate at a time would take.
+    the bits of each path priced alone. The candidate taken is the same one,
+    bit for bit, that projecting and scoring one candidate at a time would
+    take.
 
     When it accepts no step it returns the input object itself, and
     _solve_fixed_time relies on that identity to end its descent. That
@@ -797,7 +795,6 @@ def improve_trajectory(
 
     s0 = throughputs(wp)
     hard0 = float(s0.min())
-    soft0 = _softmin(s0, _SOFTMIN_TEMPERATURE)
     weights = _softmin_weights(s0, _SOFTMIN_TEMPERATURE)
 
     # d(objective)/d(waypoint t): R[:, t] depends on waypoint t only.
@@ -810,25 +807,18 @@ def improve_trajectory(
     largest = float(np.linalg.norm(grad, axis=1).max())
     if largest <= 0.0:
         return trajectory
-    # Open the line search with a deliberately long step (many slots' worth of
-    # displacement); projection restores feasibility and backtracking shrinks
-    # until the candidate clears the Armijo sufficient-ascent bar without
-    # lowering the hard minimum. Line searches that find nothing are common,
-    # so the projections are stacked; the long steps come first because most
-    # accepted steps on the shipped missions are among them. The split is
-    # exact: step rounds to 16 times the rounded max_step / largest, so the
+    # Open with a long step (16 slots' flight); projection restores feasibility.
+    # Line searches that find nothing are common, so the projections are
+    # stacked, long steps first: most accepted steps are among them. The split
+    # is exact: step rounds to 16 times the rounded max_step / largest, so the
     # fifth scale equals that quotient.
     step = 16.0 * constraints.max_step / largest
-    grad_sq = float((grad * grad).sum())
-    armijo = 1e-4
     scales = np.array([step * _BACKTRACK_SHRINK**j for j in range(_MAX_BACKTRACKS)])
     long = scales >= constraints.max_step / largest
     for batch in (scales[long], scales[~long]):
         cands = _project_speed(wp + batch[:, None, None] * grad, constraints.max_step)
-        for scale, cand, s_new in zip(batch, cands, throughputs(cands)):
-            if float(s_new.min()) >= hard0 and (
-                _softmin(s_new, _SOFTMIN_TEMPERATURE) - soft0 >= armijo * scale * grad_sq
-            ):
+        for cand, s_new in zip(cands, throughputs(cands)):
+            if float(s_new.min()) >= hard0:
                 return Trajectory(cand.copy(), trajectory.slot_duration)  # not a view of the stack
     return trajectory
 

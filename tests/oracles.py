@@ -257,7 +257,6 @@ def sequential_line_search(
     temperature=0.05,
     shrink=0.5,
     tries=30,
-    armijo=1e-4,
 ):
     """The trajectory step's line search, one candidate at a time.
 
@@ -266,19 +265,18 @@ def sequential_line_search(
     of the interior waypoints. The first step moves the fastest waypoint by
     16 * max_step; each later one is shrink times the last. Each candidate
     is projected alone with project(path, max_step) and taken if its hard
-    minimum does not fall and its softmin gain is at least armijo * step *
-    ||gradient||^2. rates(wp) is the K x M rate matrix and rate_gradient(wp)
-    its K x M x 2 slope. Returns the taken waypoints, or None when no
-    candidate passes. The float operations run in the package's order, so
-    the two compare bit for bit.
+    minimum does not fall. rates(wp) is the K x M rate matrix and
+    rate_gradient(wp) its K x M x 2 slope. Returns the taken waypoints, or
+    None when no candidate passes or there is nothing to search: one slot,
+    or a straight-line step of at least max_step, where the straight line is
+    the only feasible path. The float operations run in the package's
+    order, so the two compare bit for bit.
     """
     m = wp.shape[0] - 1
+    chord = (wp[-1, :2] - wp[0, :2]) / m
+    if m < 2 or chord @ chord >= max_step * max_step:
+        return None
     horizon = m * slot_duration
-
-    def softmin(values):
-        v = values / temperature
-        low = v.min()
-        return -temperature * (math.log(np.exp(-(v - low)).sum()) - low)
 
     before = (tau * rates(wp)).sum(axis=1) * slot_duration / horizon
     v = before / temperature
@@ -291,12 +289,9 @@ def sequential_line_search(
     if largest <= 0.0:
         return None
     first = 16.0 * max_step / largest
-    grad_sq = float((grad * grad).sum())
     for j in range(tries):
-        step = first * shrink**j
-        cand = project(wp + step * grad, max_step)
+        cand = project(wp + first * shrink**j * grad, max_step)
         after = (tau * rates(cand)).sum(axis=1) * slot_duration / horizon
-        gain = softmin(after) - softmin(before)
-        if float(after.min()) >= float(before.min()) and gain >= armijo * step * grad_sq:
+        if float(after.min()) >= float(before.min()):
             return cand
     return None

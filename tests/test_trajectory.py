@@ -51,6 +51,7 @@ from uavirs.trajectory import (
     straight_line_trajectory,
 )
 
+from families import trajectory_scene
 from oracles import (
     dykstra_speed_projection,
     linprog_max_min_schedule,
@@ -424,6 +425,23 @@ class TestProjectSpeed:
         assert np.abs(start - line).max() < 0.01 * np.abs(path - line).max()
         out = _project_speed(path, max_step)
         np.testing.assert_array_equal(out[[0, -1]], path[[0, -1]])
+        assert speed_projection_kkt_violation(path[:, :2], out[:, :2], max_step) <= 1e-6
+
+    @pytest.mark.parametrize("far, seed", [(1e5, 4), (1e6, 0), (1e6, 1), (1e6, 2)])
+    def test_far_candidate_converges_before_the_step_cap(self, far, seed):
+        # Candidates far * max_step off the line: the residual cannot fall
+        # below the spacing of doubles at their coordinates (near 1e-9 m at
+        # 5e6 m), nor below the path's times the multipliers, so those
+        # floors, not _IPM_TOL * max_step, end the solve. Without them these
+        # chains ran to the step cap.
+        rng = np.random.default_rng(seed)
+        m, max_step = 12, 5.0
+        path = np.full((m + 1, 3), ALTITUDE)
+        path[:, :2] = trajectory._straight_line(np.zeros(2), np.array([0.5 * m * max_step, 0.0]), m)
+        path[1:-1, :2] += far * max_step * rng.uniform(-1.0, 1.0, (m - 1, 2))
+        with mock.patch("uavirs.trajectory.dpbtrf", wraps=dpbtrf) as factors:
+            out = _project_speed(path, max_step)
+        assert factors.call_count < trajectory._IPM_MAX_STEPS  # one per Newton step
         assert speed_projection_kkt_violation(path[:, :2], out[:, :2], max_step) <= 1e-6
 
     def test_start_on_a_budget_with_ulps_of_slack_stays_inside(self):
@@ -923,9 +941,14 @@ class TestImproveTrajectory:
         assert ps.call_count == 0
 
 
-def solve_recorded(name, **overrides):
-    """Solve a shipped scenario, with its experiment's fields replaced by overrides,
-    counting LPs and projections and recording every step.
+def shipped(name, **overrides):
+    """A shipped scenario with its experiment's fields replaced by overrides."""
+    scn = load_scenario(scenario_path(name))
+    return scn.with_experiment(replace(scn.experiment, **overrides))
+
+
+def solve_recorded(scn):
+    """Solve a scenario, counting LPs and projections and recording every step.
 
     Each step is (input trajectory, schedule, rate evaluator, output trajectory).
     """
@@ -936,8 +959,6 @@ def solve_recorded(name, **overrides):
         steps.append((trajectory, schedule, _evaluator, out))
         return out
 
-    scn = load_scenario(scenario_path(name))
-    scn = scn.with_experiment(replace(scn.experiment, **overrides))
     with mock.patch("uavirs.trajectory.linprog", wraps=linprog) as lp, mock.patch(
         "uavirs.trajectory._project_speed", wraps=_project_speed
     ) as ps, mock.patch("uavirs.trajectory.improve_trajectory", side_effect=step):
@@ -947,13 +968,13 @@ def solve_recorded(name, **overrides):
 
 @pytest.fixture(scope="module")
 def fig4_noirs_solve():
-    return solve_recorded("fig4_noirs")
+    return solve_recorded(shipped("fig4_noirs"))
 
 
 @pytest.fixture(scope="module")
 def fig4_surface_solve():
     """fig4 at rate_target 1.1: the with-surface mission the optimizer must shape."""
-    return solve_recorded("fig4", rate_target=1.1)
+    return solve_recorded(shipped("fig4", rate_target=1.1))
 
 
 class CountingHighs:
@@ -1026,7 +1047,7 @@ class TestKnownAnswers:
     """A rejected step ends the descent without re-solving the unchanged LP."""
 
     def test_fig4_one_lp_no_projection(self):
-        res, lp_calls, projections, _ = solve_recorded("fig4")
+        res, lp_calls, projections, _ = solve_recorded(shipped("fig4"))
         assert res.mission_time == pytest.approx(3.0)
         assert (lp_calls, projections, res.iterations) == (1, 0, 1)
         speed, probe = res.probes
@@ -1185,6 +1206,34 @@ class TestStackedLineSearch:
         assert failed == 9
 
 
+class TestHardMinimumStep:
+    """A step is taken when its scheduled hard minimum does not fall."""
+
+    def test_takes_a_step_a_softmin_gain_bar_refused(self):
+        # Family scene 43's first BCD state at 56 slots (its 5.6 s probe). A
+        # candidate there keeps the hard minimum but gains less softmin than
+        # a sufficient-ascent (Armijo) bar of 1e-4 * step * ||gradient||^2
+        # asked, and that bar refused it; the descent takes it.
+        scn = loads_scenario(trajectory_scene(43))
+        *_, steps = solve_recorded(scn)
+        traj, sched, ev, out = next(s for s in steps if s[0].num_slots == 56)
+        ref = sequential_line_search(
+            traj.waypoints,
+            sched.fractions,
+            traj.slot_duration,
+            scn.experiment.constraints.max_step,
+            ev.rates,
+            ev.rate_gradient,
+            _project_speed,
+            tries=trajectory._MAX_BACKTRACKS,
+        )
+        assert ref is not None
+        assert out is not traj and out.waypoints.tobytes() == ref.tobytes()
+        tau = sched.fractions
+        before = (tau * ev.rates(traj.waypoints)).sum(axis=1).min()
+        assert (tau * ev.rates(out.waypoints)).sum(axis=1).min() >= before
+
+
 class TestMinTimeMission:
     def test_slack_target_returns_straight_line_time(self):
         scn = make_scenario([("sn1", (50.0, 0.0, 0.0))], rate_target=0.01)
@@ -1299,7 +1348,7 @@ class TestMinTimeMission:
 
 
 class TestSpeedContract:
-    """Every step is at most max_step + SPEED_SLACK, the straight line at m_min included."""
+    """Every step is at most max_step + speed_slack, the straight line at m_min included."""
 
     def test_step_just_over_the_bound_takes_a_second_slot(self):
         # fig4_noirs cut to one 5.000000004 m step: 4e-9 m over its 5 m bound
@@ -1307,19 +1356,25 @@ class TestSpeedContract:
         text = text.replace("end: [200.0, 0.0, 30.0]", "end: [55.000000004, 0.0, 30.0]")
         scn = loads_scenario(text.replace("rate_target: 1.0", "rate_target: 0.01"))
         cons = scn.experiment.constraints
+        assert cons.speed_slack == SPEED_SLACK
         assert cons.slot_range(scn.experiment.max_time)[0] == 2
         res = min_time_mission(scn)
         assert res.converged and res.trajectory.num_slots == 2
         assert res.trajectory.is_speed_feasible(cons)
         assert per_slot_rates(scn, res.trajectory).shape == (8, 2)  # raises past the bound
 
+    # Steps of 1e-3 to 1e8 m: from 1e5 m on, the waypoints of a flight k
+    # steps long round by more than SPEED_SLACK.
     @given(
         steps=st.integers(1, 300),
-        v_max=st.floats(1.0, 1000.0),
+        log_step=st.floats(-3.0, 8.0),
         over=st.floats(-3.0, 3.0),  # SPEED_SLACKs per step beyond max_step
         heading=st.floats(0.0, 2 * math.pi),
     )
-    def test_straight_line_at_the_fewest_slots_meets_the_bound(self, steps, v_max, over, heading):
+    def test_straight_line_at_the_fewest_slots_meets_the_bound(
+        self, steps, log_step, over, heading
+    ):
+        v_max = 10.0**log_step / 0.1
         distance = steps * (v_max * 0.1 + over * SPEED_SLACK)
         x, y = 50.0 + distance * math.cos(heading), -20.0 + distance * math.sin(heading)
         cons = TrajectoryConstraints(
