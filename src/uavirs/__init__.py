@@ -24,18 +24,11 @@ from .channel import (
     path_gain,
     resolve_link_state,
 )
-from .deployment import (
-    DeploymentPlan,
-    DeploymentResult,
-    DeploymentStrategy,
-    allocation_sweep,
-    evaluate_strategy,
-    user_rate,
-)
 from .errors import ConfigurationError, ScenarioError
 from .irs import IrsSurface, SurfaceKind, covers
 from .scenario import (
     DeploymentExperiment,
+    DeploymentStrategy,
     Scenario,
     TrajectoryConstraints,
     TrajectoryExperiment,
@@ -46,17 +39,30 @@ from .scenario import (
 )
 
 
-def __getattr__(name):
-    """Import the trajectory solver, and numpy and scipy with it, on first use (PEP 562).
+# Each solver's names, and the module __getattr__ imports for them on first use.
+_SOLVER_OF = dict.fromkeys(
+    ("deployment", "DeploymentPlan", "DeploymentResult", "allocation_sweep", "evaluate_strategy",
+     "user_rate"), "deployment"
+) | dict.fromkeys(
+    ("trajectory", "CandidateProbe", "MissionResult", "Schedule", "Trajectory",
+     "improve_trajectory", "min_time_mission", "optimal_schedule", "per_slot_rates",
+     "straight_line_trajectory"), "trajectory"
+)
 
-    The names of __all__ not bound above are the solver's; nothing else in the
-    package needs scipy, and only array input needs numpy. The two are most of
-    the package's import time.
+
+def __getattr__(name):
+    """Import a solver on first use of its names (PEP 562).
+
+    Loading and validating scenarios needs neither solver: `uavirs deploy`
+    loads only the deployment solver, and `uavirs trajopt` only the trajectory
+    solver. The latter brings numpy and scipy, which nothing else in the
+    package needs (array input aside) and which are most of its import time.
     """
-    if name != "trajectory" and name not in __all__:
+    module = _SOLVER_OF.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    trajectory = _import_module(".trajectory", __name__)
-    return trajectory if name == "trajectory" else getattr(trajectory, name)
+    solver = _import_module(f".{module}", __name__)
+    return solver if name == module else getattr(solver, name)
 
 
 __all__ = [

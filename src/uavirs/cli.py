@@ -30,10 +30,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING, List
 
 from . import __version__
-from .deployment import DeploymentResult, DeploymentStrategy, _HybridRule, evaluate_strategy
 from .errors import ConfigurationError, ScenarioError
 from .scenario import (
     DeploymentExperiment,
+    DeploymentStrategy,
     Scenario,
     TrajectoryExperiment,
     _read_scenario,
@@ -41,7 +41,8 @@ from .scenario import (
     scenario_digest,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - _cmd_trajopt loads the solver, and scipy
+if TYPE_CHECKING:  # pragma: no cover - each command loads its own solver
+    from .deployment import DeploymentResult
     from .trajectory import MissionResult
 
 EXIT_OK = 0
@@ -205,6 +206,8 @@ def _cmd_deploy(args) -> int:
         strategies = tuple(DeploymentStrategy)
     elif args.strategies is not None:
         strategies = (DeploymentStrategy(args.strategies),)
+    from .deployment import _HybridRule, evaluate_strategy  # the deployment solver loads only here
+
     started = time.perf_counter()
     rule = _HybridRule.of(scenario)  # one rule builds and prices every strategy's plan
     results = [evaluate_strategy(scenario, s, _rule=rule) for s in strategies]

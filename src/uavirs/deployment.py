@@ -21,21 +21,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from enum import Enum
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 from .channel import LinkState, Node, RadioParams, leg_amplitude, link_rate, resolve_link_state
 from .errors import ConfigurationError
 from .irs import IrsSurface, SurfaceKind, _check_count, covers
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .scenario import Scenario
-
-
-class DeploymentStrategy(Enum):
-    USER_SIDE = "user"
-    BS_SIDE = "bs"
-    HYBRID = "hybrid"
+from .scenario import DeploymentStrategy, Scenario
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import reprlib
 from dataclasses import dataclass, replace
-from importlib import resources
+from enum import Enum
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
@@ -32,7 +32,6 @@ from .channel import (
     RadioParams,
     resolve_link_state,
 )
-from .deployment import DeploymentStrategy
 from .errors import ConfigurationError, FieldError, ScenarioError
 from .irs import IrsSurface, SurfaceKind, _check_count, covers
 
@@ -191,6 +190,12 @@ class TrajectoryExperiment:
         if not (0 < self.rate_target < math.inf):  # also rejects NaN
             raise FieldError("rate_target", f"must be > 0 and finite, got {self.rate_target!r}")
         self.constraints.slot_range(self.max_time)
+
+
+class DeploymentStrategy(Enum):
+    USER_SIDE = "user"
+    BS_SIDE = "bs"
+    HYBRID = "hybrid"
 
 
 @dataclass(frozen=True)
@@ -363,8 +368,7 @@ def scenario_digest(text: Union[str, bytes]) -> str:
 
 def scenario_path(name: str) -> Path:
     """Filesystem path of a shipped scenario file, e.g. scenario_path("fig4")."""
-    base = resources.files("uavirs") / "scenarios" / f"{name}.scenario"
-    return Path(str(base))
+    return Path(__file__).parent / "scenarios" / f"{name}.scenario"
 
 
 # ---------------------------------------------------------------------------

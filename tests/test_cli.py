@@ -416,7 +416,7 @@ class TestDigest:
         "command, solver",
         [
             ("trajopt", "uavirs.trajectory.min_time_mission"),
-            ("deploy", "uavirs.cli.evaluate_strategy"),
+            ("deploy", "uavirs.deployment.evaluate_strategy"),
         ],
         ids=["trajopt-min_time_mission", "deploy-evaluate_strategy"],
     )

@@ -1,6 +1,7 @@
-"""Each run loads only the native code it calls.
+"""Each run loads only the code it calls.
 
-The trajectory solver, and numpy and scipy with it, load only when a
+Each solver loads on first use: the deployment solver only for a deployment,
+and the trajectory solver, and numpy and scipy with it, only when a
 trajectory is solved. Even then, of scipy's packages only the top-level one
 loads: the solver takes the HiGHS core and LAPACK's dpbtrf/dpbtrs straight
 from their compiled modules, which are the same objects scipy.optimize and
@@ -9,7 +10,9 @@ solver; LAPACK's _flapack only on the first interior-point solve of the speed
 projection, which a mission with no speed slack (fig4) never makes.
 
 No run loads hashlib's OpenSSL module _hashlib: scenario_digest hashes with
-CPython's built-in SHA-256, to the same hex digest.
+CPython's built-in SHA-256, to the same hex digest. Nor does any run load
+importlib.resources: scenario_path joins the package's own directory, which is
+what importlib.resources.files gives for a package on disk.
 
 Each check runs in a fresh interpreter, since this test process has long since
 imported all of them.
@@ -30,10 +33,10 @@ NUMPY_LOADED = "[m for m in sys.modules if m == 'numpy' or m.startswith('numpy.'
 SCIPY_PACKAGES_LOADED = "[m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules]"
 
 
-def run_fresh(code, env, cwd):
+def run_fresh(code, env, cwd, flags=()):
     """Run code in a new interpreter; returns its stdout, failing on a non-zero exit."""
     done = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code)],
+        [sys.executable, *flags, "-c", textwrap.dedent(code)],
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -69,6 +72,108 @@ def test_no_scipy_without_a_trajectory_solve(calls, package_env, tmp_path):
         tmp_path,
     )
     assert out.split() == ["[]", "[]"]
+
+
+@pytest.mark.parametrize(
+    "calls, loaded",
+    [
+        ("uavirs.load_scenario(uavirs.scenario_path('fig5'))", False),
+        ("assert cli.main(['validate', fig4, '--quiet']) == 0", False),
+        ("assert cli.main(['validate', fig5, '--quiet']) == 0", False),
+        ("assert cli.main(['trajopt', fig4, '--out', 'out', '--quiet']) == 0", False),
+        ("assert cli.main(['deploy', fig5, '--out', 'out', '--quiet']) == 0", True),
+    ],
+    ids=["load", "validate-fig4", "validate-fig5", "trajopt-fig4", "deploy-fig5"],
+)
+def test_deployment_solver_loads_only_for_deploy(calls, loaded, package_env, tmp_path):
+    out = run_fresh(
+        f"""
+        import sys
+        import uavirs
+        from uavirs import cli
+        fig4 = str(uavirs.scenario_path('fig4'))
+        fig5 = str(uavirs.scenario_path('fig5'))
+        print('uavirs.deployment' in sys.modules)
+        {calls}
+        print('uavirs.deployment' in sys.modules)
+        """,
+        package_env,
+        tmp_path,
+    )
+    assert out.split() == ["False", str(loaded)]
+
+
+@pytest.mark.parametrize("first", ["deployment", "evaluate_strategy"])
+def test_deployment_names_resolve_on_first_use(first, package_env, tmp_path):
+    out = run_fresh(
+        f"""
+        import sys
+        import uavirs
+        print('uavirs.deployment' in sys.modules)
+        getattr(uavirs, {first!r})
+        print(uavirs.evaluate_strategy is uavirs.deployment.evaluate_strategy)
+        from uavirs import deployment, scenario
+        strategy = uavirs.DeploymentStrategy
+        print(strategy is scenario.DeploymentStrategy is deployment.DeploymentStrategy)
+        print(strategy.__module__)
+        """,
+        package_env,
+        tmp_path,
+    )
+    assert out.split() == ["False", "True", "True", "uavirs.scenario"]
+
+
+def test_no_importlib_resources(package_env, tmp_path):
+    # -S skips the site module, so no .pth file in site-packages imports
+    # importlib.resources first; the dependencies' directories go on PYTHONPATH.
+    import numpy
+    import scipy
+    import yaml
+
+    env = dict(package_env)
+    site_dirs = [os.path.dirname(os.path.dirname(m.__file__)) for m in (numpy, scipy, yaml)]
+    env["PYTHONPATH"] = os.pathsep.join([env["PYTHONPATH"], *site_dirs])
+    out = run_fresh(
+        """
+        import sys
+        from uavirs import cli, load_scenario, scenario_path
+        fig4, fig5 = str(scenario_path('fig4')), str(scenario_path('fig5'))
+
+        def report(step):
+            print(step, [m for m in sys.modules if m.startswith('importlib.resources')])
+
+        print([m for m in ('site', 'importlib.resources') if m in sys.modules])
+        load_scenario(scenario_path('fig4_noirs'))
+        report('load')
+        assert cli.main(['validate', fig4, '--quiet']) == 0
+        assert cli.main(['validate', fig5, '--quiet']) == 0
+        report('validate')
+        assert cli.main(['trajopt', fig4, '--out', 'out', '--quiet']) == 0
+        report('trajopt-fig4')
+        assert cli.main(['deploy', fig5, '--out', 'out', '--quiet']) == 0
+        report('deploy-fig5')
+        print('numpy' in sys.modules and 'scipy' in sys.modules)
+
+        import importlib.resources
+        for name in ('fig4', 'fig4_noirs', 'fig5'):
+            shipped = importlib.resources.files('uavirs') / 'scenarios' / f'{name}.scenario'
+            print(name, scenario_path(name) == shipped)
+        """,
+        env,
+        tmp_path,
+        flags=["-S"],
+    )
+    assert out.splitlines() == [
+        "[]",
+        "load []",
+        "validate []",
+        "trajopt-fig4 []",
+        "deploy-fig5 []",
+        "True",
+        "fig4 True",
+        "fig4_noirs True",
+        "fig5 True",
+    ]
 
 
 def test_every_public_name_resolves(package_env, tmp_path):
